@@ -47,13 +47,18 @@ def _echo_config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _write_report(args, records: list[dict], extra: dict | None = None) -> None:
-    meta = {
+def _meta(args) -> dict:
+    """The header every report carries: tool, version, config echo and seed."""
+    return {
         "tool": "oneclean",
         "version": __version__,
         "config": _echo_config(args),
         "seed": _seed_from(args),
     }
+
+
+def _write_report(args, records: list[dict], extra: dict | None = None) -> None:
+    meta = _meta(args)
     if args.csv:
         lines = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in meta.items()]
         lines.append(simulator.RunReport.CSV_HEADER)
@@ -104,6 +109,14 @@ def _bias_record(acc: float, label, ref) -> float | None:
     return acc - float(ref) if label == 1 else float(ref) - acc
 
 
+def _xy_inputs(args) -> dict:
+    """The --x/--y inputs as a player-to-input dict; both flags are required."""
+    for flag in ("x", "y"):
+        if getattr(args, flag) is None:
+            raise OneCleanError(f"--protocol {args.protocol} needs --{flag}")
+    return {ALICE: args.x, BOB: args.y}
+
+
 def _run_inputs(args, spec) -> list[tuple[str, dict, object]]:
     """Yield (printable-input, inputs-dict, label-or-None) triples."""
     name = args.protocol or ""
@@ -113,11 +126,12 @@ def _run_inputs(args, spec) -> list[tuple[str, dict, object]]:
                 (f"{inp[ALICE]}|{inp[BOB]}", inp, label)
                 for inp, label in problems.ip2_inputs(args.n)
             ]
-        inp = {ALICE: args.x, BOB: args.y}
+        inp = _xy_inputs(args)
         return [(f"{args.x}|{args.y}", inp, problems.ip2_value(args.x, args.y))]
     if name.startswith("middle"):
+        inp = _xy_inputs(args)
         inst = problems.MiddleInstance.from_strings(args.x, args.y)
-        return [(f"{args.x}|{args.y}", {ALICE: args.x, BOB: args.y}, inst.label)]
+        return [(f"{args.x}|{args.y}", inp, inst.label)]
     if name == "abc":
         if args.instance:
             manifest = json.loads((Path(args.instance) / "instance.json").read_text())
@@ -142,9 +156,6 @@ def _run_inputs(args, spec) -> list[tuple[str, dict, object]]:
 
 def cmd_run(args) -> int:
     spec = _load_protocol(args)
-    violations = protocol.validate(spec)
-    if violations:
-        raise OneCleanError("invalid protocol: " + "; ".join(violations))
     triples = _run_inputs(args, spec)
     ref = spec.declared_p
     records = []
@@ -284,12 +295,7 @@ def cmd_classical(args) -> int:
 
 
 def _write_json(args, body: dict) -> None:
-    meta = {
-        "tool": "oneclean",
-        "version": __version__,
-        "config": _echo_config(args),
-        "seed": _seed_from(args),
-    }
+    meta = _meta(args)
     meta.update(body)
     text = json.dumps(meta, indent=1, sort_keys=True) + "\n"
     if getattr(args, "out", None):

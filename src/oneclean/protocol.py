@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -157,7 +157,7 @@ def resolve_ref(ref, inputs, width: int) -> np.ndarray:
         out = np.eye(1 << width, dtype=complex)
         for sub, pos in ref.factors:
             m = resolve_ref(sub, inputs, len(pos))
-            out = qstate.embed_unitary(m, pos, width) @ out
+            out = qstate.embed_operator(m, pos, width) @ out
         return out
     if isinstance(ref, DispatchU):
         return _resolve_dispatch(ref, inputs, width)
@@ -187,7 +187,7 @@ def _resolve_dispatch(ref: DispatchU, inputs, width: int) -> np.ndarray:
             sub, pos = branch
             m = resolve_ref(sub, inputs, len(pos))
             local = tuple(nonsel.index(p) for p in pos)
-            bfull = qstate.embed_unitary(m, local, nb)
+            bfull = qstate.embed_operator(m, local, nb)
         j = (i + ref.increment) % (1 << w)
         idx: list = [slice(None)] * (2 * width)
         for axpos, bit in zip(ref.selector, _bits(j, w)):
@@ -200,38 +200,6 @@ def _resolve_dispatch(ref: DispatchU, inputs, width: int) -> np.ndarray:
 
 def _bits(value: int, width: int) -> tuple:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
-
-
-def ref_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, ExplicitU):
-        return a.matrix.shape == b.matrix.shape and bool(np.array_equal(a.matrix, b.matrix))
-    if isinstance(a, GenU):
-        return a.name == b.name and a.params == b.params and a.input_player == b.input_player
-    if isinstance(a, (AdjointU, ControlledU, FlagStateU)):
-        return ref_equal(a.inner, b.inner)
-    if isinstance(a, ComposedU):
-        return (
-            a.width == b.width
-            and len(a.factors) == len(b.factors)
-            and all(
-                pa == pb and ref_equal(ra, rb)
-                for (ra, pa), (rb, pb) in zip(a.factors, b.factors)
-            )
-        )
-    if isinstance(a, DispatchU):
-        if (a.width, a.selector, a.increment) != (b.width, b.selector, b.increment):
-            return False
-        if len(a.branches) != len(b.branches):
-            return False
-        for ba, bb in zip(a.branches, b.branches):
-            if (ba is None) != (bb is None):
-                return False
-            if ba is not None and not (ba[1] == bb[1] and ref_equal(ba[0], bb[0])):
-                return False
-        return True
-    return False
 
 
 def _walk_explicit(ref, width: int):
@@ -307,6 +275,12 @@ class Measurement:
         if self.single_qubit is not None:
             return (self.single_qubit,)
         return self.qubits
+
+    def operator(self) -> tuple[np.ndarray, tuple]:
+        """The accepting projector and the qubits it acts on, in its factor order."""
+        if self.single_qubit is not None:
+            return qstate.basis_projector(0), (self.single_qubit,)
+        return self.projector, self.qubits
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,15 +446,15 @@ def _validate_semi_unclocked(p: ProtocolSpec) -> list:
     msgs = [r.message for r in p.rounds]
     if any(m != msgs[0] for m in msgs[1:]):
         v.append("semi-unclocked message sets differ across rounds")
-    per_player: dict = {}
+    first: dict = {}  # player -> that player's first round
     for i, r in enumerate(p.rounds):
-        if r.player in per_player:
-            ref0, tg0 = per_player[r.player]
-            if tg0 != r.targets or not ref_equal(ref0, r.unitary):
-                v.append(f"semi-unclocked round {i} unitary differs from earlier rounds")
-                break
-        else:
-            per_player[r.player] = (r.unitary, r.targets)
+        r0 = first.setdefault(r.player, r)
+        # identity first: unclock shares one ref per player, and serializing it costs
+        if r.targets != r0.targets or (
+            r.unitary is not r0.unitary and _ref_to_obj(r.unitary) != _ref_to_obj(r0.unitary)
+        ):
+            v.append(f"semi-unclocked round {i} unitary differs from earlier rounds")
+            break
     if p.channel != FIXED:
         v.append("semi-unclocked protocols require a fixed channel")
     return v
@@ -712,60 +686,82 @@ def serialize(p: ProtocolSpec) -> str:
     return json.dumps(to_descriptor(p), indent=1)
 
 
-def _require(obj: dict, key: str, where: str):
+_KINDS = {dict: "an object", list: "a list"}
+
+
+def _expect(val, kind: type, what: str):
+    if not isinstance(val, kind):
+        raise ParseError(f"{what} must be {_KINDS[kind]}")
+    return val
+
+
+def _require(obj: dict, key: str, where: str, kind: type = object):
     if key not in obj:
         raise ParseError(f"{where}: missing field {key!r}")
-    return obj[key]
+    return _expect(obj[key], kind, f"{where}: field {key!r}")
+
+
+def _optional(obj: dict, key: str, where: str, kind: type):
+    """``obj[key]`` checked against ``kind``, or None when absent or null."""
+    val = obj.get(key)
+    return None if val is None else _expect(val, kind, f"{where}: field {key!r}")
 
 
 def from_descriptor(obj: dict) -> ProtocolSpec:
     where = "descriptor"
-    if not isinstance(obj, dict):
-        raise ParseError("descriptor must be an object")
-    layout_obj = _require(obj, "layout", where)
+    _expect(obj, dict, where)
+    layout_obj = _require(obj, "layout", where, dict)
     layout = RegisterLayout(
         int(_require(layout_obj, "clean", "layout")),
         int(_require(layout_obj, "mixed", "layout")),
     )
     rounds = []
-    for i, r in enumerate(_require(obj, "rounds", where)):
+    for i, r in enumerate(_require(obj, "rounds", where, list)):
         rw = f"rounds[{i}]"
+        _expect(r, dict, rw)
         rounds.append(
             RoundAction(
                 player=int(_require(r, "player", rw)),
                 unitary=_ref_from_obj(_require(r, "unitary", rw), rw),
-                targets=tuple(int(t) for t in _require(r, "targets", rw)),
-                message=frozenset(int(q) for q in _require(r, "message", rw)),
+                targets=tuple(int(t) for t in _require(r, "targets", rw, list)),
+                message=frozenset(int(q) for q in _require(r, "message", rw, list)),
                 to=None if r.get("to") is None else int(r["to"]),
             )
         )
-    mobj = _require(obj, "measurement", where)
+    mobj = _require(obj, "measurement", where, dict)
     if "single_qubit" in mobj:
         meas = Measurement(single_qubit=int(mobj["single_qubit"]))
     else:
         meas = Measurement(
-            qubits=tuple(int(q) for q in _require(mobj, "qubits", "measurement")),
+            qubits=tuple(int(q) for q in _require(mobj, "qubits", "measurement", list)),
             projector=qstate.matrix_from_obj(_require(mobj, "projector", "measurement")),
         )
-    declared = obj.get("declared") or {}
+    declared = _optional(obj, "declared", where, dict) or {}
     plan = None
-    if obj.get("trace_plan") is not None:
-        tp = obj["trace_plan"]
+    tp = _optional(obj, "trace_plan", where, dict)
+    if tp is not None:
+        pieces = []
+        for j, pc in enumerate(_require(tp, "pieces", "trace_plan", list)):
+            pw = f"trace_plan.pieces[{j}]"
+            _expect(pc, dict, pw)
+            pieces.append(
+                (
+                    _ref_from_obj(_require(pc, "ref", pw), pw),
+                    tuple(int(t) for t in _require(pc, "targets", pw, list)),
+                )
+            )
         plan = TracePlan(
             control=int(_require(tp, "control", "trace_plan")),
             channel=int(_require(tp, "channel", "trace_plan")),
-            pieces=tuple(
-                (_ref_from_obj(pc["ref"], "trace_plan"), tuple(int(t) for t in pc["targets"]))
-                for pc in _require(tp, "pieces", "trace_plan")
-            ),
-            counter=tuple(int(q) for q in tp.get("counter", [])),
+            pieces=tuple(pieces),
+            counter=tuple(int(q) for q in _optional(tp, "counter", "trace_plan", list) or ()),
             pairs=int(tp.get("pairs", 0)),
         )
     return ProtocolSpec(
         name=str(obj.get("name", "protocol")),
         players=int(_require(obj, "players", where)),
         layout=layout,
-        initial_owner=tuple(int(o) for o in _require(obj, "initial_owner", where)),
+        initial_owner=tuple(int(o) for o in _require(obj, "initial_owner", where, list)),
         rounds=tuple(rounds),
         measurement=meas,
         mode=str(_require(obj, "mode", where)),
@@ -785,51 +781,8 @@ def deserialize(text: str) -> ProtocolSpec:
 
 
 def protocol_equal(a: ProtocolSpec, b: ProtocolSpec) -> bool:
-    """Entrywise equality (exact, including float bits in matrices)."""
-    if (
-        a.name != b.name
-        or a.players != b.players
-        or a.layout != b.layout
-        or a.initial_owner != b.initial_owner
-        or a.mode != b.mode
-        or a.channel != b.channel
-        or a.declared_p != b.declared_p
-        or a.declared_eps != b.declared_eps
-        or len(a.rounds) != len(b.rounds)
-    ):
-        return False
-    for ra, rb in zip(a.rounds, b.rounds):
-        if (ra.player, ra.targets, ra.message, ra.to) != (rb.player, rb.targets, rb.message, rb.to):
-            return False
-        if not ref_equal(ra.unitary, rb.unitary):
-            return False
-    ma, mb = a.measurement, b.measurement
-    if ma.single_qubit != mb.single_qubit:
-        return False
-    if ma.projector is not None:
-        if mb.projector is None or ma.qubits != mb.qubits:
-            return False
-        if not np.array_equal(ma.projector, mb.projector):
-            return False
-    elif mb.projector is not None:
-        return False
-    ta, tb = a.trace_plan, b.trace_plan
-    if (ta is None) != (tb is None):
-        return False
-    if ta is not None:
-        if (ta.control, ta.channel, ta.counter, ta.pairs) != (
-            tb.control,
-            tb.channel,
-            tb.counter,
-            tb.pairs,
-        ):
-            return False
-        if len(ta.pieces) != len(tb.pieces):
-            return False
-        for (ra, tga), (rb, tgb) in zip(ta.pieces, tb.pieces):
-            if tga != tgb or not ref_equal(ra, rb):
-                return False
-    return True
+    """Descriptor equality: every field and every matrix entry compared exactly."""
+    return to_descriptor(a) == to_descriptor(b)
 
 
 # Convenience constructors used by transforms and built-ins.

@@ -56,13 +56,6 @@ def _resolved_rounds(p: ProtocolSpec, inputs):
         yield resolve_ref(r.unitary, inputs, len(r.targets)), r.targets
 
 
-def _measurement_projector(p: ProtocolSpec) -> tuple[np.ndarray, tuple]:
-    m = p.measurement
-    if m.single_qubit is not None:
-        return qstate.basis_projector(0), (m.single_qubit,)
-    return m.projector, m.qubits
-
-
 def initial_density(p: ProtocolSpec, pin: Optional[dict] = None) -> np.ndarray:
     """|0><0|^k (x) I/2^m, with pinned mixed qubits fixed to basis states."""
     pin = pin or {}
@@ -89,7 +82,7 @@ def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> Run
     rho = initial_density(p, pin)
     for u, targets in _resolved_rounds(p, inputs):
         rho = qstate.apply_on_subset(rho, u, targets)
-    proj, support = _measurement_projector(p)
+    proj, support = p.measurement.operator()
     acc = qstate.accept_probability(rho, qstate.embed_operator(proj, support, p.layout.total))
     return RunReport(acc, "density", elapsed=time.perf_counter() - t0)
 
@@ -129,7 +122,7 @@ def run_ensemble(
     pin = pin or {}
     free_mixed = [q for q in range(p.layout.clean, total) if q not in pin]
     resolved = list(_resolved_rounds(p, inputs))
-    proj, support = _measurement_projector(p)
+    proj, support = p.measurement.operator()
 
     def one_branch(assign: dict) -> float:
         psi = _branch_vector(p, {**pin, **assign})
@@ -140,26 +133,17 @@ def run_ensemble(
         return val.real
 
     if sample == "all":
-        if len(free_mixed) > 22:
-            raise BackendLimitError(
-                f"2^{len(free_mixed)} ensemble branches are too many; sample instead"
-            )
-        branches = itertools.product((0, 1), repeat=len(free_mixed))
-        accs = [one_branch(dict(zip(free_mixed, bits))) for bits in branches]
-        acc = float(np.mean(accs)) if accs else one_branch({})
+        draws = itertools.product((0, 1), repeat=len(free_mixed))
         used_seed = None
     else:
         count = int(sample)
         if count < 1:
             raise DomainError(f"sample count must be >= 1, got {sample}")
         rng = np.random.default_rng(seed)
-        accs = []
-        for _ in range(count):
-            bits = rng.integers(0, 2, size=len(free_mixed))
-            accs.append(one_branch(dict(zip(free_mixed, bits))))
-        acc = float(np.mean(accs))
+        draws = (rng.integers(0, 2, size=len(free_mixed)) for _ in range(count))
         used_seed = seed
-    acc = float(min(max(acc, 0.0), 1.0))
+    accs = [one_branch(dict(zip(free_mixed, bits))) for bits in draws]
+    acc = qstate.checked_acceptance(np.mean(accs))
     return RunReport(acc, "ensemble", seed=used_seed, elapsed=time.perf_counter() - t0)
 
 
@@ -213,8 +197,7 @@ def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport
             arr = qstate._contract(arr, m, axes)
         arr = arr.reshape(dim, b)
         tr += np.trace(arr[start : start + b, :])
-    acc = 0.5 + tr.real / (1 << (d + 1))
-    acc = float(min(max(acc, 0.0), 1.0))
+    acc = qstate.checked_acceptance(0.5 + tr.real / (1 << (d + 1)))
     return RunReport(acc, "trace", elapsed=time.perf_counter() - t0)
 
 
@@ -238,8 +221,8 @@ def oneway_bias(ua, ub) -> float:
     m-qubit space. Reading the unitaries as vectors this is their
     normalized inner product over 2, so its magnitude never exceeds 1/2.
     """
-    ua = np.asarray(getattr(ua, "mat", ua), dtype=complex)
-    ub = np.asarray(getattr(ub, "mat", ub), dtype=complex)
+    ua = np.asarray(ua, dtype=complex)
+    ub = np.asarray(ub, dtype=complex)
     if ua.shape != ub.shape or ua.ndim != 2 or ua.shape[0] != ua.shape[1]:
         raise DimensionError(f"operand shapes {ua.shape} and {ub.shape} do not match")
     m = qstate.num_qubits(ua.shape[0])

@@ -7,6 +7,7 @@ acceptance from the base acceptance a, exactly (rational arithmetic).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -22,7 +23,6 @@ from .protocol import (
     ComposedU,
     ControlledU,
     DispatchU,
-    ExplicitU,
     FIXED,
     FlagStateU,
     GenU,
@@ -32,11 +32,11 @@ from .protocol import (
     RoundAction,
     SEMI_UNCLOCKED,
     TracePlan,
+    _num_to_obj,
     assert_valid,
     communication_cost,
     explicit,
     measuring_player,
-    ownership_schedule,
     register_generator,
 )
 
@@ -65,13 +65,7 @@ class TransformCert:
         return self.acceptance_slope * acceptance + self.acceptance_offset
 
     def to_obj(self) -> dict:
-        def enc(x):
-            if x is None:
-                return None
-            if isinstance(x, (int, Fraction)):
-                return str(Fraction(x))
-            return float(x)
-
+        enc = _num_to_obj
         return {
             "input_bias": enc(self.input_bias),
             "predicted_bias": enc(self.predicted_bias),
@@ -106,10 +100,14 @@ def _shift_round(r: RoundAction, shift: int) -> RoundAction:
     )
 
 
-def _measurement_projector(meas: Measurement) -> tuple[np.ndarray, tuple]:
-    if meas.single_qubit is not None:
-        return qstate.basis_projector(0), (meas.single_qubit,)
-    return meas.projector, meas.qubits
+def _compose(factors) -> tuple[ComposedU, tuple]:
+    """One ComposedU over the union of the factors' global targets, in time order."""
+    targets = tuple(sorted({t for _, tg in factors for t in tg}))
+    local = {q: i for i, q in enumerate(targets)}
+    return (
+        ComposedU(len(targets), tuple((ref, tuple(local[t] for t in tg)) for ref, tg in factors)),
+        targets,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +160,13 @@ def k_to_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
         for i in range(len(rounds) - 1, 0, -1):
             r = rounds[i]
             if r.player == starter and r.message and r.to == measurer:
-                rounds[i] = RoundAction(r.player, r.unitary, r.targets, r.message | {0}, r.to)
+                rounds[i] = dataclasses.replace(r, message=r.message | {0})
                 break
         else:
             raise ShapeError("no message from the starter to the measurer can carry the flag")
         comm += 1
 
-    base_proj, base_support = _measurement_projector(p.measurement)
+    base_proj, base_support = p.measurement.operator()
     support = (0,) + tuple(q + 1 for q in base_support) + (coin,)
     dim_base = base_proj.shape[0]
     accept_heads = qstate.basis_projector(1)
@@ -218,7 +216,7 @@ def projective_to_single_qubit(p: ProtocolSpec) -> ProtocolSpec:
     """
     assert_valid(p)
     measurer = measuring_player(p)
-    base_proj, base_support = _measurement_projector(p.measurement)
+    base_proj, base_support = p.measurement.operator()
     dim = base_proj.shape[0]
     u_s = np.kron(qstate.X, np.eye(dim) - base_proj) + np.kron(qstate.I2, base_proj)
     rounds = [_shift_round(r, 1) for r in p.rounds]
@@ -259,31 +257,11 @@ def _merge_consecutive(p: ProtocolSpec) -> ProtocolSpec:
     while i + 1 < len(rounds):
         a, b = rounds[i], rounds[i + 1]
         if a.player == b.player and not a.message:
-            targets = tuple(sorted(set(a.targets) | set(b.targets)))
-            pos = {q: j for j, q in enumerate(targets)}
-            merged = ComposedU(
-                len(targets),
-                (
-                    (a.unitary, tuple(pos[q] for q in a.targets)),
-                    (b.unitary, tuple(pos[q] for q in b.targets)),
-                ),
-            )
+            merged, targets = _compose([(a.unitary, a.targets), (b.unitary, b.targets)])
             rounds[i : i + 2] = [RoundAction(a.player, merged, targets, b.message, b.to)]
         else:
             i += 1
-    return ProtocolSpec(
-        name=p.name,
-        players=p.players,
-        layout=p.layout,
-        initial_owner=p.initial_owner,
-        rounds=tuple(rounds),
-        measurement=p.measurement,
-        mode=p.mode,
-        channel=p.channel,
-        declared_p=p.declared_p,
-        declared_eps=p.declared_eps,
-        trace_plan=p.trace_plan,
-    )
+    return dataclasses.replace(p, rounds=tuple(rounds))
 
 
 def to_fixed_channel(p: ProtocolSpec) -> FixedChannelForm:
@@ -353,12 +331,7 @@ def to_fixed_channel(p: ProtocolSpec) -> FixedChannelForm:
         player = player_of(t)
         fl = factors.get(t, [])
         if fl:
-            targets = tuple(sorted({s for _, slots in fl for s in slots}))
-            local = {q: i for i, q in enumerate(targets)}
-            ref = ComposedU(
-                len(targets),
-                tuple((r, tuple(local[s] for s in slots)) for r, slots in fl),
-            )
+            ref, targets = _compose(fl)
         else:
             targets = (ch,)
             ref = explicit(qstate.I2)
@@ -418,7 +391,6 @@ def to_trace_form(
     anc_base = 1 + n_fc
     init_anc = {c: anc_base + i for i, c in enumerate(clean_slots)}
     end_anc = anc_base + len(clean_slots)
-    n_total = end_anc + 1
 
     owners = list(fcp.initial_owner)
     m_cleans = [c for c in clean_slots if owners[c] == fc.measurer]
@@ -432,27 +404,19 @@ def to_trace_form(
         targets = tuple(t + 1 for t in r_.targets)
         return r_.unitary, targets
 
-    def compose(pieces):
-        targets = tuple(sorted({t for _, tg in pieces for t in tg}))
-        local = {q: i for i, q in enumerate(targets)}
-        return (
-            ComposedU(len(targets), tuple((ref, tuple(local[t] for t in tg)) for ref, tg in pieces)),
-            targets,
-        )
-
     pieces: list[tuple] = []
     # piece 0 (measurer): initial projectors for measurer-owned clean slots
     head = [cnot_factor(c, init_anc[c]) for c in m_cleans]
     if not head:
         head = [(explicit(qstate.I2), (1 + fc.channel,))]
-    pieces.append(compose(head))
+    pieces.append(_compose(head))
     # forward pass, with the end projector folded into U_r
     for t in range(1, r):
         ref, tg = round_ref(fcp.rounds[t - 1])
         pieces.append((ref, tg))
     last_ref, last_tg = round_ref(fcp.rounds[r - 1])
     pieces.append(
-        compose(
+        _compose(
             [
                 (last_ref, last_tg),
                 cnot_factor(measured, end_anc),
@@ -467,23 +431,8 @@ def to_trace_form(
     first_ref, first_tg = round_ref(fcp.rounds[0])
     tail = [(AdjointU(first_ref), first_tg)]
     tail.extend(cnot_factor(c, init_anc[c]) for c in s_cleans)
-    pieces.append(compose(tail))
+    pieces.append(_compose(tail))
     assert len(pieces) == 2 * r
-
-    ch = 1 + fc.channel
-    rounds = []
-    for idx, (ref, tg) in enumerate(pieces):
-        player = fc.measurer if idx % 2 == 0 else fc.starter
-        ctrl = (ControlledU(ref), (0,) + tg)
-        if idx == 0:
-            unitary, targets = compose([((explicit(qstate.H)), (0,)), ctrl])
-        elif idx == 2 * r - 1:
-            unitary, targets = compose([ctrl, ((explicit(qstate.H)), (0,))])
-        else:
-            unitary, targets = ControlledU(ref), (0,) + tg
-        rounds.append(
-            RoundAction(player, unitary, targets, frozenset({0, ch}), 1 - player)
-        )
 
     new_owner = [fc.measurer]  # control
     new_owner.extend(owners)
@@ -494,17 +443,10 @@ def to_trace_form(
 
     slope = Fraction(1, 1 << (j + 1))
     offset = Fraction(1, 2)
-    out = ProtocolSpec(
-        name=p.name + "+trace",
-        players=2,
-        layout=RegisterLayout(clean=1, mixed=n_total - 1),
-        initial_owner=tuple(new_owner),
-        rounds=tuple(rounds),
-        measurement=Measurement(single_qubit=0),
-        channel=FIXED,
+    out = dataclasses.replace(
+        hadamard_test_protocol(pieces, new_owner, 1 + fc.channel, name=p.name + "+trace"),
         declared_p=_affine(p.declared_p, slope, offset),
         declared_eps=_affine(p.declared_eps, slope, Fraction(0)),
-        trace_plan=TracePlan(control=0, channel=ch, pieces=tuple(pieces)),
     )
     eps_in = base_bias if base_bias is not None else p.declared_eps
     notes = f"j={j} clean slots -> p0 = 1/2 + a/{1 << (j + 1)}; {2 * r} rounds of 2 qubits"
@@ -544,27 +486,11 @@ def hadamard_test_protocol(
         player = first if idx % 2 == 0 else 1 - first
         ctrl = (ControlledU(ref), (0,) + tg)
         if idx == 0:
-            targets = tuple(sorted({0, *ctrl[1]}))
-            local = {q: i for i, q in enumerate(targets)}
-            unitary = ComposedU(
-                len(targets),
-                (
-                    (explicit(qstate.H), (local[0],)),
-                    (ctrl[0], tuple(local[t] for t in ctrl[1])),
-                ),
-            )
+            unitary, targets = _compose([(explicit(qstate.H), (0,)), ctrl])
         elif idx == len(pieces) - 1:
-            targets = tuple(sorted({0, *ctrl[1]}))
-            local = {q: i for i, q in enumerate(targets)}
-            unitary = ComposedU(
-                len(targets),
-                (
-                    (ctrl[0], tuple(local[t] for t in ctrl[1])),
-                    (explicit(qstate.H), (local[0],)),
-                ),
-            )
+            unitary, targets = _compose([ctrl, (explicit(qstate.H), (0,))])
         else:
-            unitary, targets = ctrl[0], ctrl[1]
+            unitary, targets = ctrl
         rounds.append(
             RoundAction(player, unitary, targets, frozenset({0, channel}), 1 - player)
         )
@@ -730,7 +656,7 @@ def two_round_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     for r in p.rounds[1:]:
         rounds.append(_shift_round(r, 1))
 
-    base_proj, base_support = _measurement_projector(p.measurement)
+    base_proj, base_support = p.measurement.operator()
     proj = np.kron(qstate.basis_projector(1), base_proj)
     support = (0,) + tuple(q + 1 for q in base_support)
 

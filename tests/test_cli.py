@@ -37,6 +37,46 @@ def test_run_malformed_descriptor_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path, named",
+    [
+        (("layout",), "'layout'"),
+        (("measurement",), "'measurement'"),
+        (("declared",), "'declared'"),
+        (("trace_plan",), "'trace_plan'"),
+        (("rounds",), "'rounds'"),
+        (("rounds", 0), "rounds[0]"),
+        (("initial_owner",), "'initial_owner'"),
+        (("rounds", 0, "targets"), "'targets'"),
+        (("rounds", 0, "message"), "'message'"),
+    ],
+)
+def test_run_descriptor_with_a_mistyped_field_exits_2(tmp_path, capsys, path, named):
+    obj = protocol.to_descriptor(problems.ip2_clocked(1))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = 5
+    desc = tmp_path / "bad.json"
+    desc.write_text(json.dumps(obj))
+    assert run_cli("run", "--descriptor", str(desc)) == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--protocol", "ip2-clocked", "--n", "1"], "--x"),
+        (["--protocol", "middle", "--n", "2"], "--x"),
+        (["--protocol", "middle", "--n", "2", "--x", "01"], "--y"),
+    ],
+)
+def test_run_names_the_missing_input_flag(capsys, argv, flag):
+    assert run_cli("run", *argv) == 2
+    assert f"needs {flag}" in capsys.readouterr().err
+
+
 def test_run_backend_limit_exits_3(tmp_path, capsys):
     big = protocol.ProtocolSpec(
         name="big",
@@ -201,3 +241,9 @@ def test_full_chain_via_cli_hits_the_wrap_formula(tmp_path, capsys):
     acc = json.loads(report.read_text())["records"][0]["acceptance"]
     # 1/2 + 1/16 + eps/2^(k+3) at eps = 1/2, k = 2
     assert acc == pytest.approx(0.5 + 1 / 16 + 0.5 / 32, abs=1e-9)
+
+
+def test_verify_quick_battery_passes(capsys):
+    assert run_cli("verify", "--quick") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and not any(l.startswith("FAIL") for l in lines)

@@ -1,9 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oneclean import problems, protocol
+from oneclean import problems, protocol, transforms
 from oneclean.errors import DomainError, ParseError
 from oneclean.protocol import (
     ALICE,
@@ -15,7 +16,7 @@ from oneclean.protocol import (
     explicit,
 )
 
-from helpers import random_trace_form
+from helpers import random_trace_form, random_two_clean
 
 
 def test_validate_builtin_protocols_clean():
@@ -225,3 +226,66 @@ def test_validate_rejects_bad_bias():
         declared_eps=Fraction(3, 4),
     )
     assert any("bias" in v for v in protocol.validate(bad))
+
+
+def _first_ref(obj, kind):
+    """The first unitary-reference object of ``kind`` in a descriptor, depth first."""
+    if isinstance(obj, dict):
+        if obj.get("kind") == kind:
+            return obj
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for v in obj:
+            found = _first_ref(v, kind)
+            if found is not None:
+                return found
+    return None
+
+
+def _bump_dispatch_entry(round_obj):
+    """Move one explicit entry inside the round's dispatch branch 0 by 1e-12."""
+    branch = _first_ref(round_obj, "dispatch")["branches"][0]
+    _first_ref(branch, "explicit")["matrix"]["entries"][0][0][0] += 1e-12
+
+
+def _unclocked():
+    return transforms.unclock(random_trace_form(0, pairs=2))[0]
+
+
+def _set_generator_param(d):
+    _first_ref(d["rounds"], "generator")["params"]["n"] = 3
+
+
+def _set_projector_entry(d):
+    d["measurement"]["projector"]["entries"][0][0][0] += 0.25
+
+
+@pytest.mark.parametrize(
+    "build, mutate",
+    [
+        (_unclocked, lambda d: _bump_dispatch_entry(d["rounds"][0])),
+        (lambda: problems.ip2_clocked(2), _set_generator_param),
+        (_unclocked, lambda d: d["trace_plan"]["pieces"][0]["targets"].reverse()),
+        (lambda: problems.ip2_one_clean(2), lambda d: d["declared"].update(eps="1/16")),
+        (lambda: random_two_clean(1), _set_projector_entry),
+    ],
+    ids=["dispatch-entry", "generator-param", "plan-target", "declared-eps", "projector-entry"],
+)
+def test_protocol_equal_sees_a_single_changed_field(build, mutate):
+    p = build()
+    assert protocol.protocol_equal(p, protocol.deserialize(protocol.serialize(p)))
+    obj = json.loads(protocol.serialize(p))
+    mutate(obj)
+    assert not protocol.protocol_equal(p, protocol.from_descriptor(obj))
+
+
+def test_deserialized_unclocked_spec_validates_and_flags_a_changed_round():
+    uc = _unclocked()
+    q = protocol.deserialize(protocol.serialize(uc))
+    assert q.rounds[0].unitary is not q.rounds[2].unitary
+    assert protocol.validate(q) == []
+    obj = json.loads(protocol.serialize(uc))
+    _bump_dispatch_entry(obj["rounds"][2])
+    assert protocol.validate(protocol.from_descriptor(obj)) == [
+        "semi-unclocked round 2 unitary differs from earlier rounds"
+    ]

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oneclean import problems, protocol, qstate, simulator, transforms
-from oneclean.errors import BackendLimitError, DomainError, ShapeError
+from oneclean.errors import BackendLimitError, DomainError, NumericalIntegrityError, ShapeError
 from oneclean.protocol import (
     ALICE,
     BOB,
     ComposedU,
     ControlledU,
+    GenU,
     Measurement,
     ProtocolSpec,
     RegisterLayout,
     RoundAction,
     explicit,
+    register_generator,
 )
 
 from helpers import random_trace_form, random_two_clean
@@ -261,3 +263,18 @@ def test_acceptance_stays_in_unit_interval():
     for inp, _ in problems.ip2_inputs(3)[:8]:
         acc = simulator.run_density(p, inp).acceptance
         assert -TOL <= acc <= 1 + TOL
+
+
+@register_generator("test_twice_identity")
+def _gen_twice_identity(params, player_input):
+    return 2 * np.eye(2, dtype=complex)  # not unitary; validate does not resolve generators
+
+
+def test_every_backend_raises_on_acceptance_beyond_one():
+    p = transforms.hadamard_test_protocol(
+        [(GenU("test_twice_identity", {}, ALICE), (1,)), (explicit(qstate.I2), (1,))], (0, 0), 1
+    )
+    assert protocol.validate(p) == []
+    for backend in simulator.BACKENDS:
+        with pytest.raises(NumericalIntegrityError, match="outside"):
+            simulator.run(p, backend=backend)
