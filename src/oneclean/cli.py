@@ -21,6 +21,7 @@ from . import __version__, classical, problems, protocol, qstate, simulator, tra
 from .errors import (
     BackendLimitError,
     OneCleanError,
+    ParseError,
 )
 from .protocol import ALICE, BOB
 
@@ -149,7 +150,15 @@ def _run_inputs(args, spec) -> list[tuple[str, dict, object]]:
     if args.inputs:
         raw = args.inputs
         text = Path(raw[1:]).read_text() if raw.startswith("@") else raw
-        parsed = {int(k): v for k, v in json.loads(text).items()}
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"--inputs is not valid JSON: {e}") from e
+        if not isinstance(obj, dict) or not all(k.isdecimal() for k in obj):
+            raise ParseError(
+                '--inputs must be a JSON object keyed by player index, like {"0": "1"}'
+            )
+        parsed = {int(k): v for k, v in obj.items()}
         return [(json.dumps(parsed, sort_keys=True), parsed, None)]
     return [("-", None, None)]
 

@@ -34,7 +34,7 @@ class ParseError(OneCleanError, ValueError):
 
 
 class BackendLimitError(OneCleanError, RuntimeError):
-    """Requested computation exceeds a backend's qubit budget."""
+    """Requested computation exceeds a backend's qubit or memory budget."""
 
 
 class NumericalIntegrityError(OneCleanError, ArithmeticError):

@@ -608,7 +608,11 @@ def _ref_from_obj(obj, where: str):
         if kind == "explicit":
             return ExplicitU(qstate.matrix_from_obj(obj["matrix"]))
         if kind == "generator":
-            return GenU(obj["name"], obj.get("params") or {}, int(obj["input_player"]))
+            return GenU(
+                _require(obj, "name", where, str),
+                _optional(obj, "params", where, dict) or {},
+                _require(obj, "input_player", where, int),
+            )
         if kind == "adjoint":
             return AdjointU(_ref_from_obj(obj["inner"], where))
         if kind == "controlled":
@@ -617,23 +621,23 @@ def _ref_from_obj(obj, where: str):
             return FlagStateU(_ref_from_obj(obj["inner"], where))
         if kind == "composed":
             return ComposedU(
-                int(obj["width"]),
+                _require(obj, "width", where, int),
                 tuple(
-                    (_ref_from_obj(f["ref"], where), tuple(int(x) for x in f["pos"]))
+                    (_ref_from_obj(f["ref"], where), _int_list(f, "pos", where))
                     for f in obj["factors"]
                 ),
             )
         if kind == "dispatch":
             return DispatchU(
-                int(obj["width"]),
-                tuple(int(x) for x in obj["selector"]),
+                _require(obj, "width", where, int),
+                _int_list(obj, "selector", where),
                 tuple(
                     None
                     if b is None
-                    else (_ref_from_obj(b["ref"], where), tuple(int(x) for x in b["pos"]))
+                    else (_ref_from_obj(b["ref"], where), _int_list(b, "pos", where))
                     for b in obj["branches"]
                 ),
-                int(obj.get("increment", 0)),
+                _optional(obj, "increment", where, int) or 0,
             )
     except KeyError as e:
         raise ParseError(f"{where}: missing field {e.args[0]!r}") from e
@@ -686,11 +690,12 @@ def serialize(p: ProtocolSpec) -> str:
     return json.dumps(to_descriptor(p), indent=1)
 
 
-_KINDS = {dict: "an object", list: "a list"}
+_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
 
 
 def _expect(val, kind: type, what: str):
-    if not isinstance(val, kind):
+    # bool is an int subclass, but true/false is never a valid integer field
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise ParseError(f"{what} must be {_KINDS[kind]}")
     return val
 
@@ -707,13 +712,19 @@ def _optional(obj: dict, key: str, where: str, kind: type):
     return None if val is None else _expect(val, kind, f"{where}: field {key!r}")
 
 
+def _int_list(obj: dict, key: str, where: str, optional: bool = False) -> tuple[int, ...]:
+    """``obj[key]`` as a tuple of integers (empty when optional and absent)."""
+    vals = (_optional(obj, key, where, list) or []) if optional else _require(obj, key, where, list)
+    return tuple(_expect(v, int, f"{where}: field {key!r} entry {i}") for i, v in enumerate(vals))
+
+
 def from_descriptor(obj: dict) -> ProtocolSpec:
     where = "descriptor"
     _expect(obj, dict, where)
     layout_obj = _require(obj, "layout", where, dict)
     layout = RegisterLayout(
-        int(_require(layout_obj, "clean", "layout")),
-        int(_require(layout_obj, "mixed", "layout")),
+        _require(layout_obj, "clean", "layout", int),
+        _require(layout_obj, "mixed", "layout", int),
     )
     rounds = []
     for i, r in enumerate(_require(obj, "rounds", where, list)):
@@ -721,19 +732,19 @@ def from_descriptor(obj: dict) -> ProtocolSpec:
         _expect(r, dict, rw)
         rounds.append(
             RoundAction(
-                player=int(_require(r, "player", rw)),
+                player=_require(r, "player", rw, int),
                 unitary=_ref_from_obj(_require(r, "unitary", rw), rw),
-                targets=tuple(int(t) for t in _require(r, "targets", rw, list)),
-                message=frozenset(int(q) for q in _require(r, "message", rw, list)),
-                to=None if r.get("to") is None else int(r["to"]),
+                targets=_int_list(r, "targets", rw),
+                message=frozenset(_int_list(r, "message", rw)),
+                to=_optional(r, "to", rw, int),
             )
         )
     mobj = _require(obj, "measurement", where, dict)
     if "single_qubit" in mobj:
-        meas = Measurement(single_qubit=int(mobj["single_qubit"]))
+        meas = Measurement(single_qubit=_require(mobj, "single_qubit", "measurement", int))
     else:
         meas = Measurement(
-            qubits=tuple(int(q) for q in _require(mobj, "qubits", "measurement", list)),
+            qubits=_int_list(mobj, "qubits", "measurement"),
             projector=qstate.matrix_from_obj(_require(mobj, "projector", "measurement")),
         )
     declared = _optional(obj, "declared", where, dict) or {}
@@ -747,25 +758,25 @@ def from_descriptor(obj: dict) -> ProtocolSpec:
             pieces.append(
                 (
                     _ref_from_obj(_require(pc, "ref", pw), pw),
-                    tuple(int(t) for t in _require(pc, "targets", pw, list)),
+                    _int_list(pc, "targets", pw),
                 )
             )
         plan = TracePlan(
-            control=int(_require(tp, "control", "trace_plan")),
-            channel=int(_require(tp, "channel", "trace_plan")),
+            control=_require(tp, "control", "trace_plan", int),
+            channel=_require(tp, "channel", "trace_plan", int),
             pieces=tuple(pieces),
-            counter=tuple(int(q) for q in _optional(tp, "counter", "trace_plan", list) or ()),
-            pairs=int(tp.get("pairs", 0)),
+            counter=_int_list(tp, "counter", "trace_plan", optional=True),
+            pairs=_optional(tp, "pairs", "trace_plan", int) or 0,
         )
     return ProtocolSpec(
-        name=str(obj.get("name", "protocol")),
-        players=int(_require(obj, "players", where)),
+        name=_expect(obj.get("name", "protocol"), str, f"{where}: field 'name'"),
+        players=_require(obj, "players", where, int),
         layout=layout,
-        initial_owner=tuple(int(o) for o in _require(obj, "initial_owner", where, list)),
+        initial_owner=_int_list(obj, "initial_owner", where),
         rounds=tuple(rounds),
         measurement=meas,
-        mode=str(_require(obj, "mode", where)),
-        channel=str(_require(obj, "channel", where)),
+        mode=_require(obj, "mode", where, str),
+        channel=_require(obj, "channel", where, str),
         declared_p=_num_from_obj(declared.get("p", "1/2"), "declared.p"),
         declared_eps=_num_from_obj(declared.get("eps"), "declared.eps"),
         trace_plan=plan,

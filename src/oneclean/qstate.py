@@ -9,6 +9,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -97,6 +98,82 @@ def _contract(tensor_arr: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> n
     ut = u.reshape((2,) * (2 * s))
     out = np.tensordot(ut, tensor_arr, axes=(tuple(range(s, 2 * s)), axes))
     return np.moveaxis(out, tuple(range(s)), axes)
+
+
+@functools.lru_cache(maxsize=64)
+def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...]):
+    """Greedy pairwise contraction order for Tr(M_last ... M_first) on d qubits.
+
+    ``piece_axes`` lists each operator's target qubits in application
+    order. Operator k becomes a (2,)*2w tensor whose row legs are fresh
+    wire labels and whose column legs are the current wires of its
+    targets; each qubit's last wire then closes onto its first. The plan
+    is ``(traces, steps, free, largest)``: per-tensor pairs of axes traced
+    at once (a qubit only that tensor touches), the (a, b, axes_a, axes_b)
+    tensordot steps, each appending its result as the next tensor, the
+    count of untouched qubits (a factor 2 each), and the largest tensor
+    in elements. It depends only on the arguments, so it is cached.
+    """
+    cur = list(range(d))
+    nxt = d
+    labels = []
+    for axes in piece_axes:
+        outs = list(range(nxt, nxt + len(axes)))
+        nxt += len(axes)
+        labels.append(outs + [cur[q] for q in axes])
+        for q, o in zip(axes, outs):
+            cur[q] = o
+    free = sum(c == q for q, c in enumerate(cur))
+    close = {c: q for q, c in enumerate(cur)}
+    labels = [[close.get(lab, lab) for lab in ls] for ls in labels]
+    largest = max((1 << len(ls) for ls in labels), default=1)
+    traces = []
+    for ls in labels:
+        pairs = []
+        for lab in sorted({lab for lab in ls if ls.count(lab) == 2}):
+            i = ls.index(lab)
+            j = ls.index(lab, i + 1)
+            pairs.append((i, j))
+            del ls[j], ls[i]
+        traces.append(tuple(pairs))
+    live = dict(enumerate(labels))
+    steps = []
+    while True:
+        owners = {}
+        for k, ls in live.items():
+            for lab in ls:
+                owners.setdefault(lab, []).append(k)
+        # smallest result first; on a tie, the pair with the larger inputs
+        cands = []
+        for a, b in {tuple(ks) for ks in owners.values()}:
+            width = len(live[a]) + len(live[b])
+            cands.append((width - 2 * len(set(live[a]) & set(live[b])), -width, a, b))
+        if not cands:
+            break
+        size, _, a, b = min(cands)
+        la, lb = live.pop(a), live.pop(b)
+        shared = [lab for lab in la if lab in lb]
+        steps.append((a, b, tuple(map(la.index, shared)), tuple(map(lb.index, shared))))
+        live[len(labels) + len(steps) - 1] = [lab for lab in la + lb if lab not in shared]
+        largest = max(largest, 1 << size)
+    return tuple(traces), tuple(steps), free, largest
+
+
+def trace_ring(mats, plan) -> complex:
+    """Tr(M_last ... M_first) of local operators, contracted as ``ring_plan`` says."""
+    traces, steps, free, _ = plan
+    arrs = {}
+    for k, (m, pairs) in enumerate(zip(mats, traces)):
+        t = m.reshape((2,) * (2 * num_qubits(m.shape[0])))
+        for i, j in pairs:
+            t = np.trace(t, axis1=i, axis2=j)
+        arrs[k] = t
+    for n, (a, b, axes_a, axes_b) in enumerate(steps, start=len(traces)):
+        arrs[n] = np.tensordot(arrs.pop(a), arrs.pop(b), axes=(axes_a, axes_b))
+    out = complex(1 << free)
+    for t in arrs.values():
+        out *= complex(t)
+    return out
 
 
 def apply_to_vector(psi: np.ndarray, u, targets) -> np.ndarray:

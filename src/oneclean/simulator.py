@@ -6,7 +6,11 @@ Three backends compute the same number three ways:
 * ``run_ensemble`` averages pure-state runs over the mixed register's
   basis states (<= 20 qubits; exact with ``sample="all"``),
 * ``run_trace`` evaluates the Hadamard-test formula
-  1/2 + Re Tr(product of pieces) / 2^(d+1) for trace-form protocols.
+  1/2 + Re Tr(product of pieces) / 2^(d+1) for trace-form protocols by
+  contracting the ring of pieces pairwise (``qstate.ring_plan``), never
+  building a 2^d x 2^d array; its bound is the planned largest
+  intermediate in bytes (``TRACE_MAX_BYTES``), checked before any array
+  is built.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .protocol import ProtocolSpec, assert_valid, resolve_ref
 
 DENSITY_QUBIT_LIMIT = 12
 ENSEMBLE_QUBIT_LIMIT = 20
-TRACE_CORE_LIMIT = 14
+TRACE_MAX_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,9 @@ def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport
 
     The product runs over the plan's pieces; for a semi-unclocked plan a
     counter start of j rotates the piece sequence by j pairs, which by the
-    cyclic property of the trace never changes the result.
+    cyclic property of the trace never changes the result. Raises
+    ``BackendLimitError`` before resolving any piece when the contraction's
+    largest intermediate would exceed ``TRACE_MAX_BYTES``.
     """
     t0 = time.perf_counter()
     plan = p.trace_plan
@@ -165,8 +171,6 @@ def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport
         if q != plan.control and q not in plan.counter
     ]
     d = len(core)
-    if d > TRACE_CORE_LIMIT:
-        raise BackendLimitError(f"trace backend limit is {TRACE_CORE_LIMIT} core qubits, got {d}")
     local = {q: i for i, q in enumerate(core)}
 
     order = list(range(len(plan.pieces)))
@@ -178,25 +182,16 @@ def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport
     elif counter_start:
         raise DomainError("counter start given but the plan has no counter")
 
-    resolved = []
-    for idx in order:
-        ref, targets = plan.pieces[idx]
-        m = resolve_ref(ref, inputs, len(targets))
-        resolved.append((m, tuple(local[t] for t in targets)))
-
-    dim = 1 << d
-    # one full pass when the workspace fits comfortably; column blocks above
-    block = dim if d <= 12 else 1 << 10
-    tr = 0.0 + 0.0j
-    for start in range(0, dim, block):
-        b = min(block, dim - start)
-        arr = np.zeros((dim, b), dtype=complex)
-        arr[start : start + b, :] = np.eye(b, dtype=complex)
-        arr = arr.reshape((2,) * d + (b,))
-        for m, axes in resolved:
-            arr = qstate._contract(arr, m, axes)
-        arr = arr.reshape(dim, b)
-        tr += np.trace(arr[start : start + b, :])
+    pieces = [plan.pieces[idx] for idx in order]
+    ring = qstate.ring_plan(d, tuple(tuple(local[t] for t in targets) for _, targets in pieces))
+    need = ring[-1] * np.dtype(complex).itemsize  # largest intermediate, in bytes
+    if need > TRACE_MAX_BYTES:
+        raise BackendLimitError(
+            f"trace contraction over {d} core qubits needs a {need}-byte intermediate, "
+            f"over the trace backend bound TRACE_MAX_BYTES = {TRACE_MAX_BYTES} bytes"
+        )
+    mats = [resolve_ref(ref, inputs, len(targets)) for ref, targets in pieces]
+    tr = qstate.trace_ring(mats, ring)
     acc = qstate.checked_acceptance(0.5 + tr.real / (1 << (d + 1)))
     return RunReport(acc, "trace", elapsed=time.perf_counter() - t0)
 

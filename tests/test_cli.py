@@ -49,17 +49,45 @@ def test_run_malformed_descriptor_exits_2(tmp_path, capsys):
         (("initial_owner",), "'initial_owner'"),
         (("rounds", 0, "targets"), "'targets'"),
         (("rounds", 0, "message"), "'message'"),
+        (("players",), "'players'"),
+        (("layout", "clean"), "'clean'"),
+        (("rounds", 0, "player"), "'player'"),
+        (("rounds", 0, "to"), "'to'"),
+        (("rounds", 0, "targets", 0), "'targets' entry 0"),
+        (("measurement", "single_qubit"), "'single_qubit'"),
+        (("rounds", 0, "unitary", "width"), "'width'"),
+        (("rounds", 0, "unitary", "factors", 1, "ref", "input_player"), "'input_player'"),
+        (("mode",), "'mode'"),
     ],
 )
 def test_run_descriptor_with_a_mistyped_field_exits_2(tmp_path, capsys, path, named):
-    obj = protocol.to_descriptor(problems.ip2_clocked(1))
+    # middle(n=2): round 0 is a composed unitary with a generator factor
+    obj = protocol.to_descriptor(problems.middle_protocol(2))
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = 5
+    # integer fields (present or not) get a string, every other field an integer
+    old = parent[path[-1]] if isinstance(parent, list) else parent.get(path[-1])
+    parent[path[-1]] = "two" if old is None or isinstance(old, int) else 5
     desc = tmp_path / "bad.json"
     desc.write_text(json.dumps(obj))
     assert run_cli("run", "--descriptor", str(desc)) == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0]
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("{bad", "--inputs is not valid JSON"),
+        ("[1]", "--inputs must be a JSON object"),
+        ('{"alice": "1"}', "--inputs must be a JSON object"),
+    ],
+)
+def test_run_malformed_inputs_exits_2(tmp_path, capsys, text, named):
+    desc = tmp_path / "p.json"
+    desc.write_text(protocol.serialize(problems.ip2_clocked(1)))
+    assert run_cli("run", "--descriptor", str(desc), "--inputs", text) == 2
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and named in errors[0]
 
@@ -221,7 +249,6 @@ def test_run_descriptor_with_inline_inputs(tmp_path, capsys):
     assert body["records"][0]["acceptance"] == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.slow
 def test_full_chain_via_cli_hits_the_wrap_formula(tmp_path, capsys):
     out = tmp_path / "chain"
     code = run_cli(

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +134,116 @@ def test_run_trace_matches_density(seed):
 def test_run_trace_requires_plan():
     with pytest.raises(ShapeError):
         simulator.run_trace(problems.ip2_clocked(1))
+
+
+def _trace_chain(base):
+    """k1 -> sq-measure -> trace-form."""
+    k1, _ = transforms.k_to_one_clean(base)
+    tf, _ = transforms.to_trace_form(transforms.projective_to_single_qubit(k1))
+    return tf
+
+
+def _middle_chain_closed_form(n: int, x: str, y: str) -> Fraction:
+    """1/2 + a'/8 with a' = (1 - 2^-k)/2 + a/2^k, a = 4t^2/n^2, k = log2(n) + 1."""
+    k = n.bit_length()
+    a = problems.middle_acceptance(n, problems.MiddleInstance.from_strings(x, y).t)
+    return Fraction(1, 2) + ((1 - Fraction(1, 2**k)) / 2 + a / 2**k) / 8
+
+
+def test_run_trace_middle_n8_chain_matches_closed_form():
+    # 15 core qubits: over the dense evaluator's old 14-qubit limit
+    tf = _trace_chain(problems.middle_protocol(8))
+    assert tf.layout.total - 1 == 15
+    for x, y in (("11110000", "11111111"), ("11111111", "11111111"), ("10000000", "11111111")):
+        acc = simulator.run_trace(tf, {ALICE: x, BOB: y}).acceptance
+        assert abs(acc - float(_middle_chain_closed_form(8, x, y))) < TOL
+
+
+def test_run_trace_middle_n32_chain_hits_the_byte_bound_before_allocating(monkeypatch):
+    tf = _trace_chain(problems.middle_protocol(32))
+
+    def no_resolve(*args):
+        raise AssertionError("a piece was resolved before the byte bound was checked")
+
+    monkeypatch.setattr(simulator, "resolve_ref", no_resolve)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(BackendLimitError, match="TRACE_MAX_BYTES") as info:
+            simulator.run_trace(tf, {ALICE: "1" * 32, BOB: "1" * 32})
+        wall = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"{simulator.TRACE_MAX_BYTES} bytes" in str(info.value)
+    assert wall < 2.0
+    assert peak < 16 << 20
+
+
+def _split_ring(seed: int):
+    """Trace form whose ring has two disconnected piece groups, a lone piece,
+    qubits touched by exactly one piece and core qubits no piece touches.
+
+    Qubits: 0 control; Bob's 1, 3, 5; Alice's 2, 4, 6, 7; channel 8 (Bob's).
+    Bob's pieces {1,3}, {1}, {3,5} form one group (5 touched once), Alice's
+    {2}, {2,4} another (4 touched once), Alice's {6} is a lone piece, and
+    7 and the channel are untouched.
+    """
+    rng = np.random.default_rng(seed)
+    owners = (BOB, BOB, ALICE, BOB, ALICE, BOB, ALICE, ALICE, BOB)
+    targets = [(1, 3), (2,), (1,), (2, 4), (3, 5), (6,)]
+    pieces = []
+    for tg in targets:
+        # small phases in a Haar basis: non-commuting pieces with large traces
+        v = qstate.haar_unitary(1 << len(tg), rng)
+        phases = np.exp(1j * rng.uniform(-0.3, 0.3, 1 << len(tg)))
+        pieces.append((explicit((v * phases) @ v.conj().T), tg))
+    return transforms.hadamard_test_protocol(pieces, owners, 8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_trace_split_ring_matches_density(seed):
+    p = _split_ring(seed)
+    t = simulator.run_trace(p).acceptance
+    d = simulator.run_density(p).acceptance
+    assert abs(t - d) < TOL
+    assert abs(t - 0.5) > 0.1  # far from the traceless value
+    local_axes = tuple(tuple(q - 1 for q in tg) for _, tg in p.trace_plan.pieces)
+    traces, steps, free, _ = qstate.ring_plan(8, local_axes)
+    # two untouched qubits, three self-traced pieces, 6 tensors in 3 components
+    assert free == 2 and sum(map(bool, traces)) == 3 and len(steps) == 3
+
+
+def test_run_trace_cached_order_is_reused_across_inputs_and_counter_starts():
+    uc, _ = transforms.unclock(_trace_chain(problems.ip2_clocked(1)))
+    runs = [
+        ({ALICE: x, BOB: y}, j)
+        for x in "01"
+        for y in "01"
+        for j in range(uc.trace_plan.pairs)
+    ]
+    qstate.ring_plan.cache_clear()
+    warm = [simulator.run_trace(uc, inp, counter_start=j).acceptance for inp, j in runs]
+    info = qstate.ring_plan.cache_info()
+    assert info.misses <= uc.trace_plan.pairs and info.hits == len(runs) - info.misses
+    for (inp, j), acc in zip(runs, warm):
+        qstate.ring_plan.cache_clear()
+        assert simulator.run_trace(uc, inp, counter_start=j).acceptance == acc
+        ip = int(inp[ALICE]) & int(inp[BOB])
+        assert abs(acc - (0.5 + (3 / 8 + ip / 4) / 8)) < TOL
+
+
+def test_run_trace_byte_bound_exits_3_through_the_cli(tmp_path, monkeypatch, capsys):
+    from oneclean import cli
+
+    desc = tmp_path / "tf.json"
+    desc.write_text(protocol.serialize(_trace_chain(problems.ip2_clocked(1))))
+    argv = ["run", "--descriptor", str(desc), "--backend", "trace",
+            "--inputs", '{"0": "1", "1": "1"}']
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(simulator, "TRACE_MAX_BYTES", 1 << 10)
+    assert cli.main(argv) == 3
+    assert "TRACE_MAX_BYTES" in capsys.readouterr().err
 
 
 def test_oneway_bias_identity_pair():

@@ -180,7 +180,6 @@ def test_trace_form_needs_single_qubit_measurement():
         transforms.to_trace_form(problems.ip2_clocked(1))
 
 
-@pytest.mark.slow
 def test_trace_form_ip2_chain_paper_formula():
     base = problems.ip2_clocked(1)
     k1, _ = transforms.k_to_one_clean(base)
