@@ -154,11 +154,12 @@ def resolve_ref(ref, inputs, width: int) -> np.ndarray:
     if isinstance(ref, ComposedU):
         if ref.width != width:
             raise DomainError(f"composed width {ref.width} != {width}")
-        out = np.eye(1 << width, dtype=complex)
+        # fold each factor into the columns of the identity, on its positions only
+        out = np.eye(1 << width, dtype=complex).reshape((2,) * width + (1 << width,))
         for sub, pos in ref.factors:
-            m = resolve_ref(sub, inputs, len(pos))
-            out = qstate.embed_operator(m, pos, width) @ out
-        return out
+            pos = qstate._check_targets(pos, width)
+            out = qstate._contract(out, resolve_ref(sub, inputs, len(pos)), pos)
+        return out.reshape(1 << width, 1 << width)
     if isinstance(ref, DispatchU):
         return _resolve_dispatch(ref, inputs, width)
     if isinstance(ref, FlagStateU):

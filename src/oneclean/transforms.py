@@ -135,6 +135,8 @@ def k_to_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     one only when somebody other than the starting player measures.
     """
     assert_valid(p)
+    if p.mode == SEMI_UNCLOCKED:
+        raise ShapeError("k-to-one-clean prepends a round, so it needs a clocked protocol")
     k = p.layout.clean
     if k < 1:
         raise DomainError("base protocol has no clean qubits")
@@ -215,6 +217,8 @@ def projective_to_single_qubit(p: ProtocolSpec) -> ProtocolSpec:
     basis accepts on |0> with exactly the original probability.
     """
     assert_valid(p)
+    if p.mode == SEMI_UNCLOCKED:
+        raise ShapeError("sq-measure appends a round, so it needs a clocked protocol")
     measurer = measuring_player(p)
     base_proj, base_support = p.measurement.operator()
     dim = base_proj.shape[0]

@@ -44,6 +44,18 @@ def _gen_toy_rotation(params, bit):
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+def _two_sided_acceptance(p: protocol.ProtocolSpec, inputs=None, pin=None) -> float:
+    """Tr(P rho) from the dense 2^n x 2^n density matrix, each round applied on
+    both sides: the reference for ``simulator.run_density``'s one-sided blocks."""
+    rho = simulator.initial_density(p, pin)
+    for r in p.rounds:
+        rho = qstate.apply_on_subset(
+            rho, protocol.resolve_ref(r.unitary, inputs, len(r.targets)), r.targets
+        )
+    proj, support = p.measurement.operator()
+    return qstate.accept_probability(rho, qstate.embed_operator(proj, support, p.layout.total))
+
+
 def check_kernel(quick: bool):
     rng = np.random.default_rng(0)
     u = qstate.haar_unitary(8, rng)
@@ -55,7 +67,17 @@ def check_kernel(quick: bool):
     q = qstate.haar_orthogonal(5, special=True, seed=3)
     ok &= abs(np.linalg.det(q) - 1.0) < 1e-9
     ok &= np.max(np.abs(q.T @ q - np.eye(5))) < TOL
-    return ok, "unitary evolution preserves state invariants; SO(5) sample exact"
+    # projector measurement over pinned Haar slots; a pin on the clean qubit 0 is ignored
+    k1, _ = transforms.k_to_one_clean(_haar_trace_form(7, 4))
+    worst = 0.0
+    for pin in ({}, {2: 0}, {3: 1}, {2: 1, 4: 0}, {0: 1}):
+        a = simulator.run_density(k1, pin=pin).acceptance
+        worst = max(worst, abs(a - _two_sided_acceptance(k1, pin=pin)))
+    ok &= worst < TOL
+    return ok, (
+        "unitary evolution preserves state invariants; SO(5) sample exact; "
+        f"blocked density matches two-sided evolution, worst dev {worst:.2e}"
+    )
 
 
 def check_ip2(quick: bool):
@@ -131,15 +153,20 @@ def check_trace_chain(quick: bool):
     return worst < TOL, f"1/2 + a/8 via trace (and density) backend; worst dev {worst:.2e}"
 
 
-def check_unclock(quick: bool):
-    rng = np.random.default_rng(7)
+def _haar_trace_form(seed: int, count: int) -> protocol.ProtocolSpec:
+    """Hadamard test over ``count`` Haar 2-qubit pieces alternating B and A slots."""
+    rng = np.random.default_rng(seed)
     owners = (BOB, BOB, ALICE, BOB)  # control, B slot, A slot, channel (starts with B)
     ch = 3
     pieces = []
-    for i in range(8):
+    for i in range(count):
         tg = (1, ch) if i % 2 == 0 else (2, ch)
         pieces.append((transforms.explicit(qstate.haar_unitary(4, rng)), tg))
-    tf = transforms.hadamard_test_protocol(pieces, owners, ch)
+    return transforms.hadamard_test_protocol(pieces, owners, ch)
+
+
+def check_unclock(quick: bool):
+    tf = _haar_trace_form(7, 8)
     uc, _ = transforms.unclock(tf)
     ref = simulator.run_trace(tf).acceptance
     worst = abs(simulator.run_density(tf).acceptance - ref)

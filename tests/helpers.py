@@ -19,6 +19,8 @@ from oneclean.protocol import (
 )
 from oneclean.transforms import hadamard_test_protocol
 from oneclean.verify import _toy_rotation_base as toy_rotation_base  # noqa: F401
+# the dense two-sided density evolution that run_density's column blocks replaced
+from oneclean.verify import _two_sided_acceptance as density_oracle  # noqa: F401
 
 
 @register_generator("matrix_table")
@@ -59,6 +61,55 @@ def random_two_clean(seed: int, mixed: int = 1) -> ProtocolSpec:
         initial_owner=(ALICE, ALICE) + (BOB,) * mixed,
         rounds=tuple(rounds),
         measurement=Measurement(qubits=bob_targets, projector=proj),
+    )
+
+
+def random_protocol(seed: int, qubits: int, clean: int, single_qubit: bool) -> ProtocolSpec:
+    """Random clocked protocol on ``qubits`` qubits with one-bit Alice input.
+
+    Players alternate, each round sending every qubit to the other player;
+    targets are random ordered subsets of 1-3 qubits. Round 0 is Alice's
+    input-indexed unitary, later rounds explicit or composed Haar unitaries.
+    The measurement is one qubit or a random projector on 1-3 qubits.
+    """
+    rng = np.random.default_rng(seed)
+    everything = frozenset(range(qubits))
+
+    def targets():
+        w = int(rng.integers(1, min(3, qubits) + 1))
+        return tuple(int(t) for t in rng.permutation(qubits)[:w])
+
+    rounds = []
+    for i in range(int(rng.integers(2, 5))):
+        tg = targets()
+        d = 1 << len(tg)
+        if i == 0:
+            ref = table_ref(ALICE, {b: qstate.haar_unitary(d, rng) for b in "01"})
+        elif len(tg) > 1 and rng.random() < 0.5:
+            order = tuple(int(t) for t in rng.permutation(len(tg)))
+            ref = ComposedU(
+                len(tg),
+                ((explicit(qstate.haar_unitary(2, rng)), order[:1]),
+                 (explicit(qstate.haar_unitary(d, rng)), order)),
+            )
+        else:
+            ref = explicit(qstate.haar_unitary(d, rng))
+        rounds.append(RoundAction(i % 2, ref, tg, everything, 1 - i % 2))
+    last = rounds[-1]
+    rounds[-1] = RoundAction(last.player, last.unitary, last.targets, frozenset(), None)
+    if single_qubit:
+        measurement = Measurement(single_qubit=int(rng.integers(qubits)))
+    else:
+        mq = targets()
+        rank = int(rng.integers(1, 1 << len(mq)))
+        measurement = Measurement(qubits=mq, projector=qstate.random_projector(len(mq), rank, rng))
+    return ProtocolSpec(
+        name=f"rand(seed={seed})",
+        players=2,
+        layout=RegisterLayout(clean=clean, mixed=qubits - clean),
+        initial_owner=(ALICE,) * qubits,
+        rounds=tuple(rounds),
+        measurement=measurement,
     )
 
 

@@ -23,7 +23,7 @@ from oneclean.protocol import (
     register_generator,
 )
 
-from helpers import random_trace_form, random_two_clean
+from helpers import density_oracle, random_protocol, random_trace_form, random_two_clean, toy_rotation_base
 
 TOL = 1e-9
 
@@ -65,6 +65,43 @@ def test_density_backend_limit():
     )
     with pytest.raises(BackendLimitError, match="trace backend"):
         simulator.run_density(p)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_run_density_blocks_match_two_sided_evolution(seed, monkeypatch):
+    # seeds 0-29 cover every (qubits 3-7, clean 1-3, measurement kind) pairing
+    qubits, clean = 3 + seed % 5, 1 + seed % 3
+    p = random_protocol(seed, qubits, clean, single_qubit=seed % 2 == 0)
+    rng = np.random.default_rng(1000 + seed)
+    # pins may land on clean qubits too, which stay |0>
+    pin = {int(q): int(rng.integers(2)) for q in rng.permutation(qubits)[: rng.integers(qubits)]}
+    inp = {ALICE: "01"[seed % 2], BOB: ""}
+    want = density_oracle(p, inp, pin)
+    assert abs(simulator.run_density(p, inp, pin=pin).acceptance - want) < TOL
+    # one column per block, and three per block: 2^f columns always leave a partial last block
+    for cols in (1, 3):
+        monkeypatch.setattr(simulator, "DENSITY_BLOCK_BYTES", cols * (16 << qubits))
+        assert abs(simulator.run_density(p, inp, pin=pin).acceptance - want) < TOL
+
+
+def test_run_density_rejects_a_pin_that_is_not_a_bit():
+    with pytest.raises(DomainError, match="0 or 1"):
+        simulator.run_density(problems.ip2_one_clean(1), {ALICE: "1", BOB: "1"}, pin={1: 2})
+
+
+def test_run_density_on_the_11_qubit_chain_stays_within_one_block():
+    tf = _trace_chain(toy_rotation_base(2 * math.pi / 3, math.pi / 5))
+    assert tf.layout.total == 11
+    for bit in "01":
+        inp = {ALICE: bit, BOB: ""}
+        tracemalloc.start()
+        try:
+            d = simulator.run_density(tf, inp).acceptance
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20  # the dense path held several 64 MB arrays
+        assert abs(d - simulator.run_trace(tf, inp).acceptance) < TOL
 
 
 def test_ensemble_equals_density_without_mixed_qubits():

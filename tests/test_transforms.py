@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oneclean import problems, protocol, qstate, simulator, transforms
 from oneclean.errors import DomainError, ShapeError
@@ -16,7 +17,15 @@ from oneclean.protocol import (
     explicit,
 )
 
-from helpers import bit_inputs, random_sq_base, random_trace_form, random_two_clean, table_ref, toy_rotation_base
+from helpers import (
+    bit_inputs,
+    random_protocol,
+    random_sq_base,
+    random_trace_form,
+    random_two_clean,
+    table_ref,
+    toy_rotation_base,
+)
 
 TOL = 1e-9
 
@@ -360,3 +369,69 @@ def test_composition_chain_bias():
     assert c3.acceptance_slope == 1 and c3.acceptance_offset == 0
     eps_uc = simulator.measure_bias(uc, bit_inputs(), ref, backend="trace")
     assert eps_uc == pytest.approx(eps_base / 16, abs=TOL)
+
+
+def test_k1_and_sq_measure_reject_a_semi_unclocked_protocol():
+    # both add a round, which would break the one-unitary-per-player shape
+    uc, _ = transforms.unclock(transforms.to_trace_form(random_sq_base(3))[0])
+    with pytest.raises(ShapeError, match="clocked"):
+        transforms.k_to_one_clean(uc)
+    with pytest.raises(ShapeError, match="clocked"):
+        transforms.projective_to_single_qubit(uc)
+
+
+# ------------------------------------------------- random pass sequences
+
+PASSES = ("k1", "sq-measure", "trace-form", "unclock")
+
+
+def _apply_pass(name: str, p: ProtocolSpec):
+    """(output, cert) of one pass; sq-measure preserves acceptance and has no cert."""
+    if name == "k1":
+        return transforms.k_to_one_clean(p)
+    if name == "sq-measure":
+        return transforms.projective_to_single_qubit(p), None
+    if name == "trace-form":
+        return transforms.to_trace_form(p)
+    return transforms.unclock(p)
+
+
+def _legal_passes(p: ProtocolSpec) -> dict:
+    """name -> (output, cert) for each pass that applies to p within 10 qubits."""
+    out = {}
+    for name in PASSES:
+        try:
+            q, cert = _apply_pass(name, p)
+        except (ShapeError, DomainError):
+            continue  # the pass does not apply to this protocol's shape
+        if q.layout.total <= 10:  # keeps ensemble(all) cheap
+            out[name] = (q, cert)
+    return out
+
+
+@given(st.integers(0, 10**6), st.integers(1, 2), st.booleans(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_random_pass_sequences_agree_across_backends_and_certs(seed, qubits, single, data):
+    base = random_protocol(seed, qubits, clean=1 + seed % qubits, single_qubit=single)
+    p, certs = base, []
+    for _ in range(data.draw(st.integers(1, 4))):
+        legal = _legal_passes(p)
+        if not legal:
+            break
+        # half the time take the latest legal stage, which the size cap makes rare
+        if data.draw(st.booleans()):
+            name = max(legal, key=PASSES.index)
+        else:
+            name = data.draw(st.sampled_from(sorted(legal)))
+        p, cert = legal[name]
+        if cert is not None:
+            certs.append(cert)
+    inp, _ = bit_inputs()[seed % 2]
+    want = simulator.run_density(base, inp).acceptance
+    for cert in certs:
+        want = cert.predict(want)
+    d = simulator.run_density(p, inp).acceptance
+    assert abs(d - want) < TOL
+    assert abs(simulator.run_ensemble(p, inp, sample="all").acceptance - d) < TOL
+    if p.trace_plan is not None:
+        assert abs(simulator.run_trace(p, inp).acceptance - d) < TOL
