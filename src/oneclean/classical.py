@@ -18,6 +18,8 @@ from .problems import AbcInstance
 # Sketch rounds s = ceil(KNR_CONSTANT / eps^2). Chosen so the empirical
 # failure rate of the estimator stays below 0.1 (the agreement frequency
 # sits within ~1.8 sigma of its mean at this s). Tunable via CLI flag.
+# The agreement count over the s rounds is drawn from its exact Binomial
+# law, so s sets the transcript size and the spread, not the work.
 KNR_CONSTANT = 8.0
 
 
@@ -131,9 +133,12 @@ def knr_estimate(
     """Sign-sketch estimate of <a, b> for unit vectors.
 
     Shared Haar unit vectors r_j; Alice sends sign(<a, r_j>), Bob counts
-    agreements with sign(<b, r_j>). Since Pr(agree) = 1 - angle/pi, the
-    estimate is cos(pi * (1 - agreement frequency)). Communication is one
-    bit per sketch round: s = ceil(constant / eps^2) total.
+    agreements with sign(<b, r_j>). Each round agrees independently with
+    probability 1 - angle/pi, so the agreement count is Binomial(s,
+    1 - angle/pi) and is sampled from that exact law in one draw; the
+    per-round sign bits are not materialized. The estimate is
+    cos(pi * (1 - agreement frequency)). Communication is one bit per
+    sketch round: s = ceil(constant / eps^2) total.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -142,15 +147,9 @@ def knr_estimate(
     if abs(np.linalg.norm(a) - 1.0) > 1e-9 or abs(np.linalg.norm(b) - 1.0) > 1e-9:
         raise DomainError("knr_estimate expects unit vectors (within 1e-9)")
     s = knr_sketch_rounds(eps, constant)
-    rng = np.random.default_rng(seed)
-    agree = 0
-    chunk = 1 << 16
-    left = s
-    while left:
-        m = min(chunk, left)
-        r = rng.standard_normal((m, a.size))
-        agree += int(np.count_nonzero((r @ a >= 0) == (r @ b >= 0)))
-        left -= m
+    # the angle as 2 atan2(|a - b|, |a + b|) lies in [0, pi] with no clamp
+    theta = 2.0 * math.atan2(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
+    agree = int(np.random.default_rng(seed).binomial(s, 1.0 - theta / math.pi))
     estimate = math.cos(math.pi * (1.0 - agree / s))
     return estimate, Transcript(bits_sent={0: s, 1: 0})
 

@@ -370,15 +370,14 @@ def razborov_sample(n: int, which: str, seed=None) -> tuple[str, str]:
     weight = length // 4
     if which not in ("mu0", "mu1"):
         raise DomainError(f"which must be 'mu0' or 'mu1', got {which!r}")
-    rng = np.random.default_rng(seed)
-    xs = rng.choice(length, size=weight, replace=False)
-    rest = np.setdiff1d(np.arange(length), xs)
+    # one uniform permutation: x takes its first w places and y the next w,
+    # except that under mu0 y trades the last of those for x's first place
+    perm = np.random.default_rng(seed).permutation(length)
+    xs = perm[:weight]
     if which == "mu1":
-        ys = rng.choice(rest, size=weight, replace=False)
+        ys = perm[weight : 2 * weight]
     else:
-        shared = rng.choice(xs)
-        others = rng.choice(rest, size=weight - 1, replace=False)
-        ys = np.concatenate(([shared], others))
+        ys = np.concatenate((perm[:1], perm[weight : 2 * weight - 1]))
     x = ["0"] * length
     y = ["0"] * length
     for i in xs:

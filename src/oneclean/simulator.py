@@ -19,7 +19,6 @@ Three backends compute the same number three ways:
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -79,6 +78,28 @@ def initial_density(p: ProtocolSpec, pin: Optional[dict] = None) -> np.ndarray:
     return qstate.tensor_all(factors)
 
 
+def _basis_rows(p: ProtocolSpec, pin: Optional[dict]) -> tuple[list, np.ndarray]:
+    """The free mixed qubits and the basis-state index of each column of V.
+
+    The one pin rule of both backends: clean qubits stay |0>, pinned mixed
+    qubits take their bit (0 or 1, else ``DomainError``), other pin keys
+    are ignored, and column c puts c's bits on the free mixed qubits, the
+    first free qubit most significant.
+    """
+    n = p.layout.total
+    pin = pin or {}
+    mixed = range(p.layout.clean, n)
+    if any(pin[q] not in (0, 1) for q in mixed if q in pin):
+        raise DomainError(f"pinned bits must be 0 or 1, got {pin}")
+    free = [q for q in mixed if q not in pin]
+    base = sum(int(pin[q]) << (n - 1 - q) for q in mixed if q in pin)
+    cols = np.arange(1 << len(free))
+    rows = np.full(len(cols), base)
+    for j, q in enumerate(free):
+        rows |= ((cols >> (len(free) - 1 - j)) & 1) << (n - 1 - q)
+    return free, rows
+
+
 def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> RunReport:
     """Exact acceptance probability Tr(P U rho0 U^dagger), evolved one-sided.
 
@@ -95,19 +116,9 @@ def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> Run
             f"{n} qubits exceed the density backend limit "
             f"({DENSITY_QUBIT_LIMIT}); try the trace backend"
         )
-    pin = pin or {}
-    mixed = range(p.layout.clean, n)
-    if any(pin[q] not in (0, 1) for q in mixed if q in pin):
-        raise DomainError(f"pinned bits must be 0 or 1, got {pin}")
-    free = [q for q in mixed if q not in pin]
-    base = sum(int(pin[q]) << (n - 1 - q) for q in mixed if q in pin)
+    _, rows = _basis_rows(p, pin)
     rounds = list(_resolved_rounds(p, inputs))
     proj, support = p.measurement.operator()
-    # V's column c is the basis state with the pinned bits and c's bits on the free qubits
-    cols = np.arange(1 << len(free))
-    rows = np.full(len(cols), base)
-    for j, q in enumerate(free):
-        rows |= ((cols >> (len(free) - 1 - j)) & 1) << (n - 1 - q)
     block = max(1, DENSITY_BLOCK_BYTES // (np.dtype(complex).itemsize << n))
     total = 0.0
     for start in range(0, len(rows), block):
@@ -122,18 +133,6 @@ def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> Run
     return RunReport(acc, "density", elapsed=time.perf_counter() - t0)
 
 
-def _branch_vector(p: ProtocolSpec, mixed_bits: dict) -> np.ndarray:
-    bits = [0] * p.layout.total
-    for q, b in mixed_bits.items():
-        bits[q] = b
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    psi = np.zeros(1 << p.layout.total, dtype=complex)
-    psi[index] = 1.0
-    return psi
-
-
 def run_ensemble(
     p: ProtocolSpec,
     inputs=None,
@@ -145,7 +144,8 @@ def run_ensemble(
 
     ``sample="all"`` enumerates every branch (exact; agrees with
     run_density within 1e-9); an integer draws that many branches
-    uniformly with replacement from the root seed.
+    uniformly with replacement from the root seed. ``pin`` follows
+    run_density's rule (``_basis_rows``).
     """
     t0 = time.perf_counter()
     assert_valid(p)
@@ -154,13 +154,13 @@ def run_ensemble(
         raise BackendLimitError(
             f"{total} qubits exceed the ensemble backend limit ({ENSEMBLE_QUBIT_LIMIT})"
         )
-    pin = pin or {}
-    free_mixed = [q for q in range(p.layout.clean, total) if q not in pin]
+    free, rows = _basis_rows(p, pin)
     resolved = list(_resolved_rounds(p, inputs))
     proj, support = p.measurement.operator()
 
-    def one_branch(assign: dict) -> float:
-        psi = _branch_vector(p, {**pin, **assign})
+    def one_branch(row: int) -> float:
+        psi = np.zeros(1 << total, dtype=complex)
+        psi[row] = 1.0
         for u, targets in resolved:
             psi = qstate.apply_to_vector(psi, u, targets)
         pv = qstate.apply_to_vector(psi, proj, support)
@@ -168,16 +168,16 @@ def run_ensemble(
         return val.real
 
     if sample == "all":
-        draws = itertools.product((0, 1), repeat=len(free_mixed))
         used_seed = None
     else:
         count = int(sample)
         if count < 1:
             raise DomainError(f"sample count must be >= 1, got {sample}")
         rng = np.random.default_rng(seed)
-        draws = (rng.integers(0, 2, size=len(free_mixed)) for _ in range(count))
+        place = 1 << np.arange(len(free) - 1, -1, -1)
+        rows = rows[[int(rng.integers(0, 2, size=len(free)) @ place) for _ in range(count)]]
         used_seed = seed
-    accs = [one_branch(dict(zip(free_mixed, bits))) for bits in draws]
+    accs = [one_branch(row) for row in rows]
     acc = qstate.checked_acceptance(np.mean(accs))
     return RunReport(acc, "ensemble", seed=used_seed, elapsed=time.perf_counter() - t0)
 

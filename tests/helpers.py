@@ -23,6 +23,23 @@ from oneclean.verify import _toy_rotation_base as toy_rotation_base  # noqa: F40
 from oneclean.verify import _two_sided_acceptance as density_oracle  # noqa: F401
 
 
+def sign_sketch_agreements(a, b, s: int, rng) -> int:
+    """Agreements of s Gaussian sign-sketch rounds, drawn round by round.
+
+    The chunked loop that knr_estimate's single Binomial draw replaced,
+    kept as the oracle for that draw's law.
+    """
+    agree = 0
+    chunk = 1 << 16
+    left = s
+    while left:
+        m = min(chunk, left)
+        r = rng.standard_normal((m, a.size))
+        agree += int(np.count_nonzero((r @ a >= 0) == (r @ b >= 0)))
+        left -= m
+    return agree
+
+
 @register_generator("matrix_table")
 def _gen_matrix_table(params, key):
     if key not in params["table"]:

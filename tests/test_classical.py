@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
+from helpers import sign_sketch_agreements
 from oneclean import classical, problems, qstate
 from oneclean.errors import BackendLimitError, DomainError
 
@@ -82,6 +85,79 @@ def test_knr_agreement_frequency_unbiased():
 def test_knr_rejects_non_unit():
     with pytest.raises(DomainError):
         classical.knr_estimate(np.ones(4), np.ones(4) / 2.0, 0.1, seed=0)
+    a = np.zeros(4)
+    a[0] = 1.0
+    for left, right in ((a, 1.001 * a), (0.999 * a, a), (a, np.zeros(4))):
+        with pytest.raises(DomainError):
+            classical.knr_estimate(left, right, 0.3, seed=0)
+
+
+def _pooled_histograms(x, y, width, least=20):
+    """Histograms of two count samples over 0..width, adjacent values
+    pooled left to right until each bin holds ``least`` draws in total."""
+    hx = np.bincount(x, minlength=width + 1)
+    hy = np.bincount(y, minlength=width + 1)
+    bins, cur = [], np.zeros(2, dtype=int)
+    for pair in zip(hx, hy):
+        cur += pair
+        if cur.sum() >= least:
+            bins.append(cur)
+            cur = np.zeros(2, dtype=int)
+    bins[-1] = bins[-1] + cur
+    return np.array(bins).T
+
+
+def test_knr_agreement_count_matches_the_gaussian_sketch_law():
+    # the single Binomial draw against s sign rounds drawn one by one
+    rng = np.random.default_rng(9)
+    a = qstate.haar_unit_vector(8, rng)
+    b = qstate.haar_unit_vector(8, rng)
+    eps, seeds = 0.3, 2000
+    s = classical.knr_sketch_rounds(eps)
+    assert s == 89
+    p = 1.0 - math.acos(float(a @ b)) / math.pi
+    drawn = []
+    for seed in range(seeds):
+        est, tr = classical.knr_estimate(a, b, eps, seed=seed)
+        assert tr.total == s
+        drawn.append(round(s * (1.0 - math.acos(est) / math.pi)))
+    drawn = np.array(drawn)
+    oracle = np.array([
+        sign_sketch_agreements(a, b, s, np.random.default_rng(10**6 + seed)) for seed in range(seeds)
+    ])
+    res = chi2_contingency(_pooled_histograms(drawn, oracle, s))
+    assert res.pvalue > 0.001
+    # Binomial(s, p) moments; the sample variance's spread uses the fourth central moment
+    var = s * p * (1 - p)
+    mu4 = var * (1 + 3 * (s - 2) * p * (1 - p))
+    for counts in (drawn, oracle):
+        assert abs(counts.mean() - s * p) < 4 * math.sqrt(var / seeds)
+        assert abs(counts.var(ddof=1) - var) < 4 * math.sqrt((mu4 - var**2) / seeds)
+
+
+def test_knr_parallel_and_antiparallel_vectors_are_exact():
+    rng = np.random.default_rng(10)
+    for n in (1, 4, 16):
+        a = qstate.haar_unit_vector(n, rng)
+        for eps in (0.3, 0.05):
+            for seed in range(5):
+                assert classical.knr_estimate(a, a, eps, seed=seed)[0] == 1.0
+                assert classical.knr_estimate(a, -a, eps, seed=seed)[0] == -1.0
+
+
+def test_knr_at_abc_accuracy_allocates_nothing_per_round():
+    rng = np.random.default_rng(12)
+    a = qstate.haar_unit_vector(16, rng)
+    b = qstate.haar_unit_vector(16, rng)
+    eps = math.sqrt(2 / 16) / 100
+    tracemalloc.start()
+    try:
+        _, tr = classical.knr_estimate(a, b, eps, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.total == classical.knr_sketch_rounds(eps) == 640_000
+    assert peak < 64 * 1024  # one 640,000 x 16 Gaussian chunk alone is 8 MiB
 
 
 def test_cap_codebook_sizes_and_norms():

@@ -140,21 +140,29 @@ def test_razborov_disjoint_supports_example():
     assert all(not (a == b == "1") for a, b in zip(x, y))
 
 
-def test_razborov_uniformity_chisquare():
+def _assert_razborov_uniform(which: str, intersection: int):
     n = 14
     rng = np.random.default_rng(1)
     draws = 10**5
-    counts = Counter(problems.razborov_sample(n, "mu1", seed=rng) for _ in range(draws))
+    counts = Counter(problems.razborov_sample(n, which, seed=rng) for _ in range(draws))
     length, weight = n // 2 + 1, (n // 2 + 1) // 4
     support = [
         frozenset(s) for s in itertools.combinations(range(length), weight)
     ]
     admissible = sum(
-        1 for sx in support for sy in support if not (sx & sy)
+        1 for sx in support for sy in support if len(sx & sy) == intersection
     )
     assert len(counts) == admissible
     res = chisquare(list(counts.values()))
     assert res.pvalue > 0.001
+
+
+def test_razborov_uniformity_chisquare():
+    _assert_razborov_uniform("mu1", 0)
+
+
+def test_razborov_mu0_uniformity_chisquare():
+    _assert_razborov_uniform("mu0", 1)
 
 
 def test_razborov_rejects_bad_parameters():

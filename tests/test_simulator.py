@@ -89,6 +89,23 @@ def test_run_density_rejects_a_pin_that_is_not_a_bit():
         simulator.run_density(problems.ip2_one_clean(1), {ALICE: "1", BOB: "1"}, pin={1: 2})
 
 
+def test_run_ensemble_keeps_the_density_pin_rule():
+    # a pin on the clean qubit is ignored by both backends (it stays |0>)
+    p, inp = problems.ip2_one_clean(1), {ALICE: "1", BOB: "1"}
+    for pin in ({0: 1}, {0: 0}, {1: 0}, {1: 1, 2: 0}, {0: 1, 2: 1}):
+        d = simulator.run_density(p, inp, pin=pin).acceptance
+        e = simulator.run_ensemble(p, inp, pin=pin).acceptance
+        assert abs(d - e) < TOL, pin
+    assert simulator.run_ensemble(p, inp, pin={0: 1}).acceptance == pytest.approx(0.625, abs=TOL)
+    # with every mixed qubit pinned, each sampled branch is the one pinned state
+    pin = {0: 1, 1: 1, 2: 0}
+    sampled = simulator.run_ensemble(p, inp, sample=5, seed=1, pin=pin).acceptance
+    assert abs(sampled - simulator.run_density(p, inp, pin=pin).acceptance) < TOL
+    for run in (simulator.run_density, simulator.run_ensemble):
+        with pytest.raises(DomainError, match="0 or 1"):
+            run(p, inp, pin={1: 2})
+
+
 def test_run_density_on_the_11_qubit_chain_stays_within_one_block():
     tf = _trace_chain(toy_rotation_base(2 * math.pi / 3, math.pi / 5))
     assert tf.layout.total == 11
