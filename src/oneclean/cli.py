@@ -118,6 +118,22 @@ def _xy_inputs(args) -> dict:
     return {ALICE: args.x, BOB: args.y}
 
 
+def _abc_instance_from(root: Path) -> problems.AbcInstance:
+    """The instance 'gen abc-instance' wrote to ``root``; a malformed
+    ``instance.json`` is a ``ParseError`` naming it."""
+    path = root / "instance.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path} is not valid JSON: {e}") from e
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    shaped = isinstance(files, dict) and set("ABC") <= files.keys()
+    if not shaped or not {"n", "label"} <= manifest.keys():
+        raise ParseError(f"{path} must hold 'n', 'label' and 'files' naming A, B and C")
+    a, b, c = (qstate.matrix_from_json((root / files[key]).read_text()) for key in "ABC")
+    return problems.AbcInstance(n=manifest["n"], a=a, b=b, c=c, label=manifest["label"])
+
+
 def _run_inputs(args, spec) -> list[tuple[str, dict, object]]:
     """Yield (printable-input, inputs-dict, label-or-None) triples."""
     name = args.protocol or ""
@@ -135,14 +151,7 @@ def _run_inputs(args, spec) -> list[tuple[str, dict, object]]:
         return [(f"{args.x}|{args.y}", inp, inst.label)]
     if name == "abc":
         if args.instance:
-            manifest = json.loads((Path(args.instance) / "instance.json").read_text())
-            mats = {
-                key: qstate.matrix_from_json((Path(args.instance) / fn).read_text())
-                for key, fn in manifest["files"].items()
-            }
-            inst = problems.AbcInstance(
-                n=manifest["n"], a=mats["A"], b=mats["B"], c=mats["C"], label=manifest["label"]
-            )
+            inst = _abc_instance_from(Path(args.instance))
             inst.check()
         else:
             inst = problems.abc_instance(args.n, args.label, seed=_seed_from(args))
@@ -170,7 +179,7 @@ def cmd_run(args) -> int:
     records = []
     kw = {}
     if args.backend == "ensemble":
-        kw = {"sample": args.samples or "all", "seed": _seed_from(args)}
+        kw = {"sample": "all" if args.samples is None else args.samples, "seed": _seed_from(args)}
     for printable, inputs, label in triples:
         rep = simulator.run(spec, inputs, backend=args.backend, **kw)
         rec = {
@@ -291,16 +300,21 @@ def cmd_classical(args) -> int:
         _write_json(args, {"records": records})
         return 0
     if args.classical_cmd == "disc":
-        entries = np.loadtxt(args.matrix, delimiter=",", ndmin=2)
-        weights = (
-            np.loadtxt(args.weights, delimiter=",", ndmin=2) if args.weights else None
-        )
+        entries = _load_csv("--matrix", args.matrix)
+        weights = _load_csv("--weights", args.weights) if args.weights else None
         m = classical.SignMatrix(entries=entries, weights=weights)
         value, rows, cols = classical.disc_bruteforce(m)
         out = {"value": value, "rectangle": {"rows": list(rows), "cols": list(cols)}}
         _write_json(args, out)
         return 0
     raise OneCleanError(f"unknown classical subcommand {args.classical_cmd!r}")
+
+
+def _load_csv(flag: str, path: str) -> np.ndarray:
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as e:
+        raise ParseError(f"{flag} {path} is not a comma-separated numeric matrix: {e}") from e
 
 
 def _write_json(args, body: dict) -> None:

@@ -176,17 +176,6 @@ def trace_ring(mats, plan) -> complex:
     return out
 
 
-def apply_to_vector(psi: np.ndarray, u, targets) -> np.ndarray:
-    """Apply a local unitary to a state vector on the given (ordered) qubits."""
-    um = _as_matrix(u)
-    q = num_qubits(psi.shape[0])
-    ts = _check_targets(targets, q)
-    if um.shape[0] != 1 << len(ts):
-        raise DimensionError(f"unitary dim {um.shape[0]} != 2^{len(ts)}")
-    out = _contract(psi.reshape((2,) * q), um, ts)
-    return out.reshape(-1)
-
-
 def apply_on_subset(rho, u, targets) -> np.ndarray:
     """Return (U_embedded) rho (U_embedded)^dagger.
 
@@ -327,11 +316,11 @@ def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ParseError("matrix object must carry 'dim' and 'entries'")
     dim = obj["dim"]
-    rows = obj["entries"]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ParseError(f"matrix entries do not form a {dim}x{dim} grid")
-    a = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, (re, im) in enumerate(row):
-            a[i, j] = complex(re, im)
-    return a
+    try:
+        pairs = np.array(obj["entries"])
+    except ValueError:  # a ragged grid
+        pairs = None
+    if pairs is None or pairs.dtype.kind not in "biuf" or pairs.shape != (dim, dim, 2):
+        raise ParseError(f"matrix entries do not form a {dim}x{dim} grid of [re, im] number pairs")
+    # reinterpreting (re, im) float pairs as complex keeps every bit, signed zeros included
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]

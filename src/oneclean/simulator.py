@@ -1,20 +1,18 @@
 """Exact acceptance-probability backends and the amplification harness.
 
-Three backends compute the same number three ways:
+Three backends compute the same number on two engines:
 
-* ``run_density`` evolves the factor V of rho = V V^dagger / 2^f, one
-  column per basis state of the f free mixed qubits, in blocks of about
-  ``DENSITY_BLOCK_BYTES`` (<= 12 qubits). Its workspace is one block plus
-  its contraction temporaries; its time is about
-  rounds * 2^n * 2^f * 2^w for rounds of width w,
-* ``run_ensemble`` averages pure-state runs over the mixed register's
-  basis states (<= 20 qubits; exact with ``sample="all"``),
-* ``run_trace`` evaluates the Hadamard-test formula
-  1/2 + Re Tr(product of pieces) / 2^(d+1) for trace-form protocols by
-  contracting the ring of pieces pairwise (``qstate.ring_plan``), never
-  building a 2^d x 2^d array; its bound is the planned largest
-  intermediate in bytes (``TRACE_MAX_BYTES``), checked before any array
-  is built.
+* ``run_density`` and ``run_trace`` contract a closed ring of local
+  operators pairwise (``qstate.ring_plan``), never building a 2^n x 2^n
+  array. Density's ring is Tr(U^dagger P U rho0) for
+  rho0 = |0><0|^k (x) pinned bits (x) I, over 2^f; trace's is the
+  Hadamard-test formula 1/2 + Re Tr(product of pieces) / 2^(d+1) of a
+  trace-form protocol. Both are bounded by the planned largest
+  intermediate in bytes (``TRACE_MAX_BYTES``), checked before any round
+  or piece is resolved.
+* ``run_ensemble`` evolves the mixed register's basis states as pure
+  columns (<= 20 qubits), in blocks of about ``ENSEMBLE_BLOCK_BYTES``;
+  exact with ``sample="all"``, and independent of the ring engine.
 """
 
 from __future__ import annotations
@@ -32,9 +30,8 @@ from . import qstate
 from .errors import BackendLimitError, DimensionError, DomainError, ShapeError
 from .protocol import ProtocolSpec, assert_valid, resolve_ref
 
-DENSITY_QUBIT_LIMIT = 12
-DENSITY_BLOCK_BYTES = 1 << 20  # one block of V's columns: 32 columns at 11 qubits
 ENSEMBLE_QUBIT_LIMIT = 20
+ENSEMBLE_BLOCK_BYTES = 1 << 20  # one block of state columns: 32 columns at 11 qubits
 TRACE_MAX_BYTES = 1 << 30
 
 
@@ -59,11 +56,6 @@ class RepetitionPlan:
     threshold: int
 
 
-def _resolved_rounds(p: ProtocolSpec, inputs):
-    for r in p.rounds:
-        yield resolve_ref(r.unitary, inputs, len(r.targets)), r.targets
-
-
 def initial_density(p: ProtocolSpec, pin: Optional[dict] = None) -> np.ndarray:
     """|0><0|^k (x) I/2^m, with pinned mixed qubits fixed to basis states."""
     pin = pin or {}
@@ -78,58 +70,60 @@ def initial_density(p: ProtocolSpec, pin: Optional[dict] = None) -> np.ndarray:
     return qstate.tensor_all(factors)
 
 
-def _basis_rows(p: ProtocolSpec, pin: Optional[dict]) -> tuple[list, np.ndarray]:
-    """The free mixed qubits and the basis-state index of each column of V.
+def _fixed_bits(p: ProtocolSpec, pin: Optional[dict]) -> dict:
+    """Qubit -> basis bit for every qubit that is not totally mixed.
 
-    The one pin rule of both backends: clean qubits stay |0>, pinned mixed
-    qubits take their bit (0 or 1, else ``DomainError``), other pin keys
-    are ignored, and column c puts c's bits on the free mixed qubits, the
-    first free qubit most significant.
+    The one pin rule of every backend: clean qubits stay |0>, pinned mixed
+    qubits take their bit (0 or 1, else ``DomainError``), and other pin
+    keys are ignored.
     """
-    n = p.layout.total
     pin = pin or {}
-    mixed = range(p.layout.clean, n)
+    mixed = range(p.layout.clean, p.layout.total)
     if any(pin[q] not in (0, 1) for q in mixed if q in pin):
         raise DomainError(f"pinned bits must be 0 or 1, got {pin}")
-    free = [q for q in mixed if q not in pin]
-    base = sum(int(pin[q]) << (n - 1 - q) for q in mixed if q in pin)
-    cols = np.arange(1 << len(free))
-    rows = np.full(len(cols), base)
-    for j, q in enumerate(free):
-        rows |= ((cols >> (len(free) - 1 - j)) & 1) << (n - 1 - q)
-    return free, rows
+    fixed = dict.fromkeys(range(p.layout.clean), 0)
+    fixed.update((q, int(pin[q])) for q in mixed if q in pin)
+    return fixed
+
+
+def _checked_ring(backend: str, d: int, piece_axes):
+    """``qstate.ring_plan`` for the pieces, refused with ``BackendLimitError``
+    when its largest intermediate would exceed ``TRACE_MAX_BYTES``."""
+    ring = qstate.ring_plan(d, piece_axes)
+    need = ring[-1] * np.dtype(complex).itemsize
+    if need > TRACE_MAX_BYTES:
+        raise BackendLimitError(
+            f"{backend} contraction over {d} qubits needs a {need}-byte intermediate, "
+            f"over the ring bound TRACE_MAX_BYTES = {TRACE_MAX_BYTES} bytes"
+        )
+    return ring
 
 
 def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> RunReport:
-    """Exact acceptance probability Tr(P U rho0 U^dagger), evolved one-sided.
+    """Exact acceptance probability Tr(P U rho0 U^dagger) as a closed ring.
 
-    rho0 = |0><0|^k (x) pinned bits (x) I/2^f is V V^dagger / 2^f, where V's
-    columns are the basis states over the f free mixed qubits, so the
-    acceptance is the sum of <U v|P|U v> over those columns, over 2^f.
-    Columns are evolved in blocks of about ``DENSITY_BLOCK_BYTES``.
+    rho0 is |0><0| on the clean qubits, |b><b| on each pinned mixed qubit
+    and I/2^f on the f free ones, so the acceptance is the ring trace of,
+    in application order, those basis projectors, U_1 ... U_r, P and
+    U_r^dagger ... U_1^dagger, over 2^f. The ring is planned and checked
+    against ``TRACE_MAX_BYTES`` before any round is resolved.
     """
     t0 = time.perf_counter()
     assert_valid(p)
-    n = p.layout.total
-    if n > DENSITY_QUBIT_LIMIT:
-        raise BackendLimitError(
-            f"{n} qubits exceed the density backend limit "
-            f"({DENSITY_QUBIT_LIMIT}); try the trace backend"
-        )
-    _, rows = _basis_rows(p, pin)
-    rounds = list(_resolved_rounds(p, inputs))
+    fixed = _fixed_bits(p, pin)
     proj, support = p.measurement.operator()
-    block = max(1, DENSITY_BLOCK_BYTES // (np.dtype(complex).itemsize << n))
-    total = 0.0
-    for start in range(0, len(rows), block):
-        chunk = rows[start : start + block]
-        v = np.zeros((1 << n, len(chunk)), dtype=complex)
-        v[chunk, np.arange(len(chunk))] = 1.0
-        v = v.reshape((2,) * n + (len(chunk),))
-        for u, targets in rounds:
-            v = qstate._contract(v, u, targets)
-        total += np.vdot(v, qstate._contract(v, proj, support))
-    acc = qstate.checked_acceptance(total / len(rows))
+    targets = [r.targets for r in p.rounds]
+    axes = [(q,) for q in fixed] + targets + [support] + targets[::-1]
+    ring = _checked_ring("density", p.layout.total, tuple(axes))
+    mats = [resolve_ref(r.unitary, inputs, len(r.targets)) for r in p.rounds]
+    pieces = (
+        [qstate.basis_projector(bit) for bit in fixed.values()]
+        + mats
+        + [proj]
+        + [m.conj().T for m in reversed(mats)]
+    )
+    tr = qstate.trace_ring(pieces, ring)
+    acc = qstate.checked_acceptance(tr / (1 << (p.layout.total - len(fixed))))
     return RunReport(acc, "density", elapsed=time.perf_counter() - t0)
 
 
@@ -142,43 +136,48 @@ def run_ensemble(
 ) -> RunReport:
     """Average pure-state runs over the mixed register's basis states.
 
-    ``sample="all"`` enumerates every branch (exact; agrees with
-    run_density within 1e-9); an integer draws that many branches
-    uniformly with replacement from the root seed. ``pin`` follows
-    run_density's rule (``_basis_rows``).
+    ``sample="all"`` takes every branch (exact; agrees with run_density
+    within 1e-9); an integer draws that many branches uniformly with
+    replacement from the root seed. ``pin`` follows ``_fixed_bits``.
+    Branches are evolved as the columns of one array, in blocks of about
+    ``ENSEMBLE_BLOCK_BYTES``.
     """
     t0 = time.perf_counter()
     assert_valid(p)
-    total = p.layout.total
-    if total > ENSEMBLE_QUBIT_LIMIT:
+    n = p.layout.total
+    if n > ENSEMBLE_QUBIT_LIMIT:
         raise BackendLimitError(
-            f"{total} qubits exceed the ensemble backend limit ({ENSEMBLE_QUBIT_LIMIT})"
+            f"{n} qubits exceed the ensemble backend limit ({ENSEMBLE_QUBIT_LIMIT})"
         )
-    free, rows = _basis_rows(p, pin)
-    resolved = list(_resolved_rounds(p, inputs))
-    proj, support = p.measurement.operator()
-
-    def one_branch(row: int) -> float:
-        psi = np.zeros(1 << total, dtype=complex)
-        psi[row] = 1.0
-        for u, targets in resolved:
-            psi = qstate.apply_to_vector(psi, u, targets)
-        pv = qstate.apply_to_vector(psi, proj, support)
-        val = complex(np.vdot(psi, pv))
-        return val.real
-
+    fixed = _fixed_bits(p, pin)
+    free = [q for q in range(n) if q not in fixed]
     if sample == "all":
-        used_seed = None
+        cols, used_seed = np.arange(1 << len(free)), None
     else:
         count = int(sample)
         if count < 1:
             raise DomainError(f"sample count must be >= 1, got {sample}")
         rng = np.random.default_rng(seed)
         place = 1 << np.arange(len(free) - 1, -1, -1)
-        rows = rows[[int(rng.integers(0, 2, size=len(free)) @ place) for _ in range(count)]]
+        cols = np.array([rng.integers(0, 2, size=len(free)) @ place for _ in range(count)])
         used_seed = seed
-    accs = [one_branch(row) for row in rows]
-    acc = qstate.checked_acceptance(np.mean(accs))
+    # column c's branch puts c's bits on the free qubits, the first most significant
+    rows = np.full(len(cols), sum(bit << (n - 1 - q) for q, bit in fixed.items()))
+    for j, q in enumerate(free):
+        rows |= ((cols >> (len(free) - 1 - j)) & 1) << (n - 1 - q)
+    rounds = [(resolve_ref(r.unitary, inputs, len(r.targets)), r.targets) for r in p.rounds]
+    proj, support = p.measurement.operator()
+    block = max(1, ENSEMBLE_BLOCK_BYTES // (np.dtype(complex).itemsize << n))
+    total = 0.0
+    for start in range(0, len(rows), block):
+        chunk = rows[start : start + block]
+        v = np.zeros((1 << n, len(chunk)), dtype=complex)
+        v[chunk, np.arange(len(chunk))] = 1.0
+        v = v.reshape((2,) * n + (len(chunk),))
+        for u, targets in rounds:
+            v = qstate._contract(v, u, targets)
+        total += np.vdot(v, qstate._contract(v, proj, support))
+    acc = qstate.checked_acceptance(total / len(rows))
     return RunReport(acc, "ensemble", seed=used_seed, elapsed=time.perf_counter() - t0)
 
 
@@ -214,13 +213,7 @@ def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport
         raise DomainError("counter start given but the plan has no counter")
 
     pieces = [plan.pieces[idx] for idx in order]
-    ring = qstate.ring_plan(d, tuple(tuple(local[t] for t in targets) for _, targets in pieces))
-    need = ring[-1] * np.dtype(complex).itemsize  # largest intermediate, in bytes
-    if need > TRACE_MAX_BYTES:
-        raise BackendLimitError(
-            f"trace contraction over {d} core qubits needs a {need}-byte intermediate, "
-            f"over the trace backend bound TRACE_MAX_BYTES = {TRACE_MAX_BYTES} bytes"
-        )
+    ring = _checked_ring("trace", d, tuple(tuple(local[t] for t in tg) for _, tg in pieces))
     mats = [resolve_ref(ref, inputs, len(targets)) for ref, targets in pieces]
     tr = qstate.trace_ring(mats, ring)
     acc = qstate.checked_acceptance(0.5 + tr.real / (1 << (d + 1)))

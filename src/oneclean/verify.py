@@ -46,7 +46,8 @@ def _gen_toy_rotation(params, bit):
 
 def _two_sided_acceptance(p: protocol.ProtocolSpec, inputs=None, pin=None) -> float:
     """Tr(P rho) from the dense 2^n x 2^n density matrix, each round applied on
-    both sides: the reference for ``simulator.run_density``'s one-sided blocks."""
+    both sides: the reference for ``simulator.run_density``'s ring and
+    ``simulator.run_ensemble``'s column blocks."""
     rho = simulator.initial_density(p, pin)
     for r in p.rounds:
         rho = qstate.apply_on_subset(
@@ -71,12 +72,13 @@ def check_kernel(quick: bool):
     k1, _ = transforms.k_to_one_clean(_haar_trace_form(7, 4))
     worst = 0.0
     for pin in ({}, {2: 0}, {3: 1}, {2: 1, 4: 0}, {0: 1}):
-        a = simulator.run_density(k1, pin=pin).acceptance
-        worst = max(worst, abs(a - _two_sided_acceptance(k1, pin=pin)))
+        want = _two_sided_acceptance(k1, pin=pin)
+        for run in (simulator.run_density, simulator.run_ensemble):
+            worst = max(worst, abs(run(k1, pin=pin).acceptance - want))
     ok &= worst < TOL
     return ok, (
         "unitary evolution preserves state invariants; SO(5) sample exact; "
-        f"blocked density matches two-sided evolution, worst dev {worst:.2e}"
+        f"ring density and ensemble match two-sided evolution, worst dev {worst:.2e}"
     )
 
 

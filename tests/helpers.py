@@ -19,7 +19,7 @@ from oneclean.protocol import (
 )
 from oneclean.transforms import hadamard_test_protocol
 from oneclean.verify import _toy_rotation_base as toy_rotation_base  # noqa: F401
-# the dense two-sided density evolution that run_density's column blocks replaced
+# the dense two-sided density evolution, independent of both the ring and the column blocks
 from oneclean.verify import _two_sided_acceptance as density_oracle  # noqa: F401
 
 

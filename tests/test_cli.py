@@ -37,6 +37,10 @@ def test_run_malformed_descriptor_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# row 0 of the explicit Hadamard factor in middle(n=2)'s round 0
+_ENTRY = ("rounds", 0, "unitary", "factors", 0, "ref", "matrix", "entries", 0)
+
+
 @pytest.mark.parametrize(
     "path, named",
     [
@@ -58,6 +62,8 @@ def test_run_malformed_descriptor_exits_2(tmp_path, capsys):
         (("rounds", 0, "unitary", "width"), "'width'"),
         (("rounds", 0, "unitary", "factors", 1, "ref", "input_player"), "'input_player'"),
         (("mode",), "'mode'"),
+        (_ENTRY + ((0, [1]),), "[re, im]"),
+        (_ENTRY + ((0, ["1", 0]),), "[re, im]"),
     ],
 )
 def test_run_descriptor_with_a_mistyped_field_exits_2(tmp_path, capsys, path, named):
@@ -66,9 +72,14 @@ def test_run_descriptor_with_a_mistyped_field_exits_2(tmp_path, capsys, path, na
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
-    # integer fields (present or not) get a string, every other field an integer
-    old = parent[path[-1]] if isinstance(parent, list) else parent.get(path[-1])
-    parent[path[-1]] = "two" if old is None or isinstance(old, int) else 5
+    last = path[-1]
+    if isinstance(last, tuple):  # a (key, value) step writes that value
+        last, new = last
+    else:
+        # integer fields (present or not) get a string, every other field an integer
+        old = parent[last] if isinstance(parent, list) else parent.get(last)
+        new = "two" if old is None or isinstance(old, int) else 5
+    parent[last] = new
     desc = tmp_path / "bad.json"
     desc.write_text(json.dumps(obj))
     assert run_cli("run", "--descriptor", str(desc)) == 2
@@ -106,17 +117,23 @@ def test_run_names_the_missing_input_flag(capsys, argv, flag):
 
 
 def test_run_backend_limit_exits_3(tmp_path, capsys):
-    big = protocol.ProtocolSpec(
-        name="big",
-        players=2,
-        layout=protocol.RegisterLayout(clean=1, mixed=12),
-        initial_owner=(0,) * 13,
-        rounds=(),
-        measurement=protocol.Measurement(single_qubit=0),
-    )
-    desc = tmp_path / "big.json"
-    desc.write_text(protocol.serialize(big))
-    assert run_cli("run", "--descriptor", str(desc)) == 3
+    # the unclocked IP2 n = 1 chain plans a 2^32-element density ring
+    out = tmp_path / "chain"
+    passes = ["--pass", "k1", "--pass", "sq-measure", "--pass", "trace-form", "--pass", "unclock"]
+    assert run_cli("transform", "--protocol", "ip2-clocked", "--n", "1", *passes,
+                   "--out-dir", str(out)) == 0
+    capsys.readouterr()
+    desc = str(out / "protocol.json")
+    assert run_cli("run", "--descriptor", desc, "--inputs", '{"0": "1", "1": "1"}') == 3
+    assert "TRACE_MAX_BYTES" in capsys.readouterr().err
+
+
+def test_run_ensemble_with_zero_samples_exits_2(capsys):
+    argv = ["run", "--protocol", "ip2-one-clean", "--n", "1", "--x", "1", "--y", "1",
+            "--backend", "ensemble"]
+    assert run_cli(*argv, "--samples", "0") == 2
+    assert "sample count must be >= 1" in capsys.readouterr().err
+    assert run_cli(*argv, "--samples", "1", "--seed", "3") == 0
 
 
 def test_run_reports_are_deterministic(tmp_path):
@@ -178,6 +195,17 @@ def test_classical_disc_matches_example(tmp_path, capsys):
     assert body["rectangle"] == {"rows": [0], "cols": [0]}
 
 
+@pytest.mark.parametrize("flag", ["--matrix", "--weights"])
+def test_classical_disc_non_numeric_cell_exits_2(tmp_path, capsys, flag):
+    good, bad = tmp_path / "eq2.csv", tmp_path / "bad.csv"
+    good.write_text("1,-1\n-1,1\n")
+    bad.write_text("1,x\n-1,1\n")
+    files = {"--matrix": good, "--weights": good, flag: bad}
+    assert run_cli("classical", "disc", *(str(x) for kv in files.items() for x in kv)) == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and f"{flag} {bad}" in errors[0]
+
+
 def test_classical_domain_error_exits_2(capsys):
     assert run_cli("classical", "caps", "--n", "2", "--k", "1", "--samples", "20000") == 2
 
@@ -194,6 +222,25 @@ def test_gen_abc_instance_round_trip(tmp_path, capsys):
     assert code == 0
     body = json.loads(report.read_text())
     assert body["records"][0]["acceptance"] == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "manifest, named",
+    [
+        ("{not json", "is not valid JSON"),
+        ('{"n": 4, "label": -1}', "must hold 'n', 'label' and 'files'"),
+        ('{"n": 4, "label": -1, "files": {"A": "A.json"}}', "must hold 'n', 'label' and 'files'"),
+        ("[1, 2]", "must hold 'n', 'label' and 'files'"),
+    ],
+)
+def test_run_abc_with_a_malformed_instance_manifest_exits_2(tmp_path, capsys, manifest, named):
+    out = tmp_path / "inst"
+    assert run_cli("gen", "abc-instance", "--n", "4", "--seed", "5", "--out-dir", str(out)) == 0
+    capsys.readouterr()
+    (out / "instance.json").write_text(manifest)
+    assert run_cli("run", "--protocol", "abc", "--n", "4", "--instance", str(out)) == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and str(out / "instance.json") in errors[0] and named in errors[0]
 
 
 def test_gen_razborov_csv(capsys):

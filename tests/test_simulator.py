@@ -54,17 +54,26 @@ def test_all_identity_protocol_accepts():
     assert simulator.run_density(p).acceptance == pytest.approx(1.0, abs=TOL)
 
 
-def test_density_backend_limit():
-    p = ProtocolSpec(
-        name="big",
-        players=2,
-        layout=RegisterLayout(clean=1, mixed=12),
-        initial_owner=(ALICE,) * 13,
-        rounds=(),
-        measurement=Measurement(single_qubit=0),
-    )
-    with pytest.raises(BackendLimitError, match="trace backend"):
-        simulator.run_density(p)
+def test_density_backend_limit(monkeypatch):
+    # the unclocked IP2 n = 1 chain: its width-12 dispatch rounds plan a 2^32-element ring
+    uc, _ = transforms.unclock(_trace_chain(problems.ip2_clocked(1)))
+
+    def no_resolve(*args):
+        raise AssertionError("a round was resolved before the byte bound was checked")
+
+    monkeypatch.setattr(simulator, "resolve_ref", no_resolve)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(BackendLimitError, match="TRACE_MAX_BYTES") as info:
+            simulator.run_density(uc, {ALICE: "1", BOB: "1"})
+        wall = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"{simulator.TRACE_MAX_BYTES} bytes" in str(info.value)
+    assert wall < 2.0
+    assert peak < 16 << 20
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -78,10 +87,22 @@ def test_run_density_blocks_match_two_sided_evolution(seed, monkeypatch):
     inp = {ALICE: "01"[seed % 2], BOB: ""}
     want = density_oracle(p, inp, pin)
     assert abs(simulator.run_density(p, inp, pin=pin).acceptance - want) < TOL
-    # one column per block, and three per block: 2^f columns always leave a partial last block
+    # ensemble's column blocks, one column per block and three per block:
+    # 2^f columns always leave a partial last block
     for cols in (1, 3):
-        monkeypatch.setattr(simulator, "DENSITY_BLOCK_BYTES", cols * (16 << qubits))
-        assert abs(simulator.run_density(p, inp, pin=pin).acceptance - want) < TOL
+        monkeypatch.setattr(simulator, "ENSEMBLE_BLOCK_BYTES", cols * (16 << qubits))
+        assert abs(simulator.run_ensemble(p, inp, pin=pin).acceptance - want) < TOL
+
+
+def test_run_density_on_the_13_qubit_ip2_trace_form_equals_run_trace():
+    tf = _trace_chain(problems.ip2_clocked(1))
+    assert tf.layout.total == 13
+    for x, y in (("1", "1"), ("1", "0")):
+        inp = {ALICE: x, BOB: y}
+        want = 0.5 + (3 / 8 + int(x) * int(y) / 4) / 8  # 0.578125 at IP = 1, else 0.546875
+        t = simulator.run_trace(tf, inp).acceptance
+        assert abs(t - want) < TOL
+        assert abs(simulator.run_density(tf, inp).acceptance - t) < TOL
 
 
 def test_run_density_rejects_a_pin_that_is_not_a_bit():
