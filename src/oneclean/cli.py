@@ -127,7 +127,7 @@ def _abc_instance_from(root: Path) -> problems.AbcInstance:
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
     files = manifest.get("files") if isinstance(manifest, dict) else None
-    shaped = isinstance(files, dict) and set("ABC") <= files.keys()
+    shaped = isinstance(files, dict) and all(isinstance(files.get(k), str) for k in "ABC")
     if not shaped or not {"n", "label"} <= manifest.keys():
         raise ParseError(f"{path} must hold 'n', 'label' and 'files' naming A, B and C")
     a, b, c = (qstate.matrix_from_json((root / files[key]).read_text()) for key in "ABC")

@@ -109,10 +109,11 @@ def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...]):
     wire labels and whose column legs are the current wires of its
     targets; each qubit's last wire then closes onto its first. The plan
     is ``(traces, steps, free, largest)``: per-tensor pairs of axes traced
-    at once (a qubit only that tensor touches), the (a, b, axes_a, axes_b)
-    tensordot steps, each appending its result as the next tensor, the
-    count of untouched qubits (a factor 2 each), and the largest tensor
-    in elements. It depends only on the arguments, so it is cached.
+    at once (a qubit only that tensor touches), the (a, b, perm_a, perm_b,
+    s) steps, each an ``np.tensordot`` over s shared legs with its axis
+    order fixed here, appending its result as the next tensor, the count
+    of untouched qubits (a factor 2 each), and the largest tensor in
+    elements. It depends only on the arguments, so it is cached.
     """
     cur = list(range(d))
     nxt = d
@@ -153,7 +154,9 @@ def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...]):
         size, _, a, b = min(cands)
         la, lb = live.pop(a), live.pop(b)
         shared = [lab for lab in la if lab in lb]
-        steps.append((a, b, tuple(map(la.index, shared)), tuple(map(lb.index, shared))))
+        keep_a, keep_b = ([i for i, lab in enumerate(ls) if lab not in shared] for ls in (la, lb))
+        perm_a, perm_b = (*keep_a, *map(la.index, shared)), (*map(lb.index, shared), *keep_b)
+        steps.append((a, b, perm_a, perm_b, len(shared)))
         live[len(labels) + len(steps) - 1] = [lab for lab in la + lb if lab not in shared]
         largest = max(largest, 1 << size)
     return tuple(traces), tuple(steps), free, largest
@@ -168,8 +171,10 @@ def trace_ring(mats, plan) -> complex:
         for i, j in pairs:
             t = np.trace(t, axis1=i, axis2=j)
         arrs[k] = t
-    for n, (a, b, axes_a, axes_b) in enumerate(steps, start=len(traces)):
-        arrs[n] = np.tensordot(arrs.pop(a), arrs.pop(b), axes=(axes_a, axes_b))
+    for n, (a, b, perm_a, perm_b, s) in enumerate(steps, start=len(traces)):
+        left = arrs.pop(a).transpose(perm_a).reshape(-1, 1 << s)
+        right = arrs.pop(b).transpose(perm_b).reshape(1 << s, -1)
+        arrs[n] = np.dot(left, right).reshape((2,) * (len(perm_a) + len(perm_b) - 2 * s))
     out = complex(1 << free)
     for t in arrs.values():
         out *= complex(t)

@@ -28,7 +28,7 @@ from scipy.stats import binom
 
 from . import qstate
 from .errors import BackendLimitError, DimensionError, DomainError, ShapeError
-from .protocol import ProtocolSpec, assert_valid, resolve_ref
+from .protocol import ProtocolSpec, assert_valid, q1_cost, resolve_ref
 
 ENSEMBLE_QUBIT_LIMIT = 20
 ENSEMBLE_BLOCK_BYTES = 1 << 20  # one block of state columns: 32 columns at 11 qubits
@@ -271,15 +271,9 @@ def measure_bias(p: ProtocolSpec, labeled_inputs, ref, backend: str = "density")
 
 def repetition_plan(eps, ref) -> RepetitionPlan:
     """t = ceil(4/eps^2) repetitions; accept iff at least ref*t successes."""
-    if not 0 < eps <= Fraction(1, 2):
-        raise DomainError(f"bias {eps} outside (0, 1/2]")
-    if isinstance(eps, (int, Fraction)):
-        t = int(math.ceil(4 / (Fraction(eps) * Fraction(eps))))
-        threshold = int(math.ceil(Fraction(ref) * t))
-    else:
-        t = int(math.ceil(4.0 / (eps * eps)))
-        threshold = int(math.ceil(ref * t))
-    return RepetitionPlan(t=t, threshold=threshold)
+    t = int(math.ceil(q1_cost(4, eps)))
+    ref = Fraction(ref) if isinstance(eps, (int, Fraction)) else ref
+    return RepetitionPlan(t=t, threshold=int(math.ceil(ref * t)))
 
 
 def amplify(acc0, acc1, ref, eps) -> float:

@@ -231,6 +231,8 @@ def test_gen_abc_instance_round_trip(tmp_path, capsys):
         ('{"n": 4, "label": -1}', "must hold 'n', 'label' and 'files'"),
         ('{"n": 4, "label": -1, "files": {"A": "A.json"}}', "must hold 'n', 'label' and 'files'"),
         ("[1, 2]", "must hold 'n', 'label' and 'files'"),
+        ('{"n": 4, "label": -1, "files": {"A": 1, "B": "B.json", "C": "C.json"}}',
+         "must hold 'n', 'label' and 'files'"),
     ],
 )
 def test_run_abc_with_a_malformed_instance_manifest_exits_2(tmp_path, capsys, manifest, named):
