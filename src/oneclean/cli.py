@@ -130,8 +130,13 @@ def _abc_instance_from(root: Path) -> problems.AbcInstance:
     shaped = isinstance(files, dict) and all(isinstance(files.get(k), str) for k in "ABC")
     if not shaped or not {"n", "label"} <= manifest.keys():
         raise ParseError(f"{path} must hold 'n', 'label' and 'files' naming A, B and C")
+    n, label = manifest["n"], manifest["label"]
+    if type(label) is not int or label not in (1, -1):
+        raise ParseError(f"{path}: 'label' must be 1 or -1, got {label!r}")
     a, b, c = (qstate.matrix_from_json((root / files[key]).read_text()) for key in "ABC")
-    return problems.AbcInstance(n=manifest["n"], a=a, b=b, c=c, label=manifest["label"])
+    if type(n) is not int or any(m.shape != (n, n) for m in (a, b, c)):
+        raise ParseError(f"{path}: 'n' must be the integer side of A, B and C, got {n!r}")
+    return problems.AbcInstance(n=n, a=a, b=b, c=c, label=label)
 
 
 def _run_inputs(args, spec) -> list[tuple[str, dict, object]]:

@@ -122,9 +122,8 @@ def ip2_one_clean(n: int) -> ProtocolSpec:
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    flip = np.eye(8, dtype=complex)
-    flip[[0, 4]] = flip[[4, 0]]  # |000> <-> |100>: flag flips iff workers are 00
-    first = ([(explicit(flip), (0, 1, 2))], [0, 1, 2], {0, 1, 2})
+    # |000> <-> |100>: the flag flips iff the workers are 00
+    first = ([(explicit(qstate.flip_if_zero(2)), (0, 1, 2))], [0, 1, 2], {0, 1, 2})
     plus = np.full((2, 2), 0.5, dtype=complex)
     accept_one = np.array([[0, 0], [0, 1]], dtype=complex)
     proj = np.kron(

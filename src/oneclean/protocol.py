@@ -127,99 +127,83 @@ class FlagStateU:
     inner: Any
 
 
-def resolve_ref(ref, inputs, width: int) -> np.ndarray:
-    """Resolve a unitary reference to a dense 2^width x 2^width matrix."""
-    if isinstance(ref, ExplicitU):
-        m = ref.matrix
-        if m.shape[0] != 1 << width:
-            raise DomainError(f"explicit matrix dim {m.shape[0]} != 2^{width}")
-        return m
-    if isinstance(ref, GenU):
-        fn = generator(ref.name)
-        player_input = None if inputs is None else inputs.get(ref.input_player)
-        m = np.asarray(fn(ref.params, player_input), dtype=complex)
-        if m.shape[0] != 1 << width:
-            raise DomainError(
-                f"generator {ref.name!r} produced dim {m.shape[0]}, expected 2^{width}"
-            )
-        return m
+def lower(ref, targets) -> tuple:
+    """A unitary reference on ``targets`` as local pieces in time order.
+
+    Each piece is ``(leaf, qubits, adjoint, controls, value)``: the
+    ExplicitU or GenU ``leaf`` (conjugate-transposed when ``adjoint``)
+    acts on ``qubits`` where the ``controls`` read ``value`` (first
+    control most significant), and as the identity elsewhere. The walk
+    is input-independent; a malformed reference raises ``DomainError``.
+    """
+    targets = tuple(targets)
+    if isinstance(ref, (ExplicitU, GenU)):
+        return ((ref, targets, False, (), 0),)
+    if isinstance(ref, (ControlledU, FlagStateU)) and not targets:
+        raise DomainError(f"{type(ref).__name__} has no control qubit")
+    if isinstance(ref, (ComposedU, DispatchU)) and ref.width != len(targets):
+        raise DomainError(f"{type(ref).__name__} width {ref.width} != {len(targets)}")
     if isinstance(ref, AdjointU):
-        return resolve_ref(ref.inner, inputs, width).conj().T
+        return _adjoint(lower(ref.inner, targets))
     if isinstance(ref, ControlledU):
-        inner = resolve_ref(ref.inner, inputs, width - 1)
-        d = inner.shape[0]
-        out = np.eye(2 * d, dtype=complex)
-        out[d:, d:] = inner
-        return out
+        return _conditioned(lower(ref.inner, targets[1:]), targets[:1], 1)
     if isinstance(ref, ComposedU):
-        if ref.width != width:
-            raise DomainError(f"composed width {ref.width} != {width}")
-        # fold each factor into the columns of the identity, on its positions only
-        out = np.eye(1 << width, dtype=complex).reshape((2,) * width + (1 << width,))
-        for sub, pos in ref.factors:
-            pos = qstate._check_targets(pos, width)
-            out = qstate._contract(out, resolve_ref(sub, inputs, len(pos)), pos)
-        return out.reshape(1 << width, 1 << width)
+        return tuple(pc for sub, pos in ref.factors for pc in lower(sub, _at(pos, targets)))
     if isinstance(ref, DispatchU):
-        return _resolve_dispatch(ref, inputs, width)
+        sel = _at(ref.selector, targets)
+        w = len(sel)
+        if len(ref.branches) != 1 << w:
+            raise DomainError(
+                f"dispatch needs {1 << w} branches for a {w}-qubit selector, got {len(ref.branches)}"
+            )
+        out = []
+        for i, branch in enumerate(ref.branches):
+            if branch is not None:
+                out.extend(_conditioned(lower(branch[0], _at(branch[1], targets)), sel, i))
+        if ref.increment % (1 << w):
+            # the selector increment |i + inc mod 2^w><i|, after every branch
+            step = np.roll(np.eye(1 << w, dtype=complex), ref.increment, axis=0)
+            out.append((ExplicitU(step), sel, False, (), 0))
+        return tuple(out)
     if isinstance(ref, FlagStateU):
-        k = width - 1
-        u = resolve_ref(ref.inner, inputs, k)
-        phi = u[:, 0]
-        p = np.outer(phi, phi.conj())
-        return np.kron(qstate.X, p) + np.kron(qstate.I2, np.eye(1 << k) - p)
+        # X (x) P + I (x) (I - P) with P = W|0><0|W^dagger is W^dagger, flip-if-zero, W
+        inner = lower(ref.inner, targets[1:])
+        flip = (ExplicitU(qstate.flip_if_zero(len(targets) - 1)), targets, False, (), 0)
+        return _adjoint(inner) + (flip,) + inner
     raise DomainError(f"unknown unitary reference {type(ref).__name__}")
 
 
-def _resolve_dispatch(ref: DispatchU, inputs, width: int) -> np.ndarray:
-    w = len(ref.selector)
-    if len(ref.branches) != 1 << w:
+def _adjoint(pieces) -> tuple:
+    return tuple((leaf, q, not adj, c, v) for leaf, q, adj, c, v in reversed(pieces))
+
+
+def _conditioned(pieces, controls: tuple, value: int) -> tuple:
+    """``pieces`` acting only where ``controls`` read ``value``."""
+    if any(set(controls) & set(q + c) for _, q, _, c, _ in pieces):
+        raise DomainError(f"control qubits {controls} repeat a piece axis")
+    return tuple((leaf, q, adj, controls + c, (value << len(c)) | v) for leaf, q, adj, c, v in pieces)
+
+
+def _at(positions, targets: tuple) -> tuple:
+    """Local positions mapped onto ``targets``, each in range and used once."""
+    if len(set(positions)) != len(positions) or not all(0 <= p < len(targets) for p in positions):
         raise DomainError(
-            f"dispatch needs {1 << w} branches for a {w}-qubit selector, "
-            f"got {len(ref.branches)}"
+            f"piece axes {tuple(positions)} repeat or leave a {len(targets)}-qubit target list"
         )
-    nonsel = [p for p in range(width) if p not in ref.selector]
-    nb = len(nonsel)
-    full = np.zeros((2,) * (2 * width), dtype=complex)
-    for i, branch in enumerate(ref.branches):
-        if branch is None:
-            bfull = np.eye(1 << nb, dtype=complex)
-        else:
-            sub, pos = branch
-            m = resolve_ref(sub, inputs, len(pos))
-            local = tuple(nonsel.index(p) for p in pos)
-            bfull = qstate.embed_operator(m, local, nb)
-        j = (i + ref.increment) % (1 << w)
-        idx: list = [slice(None)] * (2 * width)
-        for axpos, bit in zip(ref.selector, _bits(j, w)):
-            idx[axpos] = bit
-        for axpos, bit in zip(ref.selector, _bits(i, w)):
-            idx[width + axpos] = bit
-        full[tuple(idx)] = bfull.reshape((2,) * (2 * nb))
-    return full.reshape(1 << width, 1 << width)
+    return tuple(targets[p] for p in positions)
 
 
-def _bits(value: int, width: int) -> tuple:
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
-
-
-def _walk_explicit(ref, width: int):
-    """Yield (matrix, width) for every explicit matrix with its expected size."""
-    if isinstance(ref, ExplicitU):
-        yield ref.matrix, width
-    elif isinstance(ref, AdjointU):
-        yield from _walk_explicit(ref.inner, width)
-    elif isinstance(ref, ControlledU):
-        yield from _walk_explicit(ref.inner, width - 1)
-    elif isinstance(ref, FlagStateU):
-        yield from _walk_explicit(ref.inner, width - 1)
-    elif isinstance(ref, ComposedU):
-        for sub, pos in ref.factors:
-            yield from _walk_explicit(sub, len(pos))
-    elif isinstance(ref, DispatchU):
-        for branch in ref.branches:
-            if branch is not None:
-                yield from _walk_explicit(branch[0], len(branch[1]))
+def resolve_ref(piece, inputs) -> np.ndarray:
+    """The matrix of a lowered piece's leaf on its qubits, adjoint applied."""
+    leaf, qubits, adjoint = piece[:3]
+    if isinstance(leaf, ExplicitU):
+        m, what = leaf.matrix, "explicit matrix"
+    else:
+        fn, what = generator(leaf.name), f"generator {leaf.name!r}"
+        m = np.asarray(fn(leaf.params, (inputs or {}).get(leaf.input_player)), dtype=complex)
+    if m.shape != (1 << len(qubits),) * 2:
+        raise DomainError(f"{what} has shape {m.shape}, expected dim 2^{len(qubits)}")
+    return m.conj().T if adjoint else m
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +221,6 @@ class RegisterLayout:
     @property
     def total(self) -> int:
         return self.clean + self.mixed
-
-    def role(self, qubit: int) -> str:
-        return "clean" if qubit < self.clean else "mixed"
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,6 +358,7 @@ def validate(p: ProtocolSpec) -> list:
         v.append(f"declared reference point {p.declared_p} outside (0, 1)")
 
     owners = list(p.initial_owner)
+    lowered: dict = {}  # (unitary, targets) -> its violations; unclock shares one ref per player
     for i, r in enumerate(p.rounds):
         if not 0 <= r.player < p.players:
             v.append(f"round {i}: player {r.player} out of range")
@@ -404,11 +386,10 @@ def validate(p: ProtocolSpec) -> list:
                 for q in r.message:
                     if 0 <= q < total:
                         owners[q] = r.to
-        for mat, width in _walk_explicit(r.unitary, len(r.targets)):
-            if mat.shape != (1 << width, 1 << width):
-                v.append(f"round {i}: explicit matrix has dim {mat.shape[0]}, expected {1 << width}")
-            elif not qstate.is_unitary(mat):
-                v.append(f"round {i}: explicit matrix is not unitary within 1e-9")
+        key = (r.unitary, r.targets)
+        if key not in lowered:
+            lowered[key] = _lowering_violations(r.unitary, r.targets)
+        v.extend(f"round {i}: {msg}" for msg in lowered[key])
 
     support = p.measurement.support()
     for q in support:
@@ -431,6 +412,18 @@ def validate(p: ProtocolSpec) -> list:
         if msgs and any(m != msgs[0] for m in msgs[1:]):
             v.append("fixed channel but message sets differ across rounds")
     return v
+
+
+def _lowering_violations(ref, targets: tuple) -> list:
+    """Why ``ref`` cannot act on ``targets``: a ``lower`` failure, or an
+    explicit leaf of the wrong dimension or not unitary within 1e-9."""
+    try:
+        pieces = lower(ref, targets)
+        leaves = {(pc[0], len(pc[1])): pc for pc in pieces if isinstance(pc[0], ExplicitU)}
+        bad = [pc for pc in leaves.values() if not qstate.is_unitary(resolve_ref(pc, None))]
+    except DomainError as e:
+        return [str(e)]
+    return ["explicit matrix is not unitary within 1e-9"] * len(bad)
 
 
 def _validate_semi_unclocked(p: ProtocolSpec) -> list:
@@ -485,24 +478,11 @@ def floor_log2(eps) -> int:
         raise DomainError(f"floor_log2 needs a positive argument, got {eps}")
     if isinstance(eps, (int, Fraction)):
         f = Fraction(eps)
+        # 2^(k-1) < f < 2^(k+1), so one exact comparison settles the floor
         k = f.numerator.bit_length() - f.denominator.bit_length()
-        # bracket: adjust so 2^k <= f < 2^(k+1)
-        while _cmp_pow2(f, k) < 0:
-            k -= 1
-        while _cmp_pow2(f, k + 1) >= 0:
-            k += 1
-        return k
+        return k - (f < Fraction(2) ** k)
     m, e = math.frexp(float(eps))  # eps = m * 2^e with 0.5 <= m < 1
     return e - 1
-
-
-def _cmp_pow2(f: Fraction, k: int) -> int:
-    """Sign of f - 2^k using integer arithmetic."""
-    if k >= 0:
-        lhs, rhs = f.numerator, f.denominator << k
-    else:
-        lhs, rhs = f.numerator << (-k), f.denominator
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def q1_cost(c: int, eps):
@@ -798,11 +778,6 @@ def protocol_equal(a: ProtocolSpec, b: ProtocolSpec) -> bool:
 
 
 # Convenience constructors used by transforms and built-ins.
-
-
-def composed(width: int, *factors) -> ComposedU:
-    """Build a ComposedU from (ref, positions) pairs in time order."""
-    return ComposedU(width, tuple((ref, tuple(pos)) for ref, pos in factors))
 
 
 def explicit(matrix) -> ExplicitU:

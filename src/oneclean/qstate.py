@@ -10,7 +10,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import heapq
 import json
+from collections import Counter
 
 import numpy as np
 
@@ -36,6 +38,14 @@ SWAP2 = np.array(
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+
+
+def flip_if_zero(k: int) -> np.ndarray:
+    """Bit flip on the first qubit iff the next k qubits are all |0>."""
+    dim = 1 << (k + 1)
+    m = np.eye(dim, dtype=complex)
+    m[[0, 1 << k]] = m[[1 << k, 0]]
+    return m
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -138,26 +148,35 @@ def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...]):
             del ls[j], ls[i]
         traces.append(tuple(pairs))
     live = dict(enumerate(labels))
+    where: dict = {}  # label -> the two live tensors holding it, older first
+    for k, ls in live.items():
+        for lab in ls:
+            where.setdefault(lab, []).append(k)
+
+    def score(a, b, shared):  # smallest result first; on a tie, the larger inputs
+        width = len(live[a]) + len(live[b])
+        return width - 2 * shared, -width, a, b
+
+    # a live pair's score never changes, so a heap that skips contracted
+    # pairs pops them in the order a fresh search over all pairs would
+    heap = [score(a, b, s) for (a, b), s in Counter(map(tuple, where.values())).items()]
+    heapq.heapify(heap)
     steps = []
-    while True:
-        owners = {}
-        for k, ls in live.items():
-            for lab in ls:
-                owners.setdefault(lab, []).append(k)
-        # smallest result first; on a tie, the pair with the larger inputs
-        cands = []
-        for a, b in {tuple(ks) for ks in owners.values()}:
-            width = len(live[a]) + len(live[b])
-            cands.append((width - 2 * len(set(live[a]) & set(live[b])), -width, a, b))
-        if not cands:
-            break
-        size, _, a, b = min(cands)
+    while heap:
+        size, _, a, b = heapq.heappop(heap)
+        if a not in live or b not in live:
+            continue
         la, lb = live.pop(a), live.pop(b)
         shared = [lab for lab in la if lab in lb]
         keep_a, keep_b = ([i for i, lab in enumerate(ls) if lab not in shared] for ls in (la, lb))
         perm_a, perm_b = (*keep_a, *map(la.index, shared)), (*map(lb.index, shared), *keep_b)
         steps.append((a, b, perm_a, perm_b, len(shared)))
-        live[len(labels) + len(steps) - 1] = [lab for lab in la + lb if lab not in shared]
+        n = len(labels) + len(steps) - 1
+        live[n] = [lab for lab in la + lb if lab not in shared]
+        for lab in live[n]:
+            where[lab] = [k for k in where[lab] if k not in (a, b)] + [n]
+        for o, s in Counter(where[lab][0] for lab in live[n]).items():
+            heapq.heappush(heap, score(o, n, s))
         largest = max(largest, 1 << size)
     return tuple(traces), tuple(steps), free, largest
 
@@ -208,19 +227,6 @@ def embed_operator(m, targets, q: int) -> np.ndarray:
     eye = np.eye(1 << q, dtype=complex).reshape((2,) * q + (1 << q,))
     out = _contract(eye, um, ts)
     return out.reshape(1 << q, 1 << q)
-
-
-def partial_trace(rho, keep) -> np.ndarray:
-    """Trace out all qubits not in ``keep``; kept qubits stay in ascending order."""
-    rm = _as_matrix(rho)
-    q = num_qubits(rm.shape[0])
-    ks = sorted(_check_targets(keep, q))
-    drop = [i for i in range(q) if i not in ks]
-    t = rm.reshape((2,) * (2 * q))
-    for i in reversed(drop):
-        t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
-    d = 1 << len(ks)
-    return t.reshape(d, d)
 
 
 def accept_probability(rho, p) -> float:

@@ -1,18 +1,23 @@
 """Exact acceptance-probability backends and the amplification harness.
 
-Three backends compute the same number on two engines:
+Three backends compute the same number on two engines. All of them run
+each round (or trace-form piece) as its lowered pieces from
+``protocol.lower``: a leaf matrix on a few qubits, applied where its
+control qubits read a value. No round is built as one dense matrix.
 
-* ``run_density`` and ``run_trace`` contract a closed ring of local
-  operators pairwise (``qstate.ring_plan``), never building a 2^n x 2^n
-  array. Density's ring is Tr(U^dagger P U rho0) for
+* ``run_density`` and ``run_trace`` contract a closed ring of those
+  pieces pairwise (``qstate.ring_plan``), never building a 2^n x 2^n
+  array; a controlled piece enters the ring as the identity except its
+  value block. Density's ring is Tr(U^dagger P U rho0) for
   rho0 = |0><0|^k (x) pinned bits (x) I, over 2^f; trace's is the
   Hadamard-test formula 1/2 + Re Tr(product of pieces) / 2^(d+1) of a
   trace-form protocol. Both are bounded by the planned largest
-  intermediate in bytes (``TRACE_MAX_BYTES``), checked before any round
-  or piece is resolved.
+  intermediate in bytes (``TRACE_MAX_BYTES``), checked before any piece
+  is resolved.
 * ``run_ensemble`` evolves the mixed register's basis states as pure
-  columns (<= 20 qubits), in blocks of about ``ENSEMBLE_BLOCK_BYTES``;
-  exact with ``sample="all"``, and independent of the ring engine.
+  columns (<= 20 qubits), in blocks of about ``ENSEMBLE_BLOCK_BYTES``,
+  applying each piece only to the slice where its controls read its
+  value; exact with ``sample="all"``, and independent of the ring engine.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from scipy.stats import binom
 
 from . import qstate
 from .errors import BackendLimitError, DimensionError, DomainError, ShapeError
-from .protocol import ProtocolSpec, assert_valid, q1_cost, resolve_ref
+from .protocol import ProtocolSpec, assert_valid, lower, q1_cost, resolve_ref
 
 ENSEMBLE_QUBIT_LIMIT = 20
 ENSEMBLE_BLOCK_BYTES = 1 << 20  # one block of state columns: 32 columns at 11 qubits
@@ -43,7 +48,6 @@ class RunReport:
     backend: str
     seed: Optional[int] = None
     elapsed: float = 0.0
-    bias_measured: Optional[float] = None
 
     CSV_HEADER = "input,acceptance,backend,seed,elapsed"
 
@@ -99,30 +103,40 @@ def _checked_ring(backend: str, d: int, piece_axes):
     return ring
 
 
+def _piece_matrices(pieces, inputs) -> list:
+    """Each lowered piece as one operator on its controls then its qubits:
+    the identity except the block where the controls read the piece's value."""
+    mats = []
+    for pc in pieces:
+        m, c, d = resolve_ref(pc, inputs), 1 << len(pc[3]), 1 << len(pc[1])
+        if c > 1:
+            block = np.eye(c * d, dtype=complex).reshape(c, d, c, d)
+            block[pc[4], :, pc[4], :] = m
+            m = block.reshape(c * d, c * d)
+        mats.append(m)
+    return mats
+
+
 def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> RunReport:
     """Exact acceptance probability Tr(P U rho0 U^dagger) as a closed ring.
 
     rho0 is |0><0| on the clean qubits, |b><b| on each pinned mixed qubit
     and I/2^f on the f free ones, so the acceptance is the ring trace of,
-    in application order, those basis projectors, U_1 ... U_r, P and
-    U_r^dagger ... U_1^dagger, over 2^f. The ring is planned and checked
-    against ``TRACE_MAX_BYTES`` before any round is resolved.
+    in application order, those basis projectors, the pieces of U_1 ... U_r,
+    P and the adjoint pieces of U_r ... U_1, over 2^f. The ring is planned
+    and checked against ``TRACE_MAX_BYTES`` before any piece is resolved.
     """
     t0 = time.perf_counter()
     assert_valid(p)
     fixed = _fixed_bits(p, pin)
     proj, support = p.measurement.operator()
-    targets = [r.targets for r in p.rounds]
-    axes = [(q,) for q in fixed] + targets + [support] + targets[::-1]
-    ring = _checked_ring("density", p.layout.total, tuple(axes))
-    mats = [resolve_ref(r.unitary, inputs, len(r.targets)) for r in p.rounds]
-    pieces = (
-        [qstate.basis_projector(bit) for bit in fixed.values()]
-        + mats
-        + [proj]
-        + [m.conj().T for m in reversed(mats)]
-    )
-    tr = qstate.trace_ring(pieces, ring)
+    pieces = [pc for r in p.rounds for pc in lower(r.unitary, r.targets)]
+    axes = [pc[3] + pc[1] for pc in pieces]
+    ring_axes = [(q,) for q in fixed] + axes + [support] + axes[::-1]
+    ring = _checked_ring("density", p.layout.total, tuple(ring_axes))
+    mats = _piece_matrices(pieces, inputs)
+    projectors = [qstate.basis_projector(bit) for bit in fixed.values()]
+    tr = qstate.trace_ring(projectors + mats + [proj] + [m.conj().T for m in reversed(mats)], ring)
     acc = qstate.checked_acceptance(tr / (1 << (p.layout.total - len(fixed))))
     return RunReport(acc, "density", elapsed=time.perf_counter() - t0)
 
@@ -165,7 +179,8 @@ def run_ensemble(
     rows = np.full(len(cols), sum(bit << (n - 1 - q) for q, bit in fixed.items()))
     for j, q in enumerate(free):
         rows |= ((cols >> (len(free) - 1 - j)) & 1) << (n - 1 - q)
-    rounds = [(resolve_ref(r.unitary, inputs, len(r.targets)), r.targets) for r in p.rounds]
+    pieces = [pc for r in p.rounds for pc in lower(r.unitary, r.targets)]
+    mats = [resolve_ref(pc, inputs) for pc in pieces]
     proj, support = p.measurement.operator()
     block = max(1, ENSEMBLE_BLOCK_BYTES // (np.dtype(complex).itemsize << n))
     total = 0.0
@@ -174,8 +189,15 @@ def run_ensemble(
         v = np.zeros((1 << n, len(chunk)), dtype=complex)
         v[chunk, np.arange(len(chunk))] = 1.0
         v = v.reshape((2,) * n + (len(chunk),))
-        for u, targets in rounds:
-            v = qstate._contract(v, u, targets)
+        for (_, qubits, _, controls, value), u in zip(pieces, mats):
+            if not controls:
+                v = qstate._contract(v, u, qubits)
+                continue
+            # u acts on the slice where the controls read the value; later axes shift down
+            bits = dict(zip(controls, map(int, format(value, f"0{len(controls)}b"))))
+            at = tuple(bits.get(k, slice(None)) for k in range(n)) + (slice(None),)
+            axes = tuple(q - sum(c < q for c in controls) for q in qubits)
+            v[at] = qstate._contract(v[at], u, axes)
         total += np.vdot(v, qstate._contract(v, proj, support))
     acc = qstate.checked_acceptance(total / len(rows))
     return RunReport(acc, "ensemble", seed=used_seed, elapsed=time.perf_counter() - t0)
@@ -212,10 +234,9 @@ def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport
     elif counter_start:
         raise DomainError("counter start given but the plan has no counter")
 
-    pieces = [plan.pieces[idx] for idx in order]
-    ring = _checked_ring("trace", d, tuple(tuple(local[t] for t in tg) for _, tg in pieces))
-    mats = [resolve_ref(ref, inputs, len(targets)) for ref, targets in pieces]
-    tr = qstate.trace_ring(mats, ring)
+    pieces = [pc for idx in order for pc in lower(*plan.pieces[idx])]
+    ring = _checked_ring("trace", d, tuple(tuple(local[q] for q in pc[3] + pc[1]) for pc in pieces))
+    tr = qstate.trace_ring(_piece_matrices(pieces, inputs), ring)
     acc = qstate.checked_acceptance(0.5 + tr.real / (1 << (d + 1)))
     return RunReport(acc, "trace", elapsed=time.perf_counter() - t0)
 

@@ -115,14 +115,6 @@ def _compose(factors) -> tuple[ComposedU, tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _flip_if_zero(k: int) -> np.ndarray:
-    """Bit flip on the first qubit iff the next k qubits are all |0>."""
-    dim = 1 << (k + 1)
-    m = np.eye(dim, dtype=complex)
-    m[[0, 1 << k]] = m[[1 << k, 0]]
-    return m
-
-
 def k_to_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     """Demote the k clean qubits to mixed ones behind a flag qubit.
 
@@ -152,7 +144,7 @@ def k_to_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     total = p.layout.total
     coin = total + 1  # after the shift below
     rounds = [
-        RoundAction(starter, explicit(_flip_if_zero(k)), tuple(range(k + 1)), frozenset(), None)
+        RoundAction(starter, explicit(qstate.flip_if_zero(k)), tuple(range(k + 1)), frozenset(), None)
     ]
     rounds.extend(_shift_round(r, 1) for r in p.rounds)
 

@@ -50,9 +50,9 @@ def _two_sided_acceptance(p: protocol.ProtocolSpec, inputs=None, pin=None) -> fl
     ``simulator.run_ensemble``'s column blocks."""
     rho = simulator.initial_density(p, pin)
     for r in p.rounds:
-        rho = qstate.apply_on_subset(
-            rho, protocol.resolve_ref(r.unitary, inputs, len(r.targets)), r.targets
-        )
+        pieces = protocol.lower(r.unitary, r.targets)
+        for pc, m in zip(pieces, simulator._piece_matrices(pieces, inputs)):
+            rho = qstate.apply_on_subset(rho, m, pc[3] + pc[1])
     proj, support = p.measurement.operator()
     return qstate.accept_probability(rho, qstate.embed_operator(proj, support, p.layout.total))
 

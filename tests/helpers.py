@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from oneclean import qstate
+from oneclean import protocol, qstate
+from oneclean.errors import DomainError
 from oneclean.protocol import (
     ALICE,
     BOB,
+    AdjointU,
     ComposedU,
+    ControlledU,
+    DispatchU,
+    ExplicitU,
+    FlagStateU,
     GenU,
     Measurement,
     ProtocolSpec,
@@ -187,8 +193,6 @@ def oneway_protocol(ua, targets_a, ub, targets_b, m) -> ProtocolSpec:
     everything except Bob's private remainder and sends the control plus
     whatever Bob's unitary touches.
     """
-    from oneclean.protocol import ControlledU
-
     alice = ComposedU(
         1 + len(targets_a),
         (
@@ -219,3 +223,144 @@ def oneway_protocol(ua, targets_a, ub, targets_b, m) -> ProtocolSpec:
         ),
         measurement=Measurement(single_qubit=0),
     )
+
+
+# The dense resolution that ``protocol.lower`` replaced, kept as its oracle:
+# a reference resolved to one 2^width x 2^width matrix.
+def dense_ref_oracle(ref, inputs, width: int) -> np.ndarray:
+    """Resolve a unitary reference to a dense 2^width x 2^width matrix."""
+    if isinstance(ref, ExplicitU):
+        m = ref.matrix
+        if m.shape[0] != 1 << width:
+            raise DomainError(f"explicit matrix dim {m.shape[0]} != 2^{width}")
+        return m
+    if isinstance(ref, GenU):
+        fn = protocol.generator(ref.name)
+        player_input = None if inputs is None else inputs.get(ref.input_player)
+        m = np.asarray(fn(ref.params, player_input), dtype=complex)
+        if m.shape[0] != 1 << width:
+            raise DomainError(
+                f"generator {ref.name!r} produced dim {m.shape[0]}, expected 2^{width}"
+            )
+        return m
+    if isinstance(ref, AdjointU):
+        return dense_ref_oracle(ref.inner, inputs, width).conj().T
+    if isinstance(ref, ControlledU):
+        inner = dense_ref_oracle(ref.inner, inputs, width - 1)
+        d = inner.shape[0]
+        out = np.eye(2 * d, dtype=complex)
+        out[d:, d:] = inner
+        return out
+    if isinstance(ref, ComposedU):
+        if ref.width != width:
+            raise DomainError(f"composed width {ref.width} != {width}")
+        # fold each factor into the columns of the identity, on its positions only
+        out = np.eye(1 << width, dtype=complex).reshape((2,) * width + (1 << width,))
+        for sub, pos in ref.factors:
+            pos = qstate._check_targets(pos, width)
+            out = qstate._contract(out, dense_ref_oracle(sub, inputs, len(pos)), pos)
+        return out.reshape(1 << width, 1 << width)
+    if isinstance(ref, DispatchU):
+        return _resolve_dispatch(ref, inputs, width)
+    if isinstance(ref, FlagStateU):
+        k = width - 1
+        u = dense_ref_oracle(ref.inner, inputs, k)
+        phi = u[:, 0]
+        p = np.outer(phi, phi.conj())
+        return np.kron(qstate.X, p) + np.kron(qstate.I2, np.eye(1 << k) - p)
+    raise DomainError(f"unknown unitary reference {type(ref).__name__}")
+
+
+def _resolve_dispatch(ref: DispatchU, inputs, width: int) -> np.ndarray:
+    w = len(ref.selector)
+    if len(ref.branches) != 1 << w:
+        raise DomainError(
+            f"dispatch needs {1 << w} branches for a {w}-qubit selector, "
+            f"got {len(ref.branches)}"
+        )
+    nonsel = [p for p in range(width) if p not in ref.selector]
+    nb = len(nonsel)
+    full = np.zeros((2,) * (2 * width), dtype=complex)
+    for i, branch in enumerate(ref.branches):
+        if branch is None:
+            bfull = np.eye(1 << nb, dtype=complex)
+        else:
+            sub, pos = branch
+            m = dense_ref_oracle(sub, inputs, len(pos))
+            local = tuple(nonsel.index(p) for p in pos)
+            bfull = qstate.embed_operator(m, local, nb)
+        j = (i + ref.increment) % (1 << w)
+        idx: list = [slice(None)] * (2 * width)
+        for axpos, bit in zip(ref.selector, _bits(j, w)):
+            idx[axpos] = bit
+        for axpos, bit in zip(ref.selector, _bits(i, w)):
+            idx[width + axpos] = bit
+        full[tuple(idx)] = bfull.reshape((2,) * (2 * nb))
+    return full.reshape(1 << width, 1 << width)
+
+
+def _bits(value: int, width: int) -> tuple:
+    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+
+
+# ``qstate.ring_plan`` as it was before it kept its owner map and scores
+# incrementally: the oracle for identical plans.
+def ring_plan_oracle(d: int, piece_axes: tuple[tuple[int, ...], ...]):
+    """Greedy pairwise contraction order for Tr(M_last ... M_first) on d qubits.
+
+    ``piece_axes`` lists each operator's target qubits in application
+    order. Operator k becomes a (2,)*2w tensor whose row legs are fresh
+    wire labels and whose column legs are the current wires of its
+    targets; each qubit's last wire then closes onto its first. The plan
+    is ``(traces, steps, free, largest)``: per-tensor pairs of axes traced
+    at once (a qubit only that tensor touches), the (a, b, perm_a, perm_b,
+    s) steps, each an ``np.tensordot`` over s shared legs with its axis
+    order fixed here, appending its result as the next tensor, the count
+    of untouched qubits (a factor 2 each), and the largest tensor in
+    elements. It depends only on the arguments, so it is cached.
+    """
+    cur = list(range(d))
+    nxt = d
+    labels = []
+    for axes in piece_axes:
+        outs = list(range(nxt, nxt + len(axes)))
+        nxt += len(axes)
+        labels.append(outs + [cur[q] for q in axes])
+        for q, o in zip(axes, outs):
+            cur[q] = o
+    free = sum(c == q for q, c in enumerate(cur))
+    close = {c: q for q, c in enumerate(cur)}
+    labels = [[close.get(lab, lab) for lab in ls] for ls in labels]
+    largest = max((1 << len(ls) for ls in labels), default=1)
+    traces = []
+    for ls in labels:
+        pairs = []
+        for lab in sorted({lab for lab in ls if ls.count(lab) == 2}):
+            i = ls.index(lab)
+            j = ls.index(lab, i + 1)
+            pairs.append((i, j))
+            del ls[j], ls[i]
+        traces.append(tuple(pairs))
+    live = dict(enumerate(labels))
+    steps = []
+    while True:
+        owners = {}
+        for k, ls in live.items():
+            for lab in ls:
+                owners.setdefault(lab, []).append(k)
+        # smallest result first; on a tie, the pair with the larger inputs
+        cands = []
+        for a, b in {tuple(ks) for ks in owners.values()}:
+            width = len(live[a]) + len(live[b])
+            cands.append((width - 2 * len(set(live[a]) & set(live[b])), -width, a, b))
+        if not cands:
+            break
+        size, _, a, b = min(cands)
+        la, lb = live.pop(a), live.pop(b)
+        shared = [lab for lab in la if lab in lb]
+        keep_a, keep_b = ([i for i, lab in enumerate(ls) if lab not in shared] for ls in (la, lb))
+        perm_a, perm_b = (*keep_a, *map(la.index, shared)), (*map(lb.index, shared), *keep_b)
+        steps.append((a, b, perm_a, perm_b, len(shared)))
+        live[len(labels) + len(steps) - 1] = [lab for lab in la + lb if lab not in shared]
+        largest = max(largest, 1 << size)
+    return tuple(traces), tuple(steps), free, largest

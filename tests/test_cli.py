@@ -233,6 +233,12 @@ def test_gen_abc_instance_round_trip(tmp_path, capsys):
         ("[1, 2]", "must hold 'n', 'label' and 'files'"),
         ('{"n": 4, "label": -1, "files": {"A": 1, "B": "B.json", "C": "C.json"}}',
          "must hold 'n', 'label' and 'files'"),
+        ('{"n": "4", "label": -1, "files": {"A": "A.json", "B": "B.json", "C": "C.json"}}',
+         "'n' must be the integer side of A, B and C"),
+        ('{"n": 8, "label": -1, "files": {"A": "A.json", "B": "B.json", "C": "C.json"}}',
+         "'n' must be the integer side of A, B and C"),
+        ('{"n": 4, "label": 0, "files": {"A": "A.json", "B": "B.json", "C": "C.json"}}',
+         "'label' must be 1 or -1"),
     ],
 )
 def test_run_abc_with_a_malformed_instance_manifest_exits_2(tmp_path, capsys, manifest, named):

@@ -1,14 +1,20 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oneclean import problems, protocol, transforms
+from oneclean import cli, problems, protocol, qstate, simulator, transforms
 from oneclean.errors import DomainError, ParseError
 from oneclean.protocol import (
     ALICE,
     BOB,
+    AdjointU,
+    ComposedU,
+    ControlledU,
+    DispatchU,
+    FlagStateU,
     Measurement,
     ProtocolSpec,
     RegisterLayout,
@@ -16,7 +22,7 @@ from oneclean.protocol import (
     explicit,
 )
 
-from helpers import random_trace_form, random_two_clean
+from helpers import dense_ref_oracle, random_trace_form, random_two_clean, table_ref
 
 
 def test_validate_builtin_protocols_clean():
@@ -289,3 +295,120 @@ def test_deserialized_unclocked_spec_validates_and_flags_a_changed_round():
     assert protocol.validate(protocol.from_descriptor(obj)) == [
         "semi-unclocked round 2 unitary differs from earlier rounds"
     ]
+
+
+def _random_ref(rng, width: int, depth: int, kind=None):
+    """A random unitary reference on ``width`` qubits, nested at most ``depth`` deep."""
+    if kind is None:
+        kinds = ["explicit", "generator"]
+        if depth:
+            kinds += ["adjoint", "composed"]
+            if width > 1:
+                kinds += ["controlled", "dispatch", "flag_state"]
+        kind = kinds[int(rng.integers(len(kinds)))]
+    d = 1 << width
+    if kind == "explicit":
+        return explicit(qstate.haar_unitary(d, rng))
+    if kind == "generator":
+        return table_ref(ALICE, {b: qstate.haar_unitary(d, rng) for b in "01"})
+    if kind == "adjoint":
+        return AdjointU(_random_ref(rng, width, depth - 1))
+    if kind == "controlled":
+        return ControlledU(_random_ref(rng, width - 1, depth - 1))
+    if kind == "flag_state":
+        return FlagStateU(_random_ref(rng, width - 1, depth - 1))
+
+    def placed(positions):
+        w = int(rng.integers(1, len(positions) + 1))
+        pos = tuple(int(p) for p in rng.permutation(positions)[:w])
+        return _random_ref(rng, w, depth - 1), pos
+
+    if kind == "composed":
+        return ComposedU(width, tuple(placed(range(width)) for _ in range(rng.integers(1, 4))))
+    perm = rng.permutation(width)
+    s = int(rng.integers(1, min(2, width - 1) + 1))
+    selector, rest = tuple(int(p) for p in perm[:s]), perm[s:]
+    branches = tuple(None if rng.random() < 0.3 else placed(rest) for _ in range(1 << s))
+    return DispatchU(width, selector, branches, int(rng.integers(2)))
+
+
+def _lowered_product(ref, targets, width: int, inputs) -> np.ndarray:
+    out = np.eye(1 << width, dtype=complex)
+    pieces = protocol.lower(ref, targets)
+    for pc, m in zip(pieces, simulator._piece_matrices(pieces, inputs)):
+        out = qstate.embed_operator(m, pc[3] + pc[1], width) @ out
+    return out
+
+
+def _nest(rng, width, depth):
+    """An adjoint of a controlled composed reference."""
+    return AdjointU(ControlledU(_random_ref(rng, width - 1, depth, "composed")))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["explicit", "generator", "adjoint", "controlled", "composed", "dispatch", "flag_state", "nest"],
+)
+@pytest.mark.parametrize("seed", range(8))
+def test_lowered_pieces_multiply_to_the_dense_oracle(kind, seed):
+    rng = np.random.default_rng([seed, 7])
+    width = int(rng.integers(2, 5))
+    ref = _nest(rng, width, 2) if kind == "nest" else _random_ref(rng, width, 2, kind)
+    if kind == "dispatch":
+        # both increments over the seeds, whatever the random draw
+        ref = DispatchU(ref.width, ref.selector, ref.branches, seed % 2)
+    # the reference acts on a shuffled target list of the register
+    targets = tuple(int(q) for q in rng.permutation(width))
+    for bit in "01":
+        inputs = {ALICE: bit}
+        want = qstate.embed_operator(dense_ref_oracle(ref, inputs, width), targets, width)
+        got = _lowered_product(ref, targets, width, inputs)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_lowered_dispatch_with_identity_branches_and_an_increment():
+    rng = np.random.default_rng(3)
+    branch = (explicit(qstate.haar_unitary(4, rng)), (1, 2))
+    ref = DispatchU(4, (3, 0), (None, branch, None, None), 1)
+    targets = (2, 0, 3, 1)
+    want = qstate.embed_operator(dense_ref_oracle(ref, None, 4), targets, 4)
+    assert np.max(np.abs(_lowered_product(ref, targets, 4, None) - want)) < 1e-12
+    # one conditioned branch, then the selector increment
+    assert [len(pc[3]) for pc in protocol.lower(ref, targets)] == [2, 0]
+
+
+def _one_round(ref, targets, qubits: int = 3) -> ProtocolSpec:
+    return ProtocolSpec(
+        name="one-round",
+        players=2,
+        layout=RegisterLayout(clean=1, mixed=qubits - 1),
+        initial_owner=(ALICE,) * qubits,
+        rounds=(RoundAction(ALICE, ref, targets, frozenset(), None),),
+        measurement=Measurement(single_qubit=0),
+    )
+
+
+_X = explicit(qstate.X)
+
+
+@pytest.mark.parametrize(
+    "ref, targets, named",
+    [
+        (DispatchU(2, (0,), ((_X, (0,)), None)), (0, 1), "repeat a piece axis"),
+        (ControlledU(_X), (), "ControlledU has no control qubit"),
+        (ComposedU(3, ((_X, (0,)),)), (0, 1), "ComposedU width 3 != 2"),
+        (DispatchU(2, (0,), ((_X, (1,)),)), (0, 1), "dispatch needs 2 branches"),
+        (ComposedU(2, ((_X, (2,)),)), (0, 1), "piece axes (2,) repeat or leave a 2-qubit target list"),
+    ],
+    ids=["branch-on-selector", "control-without-qubit", "composed-width", "branch-count",
+         "axis-out-of-range"],
+)
+def test_malformed_unitary_ref_is_a_named_violation_exiting_2(tmp_path, capsys, ref, targets, named):
+    p = _one_round(ref, targets)
+    violations = protocol.validate(p)
+    assert len(violations) == 1
+    assert violations[0].startswith("round 0: ") and named in violations[0]
+    desc = tmp_path / "bad.json"
+    desc.write_text(protocol.serialize(p))
+    assert cli.main(["run", "--descriptor", str(desc)]) == 2
+    assert named in capsys.readouterr().err

@@ -7,7 +7,6 @@ from oneclean.errors import (
     DimensionError,
     DomainError,
     NumericalIntegrityError,
-    QubitIndexError,
 )
 
 TOL = 1e-9
@@ -51,65 +50,6 @@ def _bell_rho():
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 1 / np.sqrt(2)
     return np.outer(psi, psi.conj())
-
-
-def test_partial_trace_product_state():
-    rho = qstate.tensor(qstate.basis_projector(0), qstate.basis_projector(0))
-    got = qstate.partial_trace(rho, keep=[0])
-    assert np.max(np.abs(got - qstate.basis_projector(0))) < TOL
-
-
-def test_partial_trace_bell_is_maximally_mixed():
-    for keep in ([0], [1]):
-        got = qstate.partial_trace(_bell_rho(), keep=keep)
-        assert np.max(np.abs(got - np.eye(2) / 2)) < TOL
-
-
-def _partial_trace_oracle(rho, keep, q):
-    """Explicit index-summation partial trace."""
-    keep = sorted(keep)
-    drop = [i for i in range(q) if i not in keep]
-    dk = 1 << len(keep)
-    out = np.zeros((dk, dk), dtype=complex)
-
-    def build(bits_keep, bits_drop):
-        idx = 0
-        ki, di = 0, 0
-        for pos in range(q):
-            if pos in keep:
-                idx = (idx << 1) | ((bits_keep >> (len(keep) - 1 - keep.index(pos))) & 1)
-                ki += 1
-            else:
-                idx = (idx << 1) | ((bits_drop >> (len(drop) - 1 - drop.index(pos))) & 1)
-                di += 1
-        return idx
-
-    for a in range(dk):
-        for b in range(dk):
-            for z in range(1 << len(drop)):
-                out[a, b] += rho[build(a, z), build(b, z)]
-    return out
-
-
-def test_partial_trace_random_state_matches_summation_oracle():
-    rng = np.random.default_rng(7)
-    u = qstate.haar_unitary(8, rng)
-    rho = u @ np.diag(rng.dirichlet(np.ones(8))).astype(complex) @ u.conj().T
-    got = qstate.partial_trace(rho, keep=[0])
-    want = _partial_trace_oracle(rho, [0], 3)
-    assert np.max(np.abs(got - want)) < TOL
-    assert abs(np.trace(got) - 1) < TOL
-    assert np.linalg.eigvalsh(got).min() > -TOL
-
-
-def test_partial_trace_keep_all_is_identity():
-    rho = _bell_rho()
-    assert np.array_equal(qstate.partial_trace(rho, keep=[0, 1]), rho)
-
-
-def test_partial_trace_index_error():
-    with pytest.raises(QubitIndexError):
-        qstate.partial_trace(_bell_rho(), keep=[2])
 
 
 def test_apply_on_subset_flips_clean_qubit():

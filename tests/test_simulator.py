@@ -23,7 +23,14 @@ from oneclean.protocol import (
     register_generator,
 )
 
-from helpers import density_oracle, random_protocol, random_trace_form, random_two_clean, toy_rotation_base
+from helpers import (
+    density_oracle,
+    random_protocol,
+    random_trace_form,
+    random_two_clean,
+    ring_plan_oracle,
+    toy_rotation_base,
+)
 
 TOL = 1e-9
 
@@ -55,7 +62,8 @@ def test_all_identity_protocol_accepts():
 
 
 def test_density_backend_limit(monkeypatch):
-    # the unclocked IP2 n = 1 chain: its width-12 dispatch rounds plan a 2^32-element ring
+    # the unclocked IP2 n = 1 chain: lowered into pieces of at most 8 qubits,
+    # its width-12 dispatch rounds still plan a 2^32-element ring
     uc, _ = transforms.unclock(_trace_chain(problems.ip2_clocked(1)))
 
     def no_resolve(*args):
@@ -306,6 +314,47 @@ def test_run_trace_cached_order_is_reused_across_inputs_and_counter_starts():
         assert simulator.run_trace(uc, inp, counter_start=j).acceptance == acc
         ip = int(inp[ALICE]) & int(inp[BOB])
         assert abs(acc - (0.5 + (3 / 8 + ip / 4) / 8)) < TOL
+
+
+def _density_ring_axes(p):
+    """The axes of run_density's ring on ``p`` with no pins."""
+    axes = [pc[3] + pc[1] for r in p.rounds for pc in protocol.lower(r.unitary, r.targets)]
+    return tuple([(q,) for q in range(p.layout.clean)] + axes + [p.measurement.support()] + axes[::-1])
+
+
+def test_ring_plan_equals_the_rebuilding_planner():
+    rng = np.random.default_rng(5)
+    rings = []
+    for _ in range(300):
+        d = int(rng.integers(1, 9))
+        rings.append((d, tuple(
+            tuple(int(q) for q in rng.permutation(d)[: rng.integers(0, min(d, 4) + 1)])
+            for _ in range(rng.integers(1, 13))
+        )))
+    uc, _ = transforms.unclock(_trace_chain(problems.ip2_clocked(1)))
+    rings.append((uc.layout.total, _density_ring_axes(uc)))
+    rings.append((uc.layout.total - 4, tuple(
+        tuple(q - 1 for q in pc[3] + pc[1])
+        for ref, tg in uc.trace_plan.pieces for pc in protocol.lower(ref, tg)
+    )))
+    for d, axes in rings:
+        assert qstate.ring_plan.__wrapped__(d, axes) == ring_plan_oracle(d, axes)
+
+
+def test_resolving_a_width_12_unclocked_round_stays_small():
+    uc, _ = transforms.unclock(_trace_chain(problems.ip2_clocked(1)))
+    r = uc.rounds[0]
+    assert len(r.targets) == 12
+    tracemalloc.start()
+    try:
+        pieces = protocol.lower(r.unitary, r.targets)
+        for pc in pieces:
+            simulator._piece_matrices([pc], {ALICE: "1", BOB: "1"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(len(pc[3] + pc[1]) for pc in pieces) <= 8
+    assert peak < 4 << 20
 
 
 def test_run_trace_byte_bound_exits_3_through_the_cli(tmp_path, monkeypatch, capsys):
