@@ -58,27 +58,29 @@ def _meta(args) -> dict:
     }
 
 
-def _write_report(args, records: list[dict], extra: dict | None = None) -> None:
-    meta = _meta(args)
-    if args.csv:
-        lines = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in meta.items()]
-        lines.append(simulator.RunReport.CSV_HEADER)
-        for r in records:
-            lines.append(
-                f"{r['input']},{r['acceptance']!r},{r['backend']},"
-                f"{'' if r.get('seed') is None else r['seed']},"
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        body = dict(meta)
-        body["records"] = records
-        if extra:
-            body.update(extra)
-        text = json.dumps(body, indent=1, sort_keys=True) + "\n"
+def _write_text(args, text: str) -> None:
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_json(args, body: dict) -> None:
+    """The report header and ``body`` as one sorted JSON object."""
+    _write_text(args, json.dumps({**_meta(args), **body}, indent=1, sort_keys=True) + "\n")
+
+
+def _write_report(args, records: list[dict], extra: dict) -> None:
+    if not args.csv:
+        return _write_json(args, {"records": records, **extra})
+    lines = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in _meta(args).items()]
+    lines.append(simulator.RunReport.CSV_HEADER)
+    for r in records:
+        lines.append(
+            f"{r['input']},{r['acceptance']!r},{r['backend']},"
+            f"{'' if r.get('seed') is None else r['seed']},"
+        )
+    _write_text(args, "\n".join(lines) + "\n")
 
 
 def _builtin_protocol(name: str, n: int) -> protocol.ProtocolSpec:
@@ -221,8 +223,7 @@ def cmd_transform(args) -> int:
     for i, pass_name in enumerate(args.passes):
         if pass_name not in PASSES:
             raise OneCleanError(f"unknown pass {pass_name!r}; choose from {sorted(PASSES)}")
-        result = PASSES[pass_name](spec)
-        spec, cert = result
+        spec, cert = PASSES[pass_name](spec)
         if cert is not None:
             certs.append((pass_name, cert))
             (out_dir / f"{i:02d}-{pass_name}.cert.json").write_text(
@@ -322,19 +323,9 @@ def _load_csv(flag: str, path: str) -> np.ndarray:
         raise ParseError(f"{flag} {path} is not a comma-separated numeric matrix: {e}") from e
 
 
-def _write_json(args, body: dict) -> None:
-    meta = _meta(args)
-    meta.update(body)
-    text = json.dumps(meta, indent=1, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_gen(args) -> int:
-    seed = _seed_from(args)
     if args.gen_cmd == "abc-instance":
+        seed = _seed_from(args)
         inst = problems.abc_instance(args.n, args.label, seed=seed)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -348,18 +339,14 @@ def cmd_gen(args) -> int:
         sys.stdout.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
         return 0
     if args.gen_cmd == "razborov":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed_from(args))
         lines = ["x,y,label"]
         for _ in range(args.count):
             xt, yt = problems.razborov_sample(args.n, args.which, seed=rng)
             if args.pad:
                 xt, yt = problems.middle_pad(xt, yt, args.n)
             lines.append(f"{xt},{yt},{1 if args.which == 'mu1' else 0}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write_text(args, "\n".join(lines) + "\n")
         return 0
     if args.gen_cmd == "middle-pad":
         x, y = problems.middle_pad(args.x, args.y, args.n)
@@ -412,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--pass", dest="passes", action="append", required=True,
                     help="one of %s; repeatable" % ", ".join(sorted(PASSES)))
     tr.add_argument("--out-dir", required=True)
-    tr.add_argument("--seed", type=int)
     tr.set_defaults(func=cmd_transform)
 
     cl = sub.add_parser("classical", help="classical baselines")
@@ -437,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (caps, knr, abc, disc):
         sp.add_argument("--seed", type=int)
         sp.add_argument("--out")
-        sp.add_argument("--csv", action="store_true")
         sp.set_defaults(func=cmd_classical)
 
     gen = sub.add_parser("gen", help="instance generators")
@@ -457,12 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
     gpad.add_argument("--x", required=True)
     gpad.add_argument("--y", required=True)
     for sp in (gabc, graz, gpad):
-        sp.add_argument("--seed", type=int)
         sp.set_defaults(func=cmd_gen)
+    for sp in (gabc, graz):
+        sp.add_argument("--seed", type=int)
 
     ver = sub.add_parser("verify", help="run the invariant suite")
     ver.add_argument("--quick", action="store_true")
-    ver.add_argument("--seed", type=int)
     ver.set_defaults(func=cmd_verify)
     return ap
 

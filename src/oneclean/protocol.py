@@ -59,13 +59,19 @@ def generator(name: str):
     return _GENERATORS[name]
 
 
+def _frozen(m) -> np.ndarray:
+    """A read-only copy, so a validated spec cannot change under its caller."""
+    m = np.array(m, dtype=complex)
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class ExplicitU:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,9 +254,7 @@ class Measurement:
         if (self.single_qubit is None) == (self.projector is None):
             raise DomainError("measurement needs either single_qubit or projector")
         if self.projector is not None:
-            object.__setattr__(
-                self, "projector", np.asarray(self.projector, dtype=complex)
-            )
+            object.__setattr__(self, "projector", _frozen(self.projector))
             object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
 
     def support(self) -> tuple:
@@ -285,6 +289,9 @@ class TracePlan:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolSpec:
+    """Valid once built: the constructor, ``dataclasses.replace`` and
+    ``from_descriptor`` raise ``ValidationError`` with ``validate``'s violations."""
+
     name: str
     players: int
     layout: RegisterLayout
@@ -300,10 +307,8 @@ class ProtocolSpec:
     def __post_init__(self):
         object.__setattr__(self, "initial_owner", tuple(int(o) for o in self.initial_owner))
         object.__setattr__(self, "rounds", tuple(self.rounds))
-
-    @property
-    def qubits(self) -> int:
-        return self.layout.total
+        if violations := validate(self):
+            raise ValidationError(violations)
 
 
 @dataclass(frozen=True)
@@ -405,6 +410,8 @@ def validate(p: ProtocolSpec) -> list:
         elif not qstate.is_projector(p.measurement.projector):
             v.append("measurement matrix is not a projector within 1e-9")
 
+    if p.trace_plan is not None:
+        v.extend(_validate_trace_plan(p.trace_plan, total))
     if p.mode == SEMI_UNCLOCKED:
         v.extend(_validate_semi_unclocked(p))
     if p.channel == FIXED:
@@ -424,6 +431,28 @@ def _lowering_violations(ref, targets: tuple) -> list:
     except DomainError as e:
         return [str(e)]
     return ["explicit matrix is not unitary within 1e-9"] * len(bad)
+
+
+def _validate_trace_plan(tp: TracePlan, total: int) -> list:
+    """Why ``run_trace`` cannot contract the plan: its qubits, each piece's
+    targets and lowering, and the piece count of a counter plan."""
+    named = [("control", tp.control), ("channel", tp.channel)]
+    named += [("counter qubit", c) for c in tp.counter]
+    v = [f"trace_plan: {what} {q} out of range" for what, q in named if not 0 <= q < total]
+    reserved = {tp.control: "the control", **{c: "a counter qubit" for c in tp.counter}}
+    for j, (ref, targets) in enumerate(tp.pieces):
+        where = f"trace_plan piece {j}"
+        for k, t in enumerate(targets):
+            if not 0 <= t < total:
+                v.append(f"{where}: target {t} out of range")
+            elif t in targets[:k]:
+                v.append(f"{where}: repeated target {t}")
+            elif t in reserved:
+                v.append(f"{where}: target {t} is {reserved[t]}")
+        v.extend(f"{where}: {msg}" for msg in _lowering_violations(ref, targets))
+    if tp.counter and len(tp.pieces) != 2 * tp.pairs:
+        v.append(f"trace_plan: {len(tp.pieces)} pieces for {tp.pairs} counter pairs")
+    return v
 
 
 def _validate_semi_unclocked(p: ProtocolSpec) -> list:
@@ -454,12 +483,6 @@ def _validate_semi_unclocked(p: ProtocolSpec) -> list:
     return v
 
 
-def assert_valid(p: ProtocolSpec) -> None:
-    violations = validate(p)
-    if violations:
-        raise ValidationError(violations)
-
-
 def measuring_player(p: ProtocolSpec) -> int:
     owners = ownership_schedule(p)[-1]
     support = p.measurement.support()
@@ -468,7 +491,6 @@ def measuring_player(p: ProtocolSpec) -> int:
 
 def communication_cost(p: ProtocolSpec) -> int:
     """Total qubits transferred: sum of message sizes over rounds."""
-    assert_valid(p)
     return sum(len(r.message) for r in p.rounds)
 
 
@@ -781,4 +803,4 @@ def protocol_equal(a: ProtocolSpec, b: ProtocolSpec) -> bool:
 
 
 def explicit(matrix) -> ExplicitU:
-    return ExplicitU(np.asarray(matrix, dtype=complex))
+    return ExplicitU(matrix)

@@ -33,7 +33,7 @@ from scipy.stats import binom
 
 from . import qstate
 from .errors import BackendLimitError, DimensionError, DomainError, ShapeError
-from .protocol import ProtocolSpec, assert_valid, lower, q1_cost, resolve_ref
+from .protocol import ProtocolSpec, lower, q1_cost, resolve_ref
 
 ENSEMBLE_QUBIT_LIMIT = 20
 ENSEMBLE_BLOCK_BYTES = 1 << 20  # one block of state columns: 32 columns at 11 qubits
@@ -127,7 +127,6 @@ def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> Run
     and checked against ``TRACE_MAX_BYTES`` before any piece is resolved.
     """
     t0 = time.perf_counter()
-    assert_valid(p)
     fixed = _fixed_bits(p, pin)
     proj, support = p.measurement.operator()
     pieces = [pc for r in p.rounds for pc in lower(r.unitary, r.targets)]
@@ -157,7 +156,6 @@ def run_ensemble(
     ``ENSEMBLE_BLOCK_BYTES``.
     """
     t0 = time.perf_counter()
-    assert_valid(p)
     n = p.layout.total
     if n > ENSEMBLE_QUBIT_LIMIT:
         raise BackendLimitError(
@@ -216,7 +214,6 @@ def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport
     plan = p.trace_plan
     if plan is None:
         raise ShapeError("protocol is not in trace form (no plan attached)")
-    assert_valid(p)
     core = [
         q
         for q in range(p.layout.total)

@@ -33,7 +33,6 @@ from .protocol import (
     SEMI_UNCLOCKED,
     TracePlan,
     _num_to_obj,
-    assert_valid,
     communication_cost,
     explicit,
     measuring_player,
@@ -126,7 +125,6 @@ def k_to_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     (1 - 2^-k)/2 + 2^-k * a, hence bias eps/2^k; communication grows by
     one only when somebody other than the starting player measures.
     """
-    assert_valid(p)
     if p.mode == SEMI_UNCLOCKED:
         raise ShapeError("k-to-one-clean prepends a round, so it needs a clocked protocol")
     k = p.layout.clean
@@ -148,7 +146,7 @@ def k_to_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     ]
     rounds.extend(_shift_round(r, 1) for r in p.rounds)
 
-    comm = sum(len(r.message) for r in p.rounds)
+    comm = communication_cost(p)
     if measurer != starter:
         # carry the flag with the starter's last message to the measurer
         for i in range(len(rounds) - 1, 0, -1):
@@ -187,7 +185,7 @@ def k_to_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
         predicted_bias=_affine(p.declared_eps, slope, Fraction(0)),
         acceptance_slope=slope,
         acceptance_offset=offset,
-        communication_before=sum(len(r.message) for r in p.rounds),
+        communication_before=communication_cost(p),
         communication_after=comm,
         reference_before=p.declared_p,
         reference_after=out.declared_p,
@@ -208,7 +206,6 @@ def projective_to_single_qubit(p: ProtocolSpec) -> ProtocolSpec:
     (X (x) (I-P) + I (x) P), so measuring the new qubit in the standard
     basis accepts on |0> with exactly the original probability.
     """
-    assert_valid(p)
     if p.mode == SEMI_UNCLOCKED:
         raise ShapeError("sq-measure appends a round, so it needs a clocked protocol")
     measurer = measuring_player(p)
@@ -270,7 +267,6 @@ def to_fixed_channel(p: ProtocolSpec) -> FixedChannelForm:
     two. Acceptance is exactly preserved (pure wire bookkeeping).
     """
     p = _merge_consecutive(p)
-    assert_valid(p)
     if p.players != 2:
         raise ShapeError("fixed-channel conversion handles two-player protocols")
     support = p.measurement.support()
@@ -622,7 +618,6 @@ def two_round_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     orthonormal basis completing it. Acceptance scales by exactly 2^-k on
     every input and the communication (2k) is unchanged.
     """
-    assert_valid(p)
     if p.players != 2:
         raise ShapeError("two-round construction handles two-player protocols")
     msg_rounds = [r for r in p.rounds if r.message]

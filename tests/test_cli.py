@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from oneclean import cli, protocol, problems
+from oneclean import cli, protocol, problems, transforms
+from oneclean.errors import ValidationError
 
 
 def run_cli(*argv):
@@ -166,6 +167,64 @@ def test_transform_chain_writes_descriptor_and_certs(tmp_path, capsys):
     assert (out / "02-trace-form.cert.json").exists()
 
 
+def _ip2_trace_form():
+    """IP2 n = 1 through k1, sq-measure and trace-form."""
+    k1, _ = transforms.k_to_one_clean(problems.ip2_clocked(1))
+    return transforms.to_trace_form(transforms.projective_to_single_qubit(k1))[0]
+
+
+def _total(d) -> int:
+    return d["layout"]["clean"] + d["layout"]["mixed"]
+
+
+def _plan_field(key: str, value):
+    """Set the descriptor's trace_plan[key] to value(descriptor)."""
+    return lambda d: d["trace_plan"].update({key: value(d)})
+
+
+def _set_target(piece: int, slot: int, value):
+    """Set one target of a trace_plan piece to value(descriptor)."""
+    def mutate(d):
+        d["trace_plan"]["pieces"][piece]["targets"][slot] = value(d)
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "unclocked, mutate, named",
+    [
+        (False, _plan_field("control", _total), "control {total} out of range"),
+        (False, _plan_field("channel", lambda d: -1), "channel -1 out of range"),
+        (True, _plan_field("counter", lambda d: [_total(d)]), "counter qubit {total} out of range"),
+        (False, _set_target(0, 0, _total), "piece 0: target {total} out of range"),
+        (False, _set_target(1, 1, lambda d: d["trace_plan"]["pieces"][1]["targets"][0]),
+         "piece 1: repeated target"),
+        (False, _set_target(1, 0, lambda d: 0), "piece 1: target 0 is the control"),
+        (True, _set_target(0, 0, lambda d: d["trace_plan"]["counter"][0]),
+         "piece 0: target {counter[0]} is a counter qubit"),
+        (False, lambda d: d["trace_plan"]["pieces"][0].update(
+            ref={"kind": "composed", "width": 9, "factors": []}), "piece 0: ComposedU width 9 != "),
+        (True, _plan_field("pairs", lambda d: d["trace_plan"]["pairs"] + 1), "pieces for {pairs} counter pairs"),
+    ],
+    ids=["control", "channel", "counter", "target-range", "target-repeated", "target-control",
+         "target-counter", "piece-lowering", "piece-count"],
+)
+def test_malformed_trace_plan_is_a_named_violation_exiting_2(tmp_path, capsys, unclocked, mutate, named):
+    tf = _ip2_trace_form()
+    obj = protocol.to_descriptor(transforms.unclock(tf)[0] if unclocked else tf)
+    mutate(obj)
+    tp = obj["trace_plan"]
+    named = named.format(total=_total(obj), counter=tp["counter"][:1], pairs=tp["pairs"])
+    with pytest.raises(ValidationError) as e:
+        protocol.from_descriptor(obj)
+    assert all(v.startswith("trace_plan") for v in e.value.violations)
+    assert any(named in v for v in e.value.violations)
+    desc = tmp_path / "bad.json"
+    desc.write_text(json.dumps(obj))
+    assert run_cli("run", "--descriptor", str(desc), "--backend", "trace") == 2
+    err = capsys.readouterr().err
+    assert "trace_plan" in err and named in err
+
+
 def test_transform_unknown_pass_exits_2(tmp_path):
     assert (
         run_cli(
@@ -269,6 +328,23 @@ def test_gen_middle_pad(capsys):
     x, y = capsys.readouterr().out.strip().split(",")
     assert len(x) == len(y) == 14
     assert x.startswith("1" * 6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classical", "caps", "--n", "4", "--k", "1", "--csv"],
+        ["transform", "--protocol", "ip2-clocked", "--pass", "k1", "--out-dir", "{tmp}", "--seed", "1"],
+        ["verify", "--quick", "--seed", "1"],
+        ["gen", "middle-pad", "--n", "14", "--x", "00000101", "--y", "00100010", "--seed", "1"],
+    ],
+    ids=["classical-csv", "transform-seed", "verify-seed", "middle-pad-seed"],
+)
+def test_flags_that_nothing_reads_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main([a.format(tmp=tmp_path) for a in argv])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_env_seed_fallback(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oneclean import cli, problems, protocol, qstate, simulator, transforms
-from oneclean.errors import DomainError, ParseError
+from oneclean.errors import DomainError, ParseError, ValidationError
 from oneclean.protocol import (
     ALICE,
     BOB,
@@ -42,15 +43,16 @@ def test_validate_flags_foreign_qubit():
     # round 1 is Bob's; make its unitary touch a qubit he does not own yet
     r = rounds[1]
     rounds[1] = RoundAction(ALICE, r.unitary, r.targets, r.message, BOB)
-    bad = ProtocolSpec(
-        name="bad",
-        players=2,
-        layout=base.layout,
-        initial_owner=base.initial_owner,
-        rounds=tuple(rounds),
-        measurement=base.measurement,
-    )
-    assert any("owned by player" in v for v in protocol.validate(bad))
+    with pytest.raises(ValidationError) as e:
+        ProtocolSpec(
+            name="bad",
+            players=2,
+            layout=base.layout,
+            initial_owner=base.initial_owner,
+            rounds=tuple(rounds),
+            measurement=base.measurement,
+        )
+    assert any("owned by player" in v for v in e.value.violations)
 
 
 def test_validate_semi_unclocked_message_mismatch():
@@ -60,18 +62,19 @@ def test_validate_semi_unclocked_message_mismatch():
     r = rounds[1]
     smaller = frozenset(list(sorted(r.message))[:-1])
     rounds[1] = RoundAction(r.player, r.unitary, r.targets, smaller, r.to)
-    bad = ProtocolSpec(
-        name="bad",
-        players=2,
-        layout=uc.layout,
-        initial_owner=uc.initial_owner,
-        rounds=tuple(rounds),
-        measurement=uc.measurement,
-        mode=protocol.SEMI_UNCLOCKED,
-        channel=protocol.FIXED,
-        trace_plan=uc.trace_plan,
-    )
-    assert any("message sets differ" in v for v in protocol.validate(bad))
+    with pytest.raises(ValidationError) as e:
+        ProtocolSpec(
+            name="bad",
+            players=2,
+            layout=uc.layout,
+            initial_owner=uc.initial_owner,
+            rounds=tuple(rounds),
+            measurement=uc.measurement,
+            mode=protocol.SEMI_UNCLOCKED,
+            channel=protocol.FIXED,
+            trace_plan=uc.trace_plan,
+        )
+    assert any("message sets differ" in v for v in e.value.violations)
 
 
 def test_communication_costs_ip2():
@@ -201,8 +204,9 @@ def test_deserialize_then_validate_catches_perturbed_unitary():
     # perturb one explicit matrix entry by 1e-3
     mat = obj["rounds"][0]["unitary"]["factors"][0]["ref"]["matrix"]
     mat["entries"][0][0][0] += 1e-3
-    q = protocol.from_descriptor(obj)
-    assert any("not unitary" in v for v in protocol.validate(q))
+    with pytest.raises(ValidationError) as e:
+        protocol.from_descriptor(obj)
+    assert any("not unitary" in v for v in e.value.violations)
 
 
 def test_ownership_schedule_single_owner_per_qubit():
@@ -222,16 +226,44 @@ def test_cost_report_csv():
 
 def test_validate_rejects_bad_bias():
     p = problems.ip2_clocked(1)
-    bad = ProtocolSpec(
-        name="bad-eps",
-        players=2,
-        layout=p.layout,
-        initial_owner=p.initial_owner,
-        rounds=p.rounds,
-        measurement=p.measurement,
-        declared_eps=Fraction(3, 4),
-    )
-    assert any("bias" in v for v in protocol.validate(bad))
+    with pytest.raises(ValidationError) as e:
+        ProtocolSpec(
+            name="bad-eps",
+            players=2,
+            layout=p.layout,
+            initial_owner=p.initial_owner,
+            rounds=p.rounds,
+            measurement=p.measurement,
+            declared_eps=Fraction(3, 4),
+        )
+    assert any("bias" in v for v in e.value.violations)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: ProtocolSpec(**{**vars(p), "players": 4}),
+        lambda p: dataclasses.replace(p, players=4),
+        lambda p: protocol.from_descriptor({**protocol.to_descriptor(p), "players": 4}),
+    ],
+    ids=["constructor", "replace", "from-descriptor"],
+)
+def test_building_an_invalid_spec_raises_with_the_violations(build):
+    with pytest.raises(ValidationError) as e:
+        build(problems.ip2_clocked(1))
+    assert e.value.violations == ["players must be 2 or 3, got 4"]
+
+
+def test_stored_matrices_are_read_only_copies():
+    u, proj = qstate.haar_unitary(2, 0), qstate.basis_projector(0)
+    ref = protocol.ExplicitU(u)
+    meas = Measurement(qubits=(0,), projector=proj)
+    u[0, 0] += 1.0
+    proj[0, 0] = 0.0
+    assert ref.matrix[0, 0] != u[0, 0] and meas.projector[0, 0] == 1.0
+    for stored in (ref.matrix, meas.projector):
+        with pytest.raises(ValueError):
+            stored[0, 0] = 0.5
 
 
 def _first_ref(obj, kind):
@@ -262,18 +294,27 @@ def _set_generator_param(d):
     _first_ref(d["rounds"], "generator")["params"]["n"] = 3
 
 
-def _set_projector_entry(d):
-    d["measurement"]["projector"]["entries"][0][0][0] += 0.25
+def _bump_player_dispatch_entries(d):
+    """Bump the entry in every round of round 0's player, so the rounds
+    stay one fixed unitary per player."""
+    for r in d["rounds"]:
+        if r["player"] == d["rounds"][0]["player"]:
+            _bump_dispatch_entry(r)
+
+
+def _complement_projector(d):
+    proj = qstate.matrix_from_obj(d["measurement"]["projector"])
+    d["measurement"]["projector"] = qstate.matrix_to_obj(np.eye(len(proj)) - proj)
 
 
 @pytest.mark.parametrize(
     "build, mutate",
     [
-        (_unclocked, lambda d: _bump_dispatch_entry(d["rounds"][0])),
+        (_unclocked, _bump_player_dispatch_entries),
         (lambda: problems.ip2_clocked(2), _set_generator_param),
         (_unclocked, lambda d: d["trace_plan"]["pieces"][0]["targets"].reverse()),
         (lambda: problems.ip2_one_clean(2), lambda d: d["declared"].update(eps="1/16")),
-        (lambda: random_two_clean(1), _set_projector_entry),
+        (lambda: random_two_clean(1), _complement_projector),
     ],
     ids=["dispatch-entry", "generator-param", "plan-target", "declared-eps", "projector-entry"],
 )
@@ -292,9 +333,9 @@ def test_deserialized_unclocked_spec_validates_and_flags_a_changed_round():
     assert protocol.validate(q) == []
     obj = json.loads(protocol.serialize(uc))
     _bump_dispatch_entry(obj["rounds"][2])
-    assert protocol.validate(protocol.from_descriptor(obj)) == [
-        "semi-unclocked round 2 unitary differs from earlier rounds"
-    ]
+    with pytest.raises(ValidationError) as e:
+        protocol.from_descriptor(obj)
+    assert e.value.violations == ["semi-unclocked round 2 unitary differs from earlier rounds"]
 
 
 def _random_ref(rng, width: int, depth: int, kind=None):
@@ -404,11 +445,15 @@ _X = explicit(qstate.X)
          "axis-out-of-range"],
 )
 def test_malformed_unitary_ref_is_a_named_violation_exiting_2(tmp_path, capsys, ref, targets, named):
-    p = _one_round(ref, targets)
-    violations = protocol.validate(p)
+    with pytest.raises(ValidationError) as e:
+        _one_round(ref, targets)
+    violations = e.value.violations
     assert len(violations) == 1
     assert violations[0].startswith("round 0: ") and named in violations[0]
+    # the same round written into a valid one-round descriptor
+    obj = protocol.to_descriptor(_one_round(_X, (0,)))
+    obj["rounds"][0].update(unitary=protocol._ref_to_obj(ref), targets=list(targets))
     desc = tmp_path / "bad.json"
-    desc.write_text(protocol.serialize(p))
+    desc.write_text(json.dumps(obj))
     assert cli.main(["run", "--descriptor", str(desc)]) == 2
     assert named in capsys.readouterr().err

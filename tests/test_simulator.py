@@ -451,6 +451,32 @@ def test_measure_bias_perfect_and_coin():
     assert simulator.measure_bias(coin, labeled, Fraction(1, 2)) == pytest.approx(0.0, abs=TOL)
 
 
+def test_built_specs_are_not_validated_again_and_lower_each_round_once(monkeypatch):
+    k1, _ = transforms.k_to_one_clean(problems.ip2_clocked(1))
+    tf = _trace_chain(problems.ip2_clocked(1))
+    calls = {"validate": 0, "lower": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(protocol, "validate", counted("validate", protocol.validate))
+    monkeypatch.setattr(simulator, "lower", counted("lower", simulator.lower))
+    inputs = {ALICE: "1", BOB: "1"}
+    for call, lowered in [
+        (lambda: simulator.run_density(k1, inputs), len(k1.rounds)),
+        (lambda: simulator.run_ensemble(k1, inputs), len(k1.rounds)),
+        (lambda: simulator.run_trace(tf, inputs), len(tf.trace_plan.pieces)),
+        (lambda: simulator.measure_bias(k1, problems.ip2_inputs(1), k1.declared_p), 4 * len(k1.rounds)),
+        (lambda: protocol.cost_report(k1), 0),
+    ]:
+        calls["lower"] = 0
+        call()
+        assert calls == {"validate": 0, "lower": lowered}
+
+
 def test_measure_bias_empty_inputs():
     with pytest.raises(DomainError):
         simulator.measure_bias(problems.ip2_clocked(1), [], Fraction(1, 2))
