@@ -1,8 +1,8 @@
-"""Classical baselines and brute-force lower-bound quantities.
+"""Classical baselines and exact lower-bound quantities.
 
 Sign-sketch inner-product estimation, the randomized ABC protocol built
-on spherical-cap codebooks, cap-probability Monte Carlo, and exact
-rectangle discrepancy on small sign matrices.
+on spherical-cap codebooks, the exact cap probability and its sampled
+estimate, and exact rectangle discrepancy on small sign matrices.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 from .errors import BackendLimitError, DomainError
 from .problems import AbcInstance
 
 # Sketch rounds s = ceil(KNR_CONSTANT / eps^2). Chosen so the empirical
 # failure rate of the estimator stays below 0.1 (the agreement frequency
-# sits within ~1.8 sigma of its mean at this s). Tunable via CLI flag.
+# sits within ~1.8 sigma of its mean at this s).
 # The agreement count over the s rounds is drawn from its exact Binomial
 # law, so s sets the transcript size and the spread, not the work.
 KNR_CONSTANT = 8.0
@@ -94,42 +95,43 @@ def cap_codebook(n: int, k: int, seed=None) -> CapCodebook:
     return CapCodebook(n=n, k=k, vectors=vecs, seed=seed)
 
 
-def cap_probability_mc(n: int, k: int, samples: int, seed=None) -> float:
-    """Monte Carlo estimate of Pr(<v, W>^2 >= k/n) over Haar W.
+def cap_probability(n: int, k: int) -> float:
+    """Exact Pr(<v, W>^2 >= k/n) over Haar W in S^(n-1).
 
-    By rotation invariance v is fixed to e_1 and <v, W> is W's first
-    coordinate. The spherical-cap bound keeps this above e^-k / (16 sqrt(k)).
+    By rotation invariance v is fixed to e_1; W_1^2 is Beta(1/2, (n-1)/2),
+    so the probability is the regularized incomplete beta
+    I_{1-k/n}((n-1)/2, 1/2). The spherical-cap bound keeps it above
+    e^-k / (16 sqrt(k)).
     """
     if not 1 <= k <= n / 4:
         raise DomainError(f"cap parameter k={k} outside [1, n/4] at n={n}")
+    return float(betainc((n - 1) / 2, 0.5, 1.0 - k / n))
+
+
+def cap_probability_mc(n: int, k: int, samples: int, seed=None) -> float:
+    """Sampled estimate of cap_probability(n, k) from ``samples`` Haar draws.
+
+    Each draw hits the cap independently, so the hit count is
+    Binomial(samples, cap_probability(n, k)) and is drawn from that exact
+    law in one draw; no vector is materialized.
+    """
+    p = cap_probability(n, k)
     if samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {samples}")
-    rng = np.random.default_rng(seed)
-    hits = 0
-    chunk = 1 << 17
-    left = samples
-    while left:
-        m = min(chunk, left)
-        w = rng.standard_normal((m, n))
-        first_sq = w[:, 0] ** 2 / np.einsum("ij,ij->i", w, w)
-        hits += int(np.count_nonzero(first_sq >= k / n))
-        left -= m
-    return hits / samples
+    return int(np.random.default_rng(seed).binomial(samples, p)) / samples
 
 
 def caps_lower_bound(k: int) -> float:
     return math.exp(-k) / (16.0 * math.sqrt(k))
 
 
-def knr_sketch_rounds(eps: float, constant: float = KNR_CONSTANT) -> int:
+def knr_sketch_rounds(eps: float) -> int:
     if not 0 < eps < 1:
         raise DomainError(f"accuracy eps={eps} outside (0, 1)")
-    return math.ceil(constant / (eps * eps))
+    return math.ceil(KNR_CONSTANT / (eps * eps))
 
 
-def knr_estimate(
-    a, b, eps: float, seed=None, constant: float = KNR_CONSTANT
-) -> tuple[float, Transcript]:
+def knr_estimate(a, b, eps: float, seed=None) -> tuple[float, Transcript]:
     """Sign-sketch estimate of <a, b> for unit vectors.
 
     Shared Haar unit vectors r_j; Alice sends sign(<a, r_j>), Bob counts
@@ -138,7 +140,7 @@ def knr_estimate(
     1 - angle/pi) and is sampled from that exact law in one draw; the
     per-round sign bits are not materialized. The estimate is
     cos(pi * (1 - agreement frequency)). Communication is one bit per
-    sketch round: s = ceil(constant / eps^2) total.
+    sketch round: s = ceil(KNR_CONSTANT / eps^2) total.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -146,7 +148,7 @@ def knr_estimate(
         raise DomainError("vectors must share one dimension")
     if abs(np.linalg.norm(a) - 1.0) > 1e-9 or abs(np.linalg.norm(b) - 1.0) > 1e-9:
         raise DomainError("knr_estimate expects unit vectors (within 1e-9)")
-    s = knr_sketch_rounds(eps, constant)
+    s = knr_sketch_rounds(eps)
     # the angle as 2 atan2(|a - b|, |a + b|) lies in [0, pi] with no clamp
     theta = 2.0 * math.atan2(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
     agree = int(np.random.default_rng(seed).binomial(s, 1.0 - theta / math.pi))
@@ -154,9 +156,7 @@ def knr_estimate(
     return estimate, Transcript(bits_sent={0: s, 1: 0})
 
 
-def abc_classical(
-    inst: AbcInstance, i: int = 0, k: int = 2, seed=None, constant: float = KNR_CONSTANT
-) -> tuple[int, Transcript]:
+def abc_classical(inst: AbcInstance, i: int = 0, k: int = 2, seed=None) -> tuple[int, Transcript]:
     """Randomized ABC protocol: cap codebook + sign-sketch estimation.
 
     Charlie picks the codebook vector w best aligned with his column C_i
@@ -179,7 +179,7 @@ def abc_classical(
     bw = inst.b @ best_vec
     bw = bw / np.linalg.norm(bw)
     eps = math.sqrt(k / n) / 100.0
-    estimate, sketch = knr_estimate(inst.a[i, :], bw, eps, seed=rng, constant=constant)
+    estimate, sketch = knr_estimate(inst.a[i, :], bw, eps, seed=rng)
     answer = 1 if estimate > 0 else 0
     bits = {
         0: sketch.bits_sent[0],
@@ -202,32 +202,27 @@ def true_alignment(inst: AbcInstance, i: int, book: CapCodebook) -> float:
 def disc_bruteforce(m: SignMatrix) -> tuple[float, tuple, tuple]:
     """Exact discrepancy: max over rectangles of |sum of weight * sign|.
 
-    Enumerates all 2^rows * 2^cols rectangles by binary counters, no
-    pruning; the witness is the first maximizer in (row mask, col mask)
-    order. Limited to 16 x 16.
+    For a row set with column sums r, the best column set takes every
+    positive r_j or every negative r_j, so the value is max(sum r+, sum r-).
+    Every row set's r comes from one product over all 2^rows row masks
+    (mask bit i selects row i). The witness is the first maximizer in
+    (row mask, col mask) binary-counter order: zero sums are left out, and
+    when the two sides tie the one whose column mask counts first wins.
+    Under non-dyadic weights the float sums of an exact tie can break it
+    differently from a cell-by-cell sum. Limited to 16 x 16.
     """
     rows, cols = m.entries.shape
     if rows > 16 or cols > 16:
         raise BackendLimitError(f"{rows}x{cols} exceeds the 16x16 enumeration limit")
-    signed = m.entries * m.weights
-    # value(row_mask, col_mask) = | ones(row_mask) @ signed @ ones(col_mask) |;
-    # mask bit i selects row/column i, masks enumerated as binary counters.
-    col_masks = np.array(
-        [[(cm >> j) & 1 for j in range(cols)] for cm in range(1 << cols)], dtype=float
+    masks = ((np.arange(1 << rows)[:, None] >> np.arange(rows)) & 1).astype(float)
+    sums = masks @ (m.entries * m.weights)
+    pos = np.where(sums > 0, sums, 0.0).sum(axis=1)
+    neg = np.where(sums < 0, -sums, 0.0).sum(axis=1)
+    rm = int(np.argmax(np.maximum(pos, neg)))  # argmax takes the first maximizer
+    value = max(pos[rm], neg[rm])
+    sides = (np.flatnonzero(sums[rm] > 0), np.flatnonzero(sums[rm] < 0))
+    best = min(
+        (side for side, v in zip(sides, (pos[rm], neg[rm])) if v == value),
+        key=lambda side: sum(1 << int(j) for j in side),
     )
-    best = -1.0
-    best_rows: tuple = ()
-    best_cols: tuple = ()
-    row_sum = np.zeros(cols)
-    for rm in range(1 << rows):
-        row_sum[:] = 0.0
-        for i in range(rows):
-            if (rm >> i) & 1:
-                row_sum += signed[i]
-        vals = np.abs(col_masks @ row_sum)
-        cm = int(np.argmax(vals))  # first maximizer for this row mask
-        if vals[cm] > best:
-            best = float(vals[cm])
-            best_rows = tuple(i for i in range(rows) if (rm >> i) & 1)
-            best_cols = tuple(j for j in range(cols) if (cm >> j) & 1)
-    return best, best_rows, best_cols
+    return float(value), tuple(np.flatnonzero(masks[rm]).tolist()), tuple(best.tolist())

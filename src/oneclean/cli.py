@@ -245,6 +245,8 @@ def cmd_transform(args) -> int:
 
 def cmd_classical(args) -> int:
     seed = _seed_from(args)
+    if args.classical_cmd in ("knr", "abc") and args.trials < 1:
+        raise OneCleanError(f"--trials must be at least 1, got {args.trials}")
     if args.classical_cmd == "caps":
         est = classical.cap_probability_mc(args.n, args.k, args.samples, seed=seed)
         bound = classical.caps_lower_bound(args.k)
@@ -265,9 +267,8 @@ def cmd_classical(args) -> int:
         b = qstate.haar_unit_vector(args.n, rng)
         true = float(a @ b)
         fails = 0
-        bits = None
         for t in range(args.trials):
-            est, tr = classical.knr_estimate(a, b, args.eps, seed=rng, constant=args.constant)
+            est, tr = classical.knr_estimate(a, b, args.eps, seed=rng)
             bits = tr.total
             if abs(est - true) > args.eps:
                 fails += 1
@@ -288,7 +289,6 @@ def cmd_classical(args) -> int:
         records = []
         for label in (1, -1):
             ok = 0
-            bits = None
             for t in range(args.trials):
                 inst = problems.abc_instance(args.n, label, seed=rng)
                 ans, tr = classical.abc_classical(inst, i=args.row, k=args.k, seed=rng)
@@ -411,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     knr.add_argument("--n", type=int, default=32)
     knr.add_argument("--eps", type=float, default=0.1)
     knr.add_argument("--trials", type=int, default=100)
-    knr.add_argument("--constant", type=float, default=classical.KNR_CONSTANT)
     abc = cls.add_parser("abc")
     abc.add_argument("--n", type=int, default=16)
     abc.add_argument("--k", type=int, default=2)

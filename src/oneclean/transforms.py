@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -254,6 +253,8 @@ def _merge_consecutive(p: ProtocolSpec) -> ProtocolSpec:
             rounds[i : i + 2] = [RoundAction(a.player, merged, targets, b.message, b.to)]
         else:
             i += 1
+    if len(rounds) == len(p.rounds):
+        return p
     return dataclasses.replace(p, rounds=tuple(rounds))
 
 
@@ -353,9 +354,7 @@ def to_fixed_channel(p: ProtocolSpec) -> FixedChannelForm:
 # ---------------------------------------------------------------------------
 
 
-def to_trace_form(
-    p: ProtocolSpec, base_bias=None, k: Optional[int] = None
-) -> tuple[ProtocolSpec, TransformCert]:
+def to_trace_form(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     """Wrap a single-qubit-measuring protocol into a Hadamard test.
 
     The controlled operator runs the fixed-channel form backwards and
@@ -364,8 +363,6 @@ def to_trace_form(
     inside the trace, so with j clean qubits the acceptance becomes
     p0 = 1/2 + a / 2^(j+1)  (j = 2 along the standard chain: 1/2 + a/8,
     i.e. 1/2 + 1/16 + eps/2^(k+3) at a = 1/2 + eps/2^k).
-
-    ``base_bias``/``k`` only annotate the cert; the map itself is exact.
     """
     if p.measurement.single_qubit is None:
         raise ShapeError("trace form needs a single-qubit measurement; apply sq-measure first")
@@ -435,25 +432,21 @@ def to_trace_form(
 
     slope = Fraction(1, 1 << (j + 1))
     offset = Fraction(1, 2)
-    out = dataclasses.replace(
-        hadamard_test_protocol(pieces, new_owner, 1 + fc.channel, name=p.name + "+trace"),
+    out = _hadamard_test(
+        pieces, new_owner, 1 + fc.channel, name=p.name + "+trace",
         declared_p=_affine(p.declared_p, slope, offset),
         declared_eps=_affine(p.declared_eps, slope, Fraction(0)),
     )
-    eps_in = base_bias if base_bias is not None else p.declared_eps
-    notes = f"j={j} clean slots -> p0 = 1/2 + a/{1 << (j + 1)}; {2 * r} rounds of 2 qubits"
-    if k is not None and eps_in is not None:
-        notes += f"; at a = 1/2 + eps/2^{k}: p0 = 1/2 + 1/{1 << (j + 2)} + eps/2^{k + j + 1}"
     cert = TransformCert(
-        input_bias=eps_in,
-        predicted_bias=_affine(eps_in, slope, Fraction(0)) if eps_in is not None else None,
+        input_bias=p.declared_eps,
+        predicted_bias=out.declared_eps,
         acceptance_slope=slope,
         acceptance_offset=offset,
         communication_before=communication_cost(p),
         communication_after=4 * r,
         reference_before=p.declared_p,
         reference_after=out.declared_p,
-        notes=notes,
+        notes=f"j={j} clean slots -> p0 = 1/2 + a/{1 << (j + 1)}; {2 * r} rounds of 2 qubits",
     )
     return out, cert
 
@@ -469,6 +462,10 @@ def hadamard_test_protocol(
     {control, channel} sent every round, so the acceptance is
     1/2 + Re Tr(prod pieces) / 2^(d+1) with d = len(owners) - 1.
     """
+    return _hadamard_test(pieces, owners, channel, name)
+
+
+def _hadamard_test(pieces, owners, channel: int, name: str, **declared) -> ProtocolSpec:
     pieces = [(ref, tuple(tg)) for ref, tg in pieces]
     if len(pieces) % 2:
         raise ShapeError("need an even number of pieces (players alternate)")
@@ -495,6 +492,7 @@ def hadamard_test_protocol(
         measurement=Measurement(single_qubit=0),
         channel=FIXED,
         trace_plan=TracePlan(control=0, channel=channel, pieces=tuple(pieces)),
+        **declared,
     )
 
 
@@ -503,7 +501,7 @@ def hadamard_test_protocol(
 # ---------------------------------------------------------------------------
 
 
-def unclock(p: ProtocolSpec, r: Optional[int] = None) -> tuple[ProtocolSpec, TransformCert]:
+def unclock(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     """One fixed unitary per player, dispatched on a mixed counter.
 
     Round pairs become branches of a counter-conditioned dispatch wrapped
@@ -517,8 +515,6 @@ def unclock(p: ProtocolSpec, r: Optional[int] = None) -> tuple[ProtocolSpec, Tra
     if plan is None or plan.counter:
         raise ShapeError("unclock expects a clocked trace-form protocol")
     n_rounds = len(p.rounds)
-    if r is not None and r != n_rounds:
-        raise ShapeError(f"protocol has {n_rounds} rounds, not {r}")
     if n_rounds % 2:
         raise ShapeError("trace-form protocol must have an even round count")
     pairs = n_rounds // 2

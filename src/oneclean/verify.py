@@ -223,11 +223,13 @@ def check_amplify(quick: bool):
 
 
 def check_caps(quick: bool):
+    exact = classical.cap_probability(4, 1)
     est = classical.cap_probability_mc(4, 1, 10**4 if quick else 10**5, seed=5)
     closed = (4 / math.pi) * (math.pi / 6 - math.sqrt(3) / 8)
-    ok = est >= classical.caps_lower_bound(1) and abs(est - closed) < 0.02
+    ok = abs(exact - closed) < 1e-12 and abs(est - closed) < 0.02
+    ok &= est >= classical.caps_lower_bound(1)
     ok &= classical.codebook_size(2) == 2471 and classical.codebook_size(1) == 237
-    return ok, f"Pr estimate {est:.4f} vs closed form {closed:.4f}, sizes 2471/237"
+    return ok, f"Pr {exact:.12f} vs closed form {closed:.12f}, estimate {est:.4f}, sizes 2471/237"
 
 
 def check_knr(quick: bool):
@@ -269,7 +271,10 @@ def check_disc(quick: bool):
     ones = classical.SignMatrix.uniform(np.ones((3, 3)))
     val2, rows2, cols2 = classical.disc_bruteforce(ones)
     ok &= abs(val2 - 1.0) < 1e-12 and rows2 == (0, 1, 2) and cols2 == (0, 1, 2)
-    return ok, f"equality matrix 1/4 at cell (0,0); all-ones 1 at full rectangle"
+    ip2 = [[(-1) ** bin(x & y).count("1") for y in range(4)] for x in range(4)]
+    val3 = classical.disc_bruteforce(classical.SignMatrix.uniform(ip2))[0]
+    ok &= abs(val3 - 0.3125) < 1e-15
+    return ok, f"equality matrix 1/4 at cell (0,0); all-ones 1 at full rectangle; IP_2 {val3}"
 
 
 def check_serde(quick: bool):

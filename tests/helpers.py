@@ -46,6 +46,25 @@ def sign_sketch_agreements(a, b, s: int, rng) -> int:
     return agree
 
 
+def cap_probability_gaussian(n: int, k: int, samples: int, seed=None) -> float:
+    """Fraction of ``samples`` Haar draws W with W_1^2 >= k/n, drawn vector by vector.
+
+    The chunked Gaussian loop that cap_probability_mc's single Binomial
+    draw replaced, kept as the oracle for that draw's law.
+    """
+    rng = np.random.default_rng(seed)
+    hits = 0
+    chunk = 1 << 17
+    left = samples
+    while left:
+        m = min(chunk, left)
+        w = rng.standard_normal((m, n))
+        first_sq = w[:, 0] ** 2 / np.einsum("ij,ij->i", w, w)
+        hits += int(np.count_nonzero(first_sq >= k / n))
+        left -= m
+    return hits / samples
+
+
 @register_generator("matrix_table")
 def _gen_matrix_table(params, key):
     if key not in params["table"]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from helpers import sign_sketch_agreements
+from helpers import cap_probability_gaussian, sign_sketch_agreements
 from oneclean import classical, problems, qstate
 from oneclean.errors import BackendLimitError, DomainError
 
@@ -188,6 +188,47 @@ def test_cap_probability_closed_form():
     assert est > classical.caps_lower_bound(1)
 
 
+def _simpson(f, a, b, steps=100_000):
+    x = np.linspace(a, b, steps + 1)
+    w = np.full(steps + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return float(np.sum(w * f(x))) * (b - a) / (3 * steps)
+
+
+def test_cap_probability_is_the_exact_beta_tail():
+    closed = (4 / math.pi) * (math.pi / 6 - math.sqrt(3) / 8)  # 0.3910022...
+    assert abs(classical.cap_probability(4, 1) - closed) < 1e-12
+    for n, k in [(16, 2), (16, 4), (64, 4)]:
+        # W_1 has density proportional to (1 - x^2)^((n-3)/2) on [-1, 1]
+        def density(x):
+            return (1.0 - x * x) ** ((n - 3) / 2)
+
+        quad = _simpson(density, math.sqrt(k / n), 1.0) / _simpson(density, 0.0, 1.0)
+        assert abs(classical.cap_probability(n, k) - quad) < 1e-12
+
+
+def test_cap_hit_count_matches_the_gaussian_law():
+    # the single Binomial draw against Haar vectors drawn one by one
+    n, k, samples, seeds = 4, 1, 10**4, 500
+    p = classical.cap_probability(n, k)
+    drawn = np.array([
+        round(classical.cap_probability_mc(n, k, samples, seed=seed) * samples)
+        for seed in range(seeds)
+    ])
+    oracle = np.array([
+        round(cap_probability_gaussian(n, k, samples, seed=10**6 + seed) * samples)
+        for seed in range(seeds)
+    ])
+    res = chi2_contingency(_pooled_histograms(drawn, oracle, samples))
+    assert res.pvalue > 0.001
+    var = samples * p * (1 - p)
+    mu4 = var * (1 + 3 * (samples - 2) * p * (1 - p))
+    for counts in (drawn, oracle):
+        assert abs(counts.mean() - samples * p) < 4 * math.sqrt(var / seeds)
+        assert abs(counts.var(ddof=1) - var) < 4 * math.sqrt((mu4 - var**2) / seeds)
+
+
 def test_cap_probability_beats_bound():
     for n, k in [(8, 2), (16, 2), (8, 1)]:
         est = classical.cap_probability_mc(n, k, 2 * 10**4, seed=2)
@@ -195,6 +236,8 @@ def test_cap_probability_beats_bound():
 
 
 def test_cap_probability_preconditions():
+    with pytest.raises(DomainError):
+        classical.cap_probability(2, 1)  # k > n/4
     with pytest.raises(DomainError):
         classical.cap_probability_mc(2, 1, 10**5, seed=0)  # k > n/4
     with pytest.raises(DomainError):
@@ -314,11 +357,38 @@ def test_disc_ip2_matrix_matches_recursive_oracle():
     assert val == pytest.approx(oval, abs=1e-12)
 
 
+@pytest.mark.parametrize("n, value", [(2, 0.3125), (3, 0.171875), (4, 0.109375)])
+def test_disc_inner_product_is_pinned_below_the_lindsey_bound(n, value):
+    entries = [[(-1) ** bin(x & y).count("1") for y in range(1 << n)] for x in range(1 << n)]
+    val, rows, cols = classical.disc_bruteforce(classical.SignMatrix.uniform(entries))
+    assert val == value < 2 ** (-n / 2)
+    signed = np.array(entries) / 4**n
+    assert abs(signed[np.ix_(rows, cols)].sum()) == value
+
+
 def test_disc_random_matches_counter_oracle_with_witness():
     rng = np.random.default_rng(5)
     for _ in range(5):
         entries = rng.choice([-1.0, 1.0], size=(4, 4))
         w = rng.dirichlet(np.ones(16)).reshape(4, 4)
+        m = classical.SignMatrix(entries=entries, weights=w)
+        val, rows, cols = classical.disc_bruteforce(m)
+        oval, (orows, ocols) = _counter_oracle(m)
+        assert val == pytest.approx(oval, abs=1e-12)
+        assert (rows, cols) == (orows, ocols)
+    # non-square shapes, and weights in sixteenths, whose sums are exact and can tie
+    inputs = []
+    for shape in [(3, 6), (6, 3), (2, 4), (4, 2)]:
+        size = shape[0] * shape[1]
+        weights = [rng.dirichlet(np.ones(size))]
+        weights += [rng.multinomial(16, np.full(size, 1 / size)) / 16 for _ in range(3)]
+        for w in weights:
+            inputs.append((rng.choice([-1.0, 1.0], size=shape), w.reshape(shape)))
+    # exact ties between the positive and the negative column set, each side winning
+    for entries in ([[1, -1], [-1, 1]], [[-1, 1], [1, -1]], [[-1, 1, 1, -1]]):
+        e = np.array(entries, dtype=float)
+        inputs.append((e, np.full(e.shape, 1 / e.size)))
+    for entries, w in inputs:
         m = classical.SignMatrix(entries=entries, weights=w)
         val, rows, cols = classical.disc_bruteforce(m)
         oval, (orows, ocols) = _counter_oracle(m)

@@ -269,6 +269,29 @@ def test_classical_domain_error_exits_2(capsys):
     assert run_cli("classical", "caps", "--n", "2", "--k", "1", "--samples", "20000") == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code, named",
+    [
+        (["knr", "--trials", "0"], 2, "--trials"),
+        (["knr", "--trials", "-1"], 2, "--trials"),
+        (["abc", "--trials", "0"], 2, "--trials"),
+        (["abc", "--trials", "-1"], 2, "--trials"),
+        (["caps", "--n", "4", "--k", "1", "--samples", "5"], 2, "1e4 samples"),
+        (["abc", "--n", "6"], 2, "k=2 outside [1, n/4]"),
+        (["disc", "--matrix", "{tall}"], 3, "16x16"),
+    ],
+    ids=["knr-trials-0", "knr-trials-neg", "abc-trials-0", "abc-trials-neg", "caps-samples",
+         "abc-n", "disc-17x3"],
+)
+def test_classical_bad_inputs_exit_with_one_error_line(tmp_path, capsys, argv, code, named):
+    tall = tmp_path / "tall.csv"
+    tall.write_text("1,1,1\n" * 17)
+    assert run_cli("classical", *(a.format(tall=tall) for a in argv)) == code
+    err = capsys.readouterr().err
+    errors = [l for l in err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0] and "Traceback" not in err
+
+
 def test_gen_abc_instance_round_trip(tmp_path, capsys):
     out = tmp_path / "inst"
     code = run_cli("gen", "abc-instance", "--n", "4", "--label", "-1", "--seed", "5",

@@ -193,9 +193,23 @@ def test_trace_form_ip2_chain_paper_formula():
     base = problems.ip2_clocked(1)
     k1, _ = transforms.k_to_one_clean(base)
     sq = transforms.projective_to_single_qubit(k1)
-    tf, _ = transforms.to_trace_form(sq, base_bias=Fraction(1, 2), k=2)
+    tf, _ = transforms.to_trace_form(sq)
     acc = simulator.run_trace(tf, {ALICE: "1", BOB: "1"}).acceptance
     assert acc == pytest.approx(0.5 + 1 / 16 + 0.5 / 32, abs=TOL)
+
+
+def test_trace_form_builds_each_spec_once(monkeypatch):
+    sq = transforms.projective_to_single_qubit(transforms.k_to_one_clean(problems.ip2_clocked(1))[0])
+    middle = problems.middle_protocol(2)
+    calls = []
+    validate = protocol.validate
+    monkeypatch.setattr(protocol, "validate", lambda p: calls.append(p.name) or validate(p))
+    transforms.to_trace_form(sq)
+    # the merged rounds, the fixed-channel form and the trace form
+    assert len(calls) == 3
+    calls.clear()
+    assert transforms._merge_consecutive(middle) is middle
+    assert calls == []
 
 
 # --------------------------------------------------------------- unclock
@@ -234,12 +248,6 @@ def test_unclock_requires_power_of_two_pairs():
     tf = transforms.hadamard_test_protocol(pieces, owners, 3)
     with pytest.raises(ShapeError):
         transforms.unclock(tf)
-
-
-def test_unclock_round_count_check():
-    tf = random_trace_form(1, pairs=2)
-    with pytest.raises(ShapeError):
-        transforms.unclock(tf, r=99)
 
 
 # ---------------------------------------------------------------- lemma1
