@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +27,11 @@ from .protocol import ALICE, BOB
 ENV_SEED = "ONECLEAN_SEED"
 
 PASSES = {
-    "k1": lambda p: transforms.k_to_one_clean(p),
+    "k1": transforms.k_to_one_clean,
     "sq-measure": lambda p: (transforms.projective_to_single_qubit(p), None),
-    "trace-form": lambda p: transforms.to_trace_form(p),
-    "unclock": lambda p: transforms.unclock(p),
-    "lemma1": lambda p: transforms.two_round_one_clean(p),
+    "trace-form": transforms.to_trace_form,
+    "unclock": transforms.unclock,
+    "lemma1": transforms.two_round_one_clean,
 }
 
 
@@ -206,8 +205,8 @@ def cmd_run(args) -> int:
         cr = protocol.cost_report(spec)
         extra["cost"] = {
             "communication": cr.communication,
-            "bias": str(Fraction(cr.bias)) if isinstance(cr.bias, (int, Fraction)) else cr.bias,
-            "q1_cost": str(cr.q1_cost) if isinstance(cr.q1_cost, Fraction) else cr.q1_cost,
+            "bias": protocol._num_to_obj(cr.bias),
+            "q1_cost": protocol._num_to_obj(cr.q1_cost),
             "pp_cost": cr.pp_cost,
             "qubits": cr.qubits,
         }
@@ -243,10 +242,16 @@ def cmd_transform(args) -> int:
     return 0
 
 
+def _at_least_one(args, *flags: str) -> None:
+    """Raise a OneCleanError naming the first of ``flags`` whose value is below 1."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 1:
+            raise OneCleanError(f"--{flag} must be at least 1, got {value}")
+
+
 def cmd_classical(args) -> int:
     seed = _seed_from(args)
-    if args.classical_cmd in ("knr", "abc") and args.trials < 1:
-        raise OneCleanError(f"--trials must be at least 1, got {args.trials}")
     if args.classical_cmd == "caps":
         est = classical.cap_probability_mc(args.n, args.k, args.samples, seed=seed)
         bound = classical.caps_lower_bound(args.k)
@@ -262,6 +267,7 @@ def cmd_classical(args) -> int:
         _write_json(args, {"records": records})
         return 0
     if args.classical_cmd == "knr":
+        _at_least_one(args, "n", "trials")
         rng = np.random.default_rng(seed)
         a = qstate.haar_unit_vector(args.n, rng)
         b = qstate.haar_unit_vector(args.n, rng)
@@ -285,6 +291,7 @@ def cmd_classical(args) -> int:
         _write_json(args, {"records": records})
         return 0
     if args.classical_cmd == "abc":
+        _at_least_one(args, "trials")
         rng = np.random.default_rng(seed)
         records = []
         for label in (1, -1):
@@ -339,6 +346,7 @@ def cmd_gen(args) -> int:
         sys.stdout.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
         return 0
     if args.gen_cmd == "razborov":
+        _at_least_one(args, "count")
         rng = np.random.default_rng(_seed_from(args))
         lines = ["x,y,label"]
         for _ in range(args.count):

@@ -65,28 +65,13 @@ def _gen_ip2_bob(params, y):
     return qstate.CNOT if int(y[i - 1]) else np.eye(4, dtype=complex)
 
 
-def _ip2_rounds(n: int, shift: int, first_extra=None):
-    """Shared round schedule for both IP2 variants.
-
-    ``shift`` moves the two working qubits to (shift, shift+1);
-    ``first_extra`` optionally prepends factors to Alice's first round
-    and widens its message (used by the one-clean variant).
-    """
+def _ip2_rounds(n: int, shift: int) -> list:
+    """Shared round schedule for both IP2 variants, on working qubits (shift, shift+1)."""
     q1, q2 = shift, shift + 1
     rounds = []
     for i in range(1, n + 1):
         ax = GenU("ip2_alice", {"i": i, "n": n}, ALICE)
-        if i == 1 and first_extra is not None:
-            pre_factors, pre_targets, msg = first_extra
-            unitary = ComposedU(
-                len(pre_targets),
-                tuple(pre_factors) + ((ax, (pre_targets.index(q1),)),),
-            )
-            rounds.append(RoundAction(ALICE, unitary, tuple(pre_targets), frozenset(msg), BOB))
-        elif i == 1:
-            rounds.append(RoundAction(ALICE, ax, (q1,), frozenset({q1, q2}), BOB))
-        else:
-            rounds.append(RoundAction(ALICE, ax, (q1,), frozenset({q1}), BOB))
+        rounds.append(RoundAction(ALICE, ax, (q1,), frozenset({q1, q2} if i == 1 else {q1}), BOB))
         by = GenU("ip2_bob", {"i": i, "n": n}, BOB)
         msg_back = frozenset({q1}) if i < n else frozenset()
         rounds.append(RoundAction(BOB, by, (q1, q2), msg_back, ALICE if i < n else None))
@@ -122,8 +107,11 @@ def ip2_one_clean(n: int) -> ProtocolSpec:
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    # |000> <-> |100>: the flag flips iff the workers are 00
-    first = ([(explicit(qstate.flip_if_zero(2)), (0, 1, 2))], [0, 1, 2], {0, 1, 2})
+    rounds = _ip2_rounds(n, shift=1)
+    # |000> <-> |100>: the flag flips iff the workers are 00, then Alice's first load
+    flag = (explicit(qstate.flip_if_zero(2)), (0, 1, 2))
+    first = ComposedU(3, (flag, (rounds[0].unitary, (1,))))
+    rounds[0] = RoundAction(ALICE, first, (0, 1, 2), frozenset({0, 1, 2}), BOB)
     plus = np.full((2, 2), 0.5, dtype=complex)
     accept_one = np.array([[0, 0], [0, 1]], dtype=complex)
     proj = np.kron(
@@ -134,7 +122,7 @@ def ip2_one_clean(n: int) -> ProtocolSpec:
         players=2,
         layout=RegisterLayout(clean=1, mixed=2),
         initial_owner=(ALICE, ALICE, ALICE),
-        rounds=tuple(_ip2_rounds(n, shift=1, first_extra=first)),
+        rounds=tuple(rounds),
         measurement=Measurement(qubits=(0, 1, 2), projector=proj),
         declared_p=Fraction(1, 2),
         declared_eps=Fraction(1, 8),

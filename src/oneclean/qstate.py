@@ -62,17 +62,17 @@ def num_qubits(dim: int) -> int:
     return q
 
 
-def is_hermitian(a: np.ndarray, tol: float = TOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(np.max(np.abs(a - a.conj().T)) <= TOL)
 
 
-def is_unitary(a: np.ndarray, tol: float = TOL) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
     d = a.shape[0]
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(d))) <= tol)
+    return bool(np.max(np.abs(a.conj().T @ a - np.eye(d))) <= TOL)
 
 
-def is_projector(a: np.ndarray, tol: float = TOL) -> bool:
-    return is_hermitian(a, tol) and bool(np.max(np.abs(a @ a - a)) <= tol)
+def is_projector(a: np.ndarray) -> bool:
+    return is_hermitian(a) and bool(np.max(np.abs(a @ a - a)) <= TOL)
 
 
 def tensor(a, b) -> np.ndarray:

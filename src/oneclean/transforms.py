@@ -88,6 +88,31 @@ def _affine(x, slope: Fraction, offset: Fraction):
     return float(slope) * x + float(offset)
 
 
+def _declared(p: ProtocolSpec, slope: Fraction, offset: Fraction) -> dict:
+    """The output's declared reference point and bias under a -> slope*a + offset."""
+    return {
+        "declared_p": _affine(p.declared_p, slope, offset),
+        "declared_eps": _affine(p.declared_eps, slope, Fraction(0)),
+    }
+
+
+def _cert(
+    p: ProtocolSpec, out: ProtocolSpec, slope: Fraction, offset: Fraction, notes: str
+) -> TransformCert:
+    """The certificate of p -> out, read off both specs."""
+    return TransformCert(
+        input_bias=p.declared_eps,
+        predicted_bias=out.declared_eps,
+        acceptance_slope=slope,
+        acceptance_offset=offset,
+        communication_before=communication_cost(p),
+        communication_after=communication_cost(out),
+        reference_before=p.declared_p,
+        reference_after=out.declared_p,
+        notes=notes,
+    )
+
+
 def _shift_round(r: RoundAction, shift: int) -> RoundAction:
     return RoundAction(
         player=r.player,
@@ -145,7 +170,6 @@ def k_to_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     ]
     rounds.extend(_shift_round(r, 1) for r in p.rounds)
 
-    comm = communication_cost(p)
     if measurer != starter:
         # carry the flag with the starter's last message to the measurer
         for i in range(len(rounds) - 1, 0, -1):
@@ -155,7 +179,6 @@ def k_to_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
                 break
         else:
             raise ShapeError("no message from the starter to the measurer can carry the flag")
-        comm += 1
 
     base_proj, base_support = p.measurement.operator()
     support = (0,) + tuple(q + 1 for q in base_support) + (coin,)
@@ -176,21 +199,10 @@ def k_to_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
         measurement=Measurement(qubits=support, projector=proj),
         mode=p.mode,
         channel=p.channel,
-        declared_p=_affine(p.declared_p, slope, offset),
-        declared_eps=_affine(p.declared_eps, slope, Fraction(0)),
+        **_declared(p, slope, offset),
     )
-    cert = TransformCert(
-        input_bias=p.declared_eps,
-        predicted_bias=_affine(p.declared_eps, slope, Fraction(0)),
-        acceptance_slope=slope,
-        acceptance_offset=offset,
-        communication_before=communication_cost(p),
-        communication_after=comm,
-        reference_before=p.declared_p,
-        reference_after=out.declared_p,
-        notes=f"k={k}; flag + coin qubit added; acceptance a -> {offset} + a/{1 << k}",
-    )
-    return out, cert
+    notes = f"k={k}; flag + coin qubit added; acceptance a -> {offset} + a/{1 << k}"
+    return out, _cert(p, out, slope, offset, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +245,6 @@ def projective_to_single_qubit(p: ProtocolSpec) -> ProtocolSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FixedChannelForm:
-    protocol: ProtocolSpec
-    starter: int
-    measurer: int
-    channel: int
-    rounds: int  # power of two, even; round t player: starter if t odd
-
-
 def _merge_consecutive(p: ProtocolSpec) -> ProtocolSpec:
     """Fold empty-message rounds into the next round by the same player."""
     rounds = list(p.rounds)
@@ -258,14 +261,16 @@ def _merge_consecutive(p: ProtocolSpec) -> ProtocolSpec:
     return dataclasses.replace(p, rounds=tuple(rounds))
 
 
-def to_fixed_channel(p: ProtocolSpec) -> FixedChannelForm:
+def to_fixed_channel(p: ProtocolSpec) -> ProtocolSpec:
     """Reroute every transfer through one bouncing channel qubit.
 
     Original qubits become fixed slots owned by their initial holder;
-    message content travels via SWAPs into the courier, with receiver-side
-    guest slots allocated on demand. Rounds strictly alternate, each
-    sending exactly the courier, and the count is padded to a power of
-    two. Acceptance is exactly preserved (pure wire bookkeeping).
+    message content travels via SWAPs into the courier, qubit
+    ``p.layout.total``, with receiver-side guest slots allocated on
+    demand. Rounds strictly alternate, the non-measuring player first,
+    each sending exactly the courier, and the count is padded to a power
+    of two (at least 2). Acceptance is exactly preserved (pure wire
+    bookkeeping).
     """
     p = _merge_consecutive(p)
     if p.players != 2:
@@ -332,7 +337,7 @@ def to_fixed_channel(p: ProtocolSpec) -> FixedChannelForm:
             RoundAction(player, ref, targets, frozenset({ch}), 1 - player)
         )
 
-    fc = ProtocolSpec(
+    return ProtocolSpec(
         name=p.name + "+fc",
         players=2,
         layout=RegisterLayout(p.layout.clean, p.layout.mixed + 1 + len(guest_owner)),
@@ -343,9 +348,6 @@ def to_fixed_channel(p: ProtocolSpec) -> FixedChannelForm:
         channel=FIXED,
         declared_p=p.declared_p,
         declared_eps=p.declared_eps,
-    )
-    return FixedChannelForm(
-        protocol=fc, starter=starter, measurer=measurer, channel=ch, rounds=r_fc
     )
 
 
@@ -368,22 +370,24 @@ def to_trace_form(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
         raise ShapeError("trace form needs a single-qubit measurement; apply sq-measure first")
     j = p.layout.clean
     fc = to_fixed_channel(p)
-    fcp = fc.protocol
-    r = fc.rounds
+    measurer = measuring_player(p)
+    starter = 1 - measurer
+    channel = p.layout.total
+    r = len(fc.rounds)
     measured = p.measurement.single_qubit
-    n_fc = fcp.layout.total
+    n_fc = fc.layout.total
 
     # wrapper register: control 0, fc slots shifted by one, then the CNOT
     # ancillas (one per clean slot + one for the measured slot's final
     # projector). Everything but the control starts totally mixed.
-    clean_slots = list(range(fcp.layout.clean))
+    clean_slots = list(range(fc.layout.clean))
     anc_base = 1 + n_fc
     init_anc = {c: anc_base + i for i, c in enumerate(clean_slots)}
     end_anc = anc_base + len(clean_slots)
 
-    owners = list(fcp.initial_owner)
-    m_cleans = [c for c in clean_slots if owners[c] == fc.measurer]
-    s_cleans = [c for c in clean_slots if owners[c] == fc.starter]
+    owners = list(fc.initial_owner)
+    m_cleans = [c for c in clean_slots if owners[c] == measurer]
+    s_cleans = [c for c in clean_slots if owners[c] == starter]
 
     def cnot_factor(src_slot: int, anc: int):
         return (explicit(qstate.CNOT), (1 + src_slot, anc))
@@ -397,13 +401,13 @@ def to_trace_form(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     # piece 0 (measurer): initial projectors for measurer-owned clean slots
     head = [cnot_factor(c, init_anc[c]) for c in m_cleans]
     if not head:
-        head = [(explicit(qstate.I2), (1 + fc.channel,))]
+        head = [(explicit(qstate.I2), (1 + channel,))]
     pieces.append(_compose(head))
     # forward pass, with the end projector folded into U_r
     for t in range(1, r):
-        ref, tg = round_ref(fcp.rounds[t - 1])
+        ref, tg = round_ref(fc.rounds[t - 1])
         pieces.append((ref, tg))
-    last_ref, last_tg = round_ref(fcp.rounds[r - 1])
+    last_ref, last_tg = round_ref(fc.rounds[r - 1])
     pieces.append(
         _compose(
             [
@@ -415,44 +419,33 @@ def to_trace_form(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     )
     # backward pass
     for t in range(r - 1, 1, -1):
-        ref, tg = round_ref(fcp.rounds[t - 1])
+        ref, tg = round_ref(fc.rounds[t - 1])
         pieces.append((AdjointU(ref), tg))
-    first_ref, first_tg = round_ref(fcp.rounds[0])
+    first_ref, first_tg = round_ref(fc.rounds[0])
     tail = [(AdjointU(first_ref), first_tg)]
     tail.extend(cnot_factor(c, init_anc[c]) for c in s_cleans)
     pieces.append(_compose(tail))
     assert len(pieces) == 2 * r
 
-    new_owner = [fc.measurer]  # control
+    new_owner = [measurer]  # control
     new_owner.extend(owners)
-    new_owner[1 + fc.channel] = fc.measurer  # courier starts with round 1's sender
+    new_owner[1 + channel] = measurer  # courier starts with round 1's sender
     for c in clean_slots:
         new_owner.append(owners[c])  # init ancilla sits with its slot's owner
-    new_owner.append(fc.measurer)  # end ancilla
+    new_owner.append(measurer)  # end ancilla
 
     slope = Fraction(1, 1 << (j + 1))
     offset = Fraction(1, 2)
-    out = _hadamard_test(
-        pieces, new_owner, 1 + fc.channel, name=p.name + "+trace",
-        declared_p=_affine(p.declared_p, slope, offset),
-        declared_eps=_affine(p.declared_eps, slope, Fraction(0)),
+    out = hadamard_test_protocol(
+        pieces, new_owner, 1 + channel, p.name + "+trace", **_declared(p, slope, offset)
     )
-    cert = TransformCert(
-        input_bias=p.declared_eps,
-        predicted_bias=out.declared_eps,
-        acceptance_slope=slope,
-        acceptance_offset=offset,
-        communication_before=communication_cost(p),
-        communication_after=4 * r,
-        reference_before=p.declared_p,
-        reference_after=out.declared_p,
-        notes=f"j={j} clean slots -> p0 = 1/2 + a/{1 << (j + 1)}; {2 * r} rounds of 2 qubits",
-    )
-    return out, cert
+    notes = f"j={j} clean slots -> p0 = 1/2 + a/{1 << (j + 1)}; {2 * r} rounds of 2 qubits"
+    return out, _cert(p, out, slope, offset, notes)
 
 
 def hadamard_test_protocol(
-    pieces, owners, channel: int, name: str = "hadamard-test"
+    pieces, owners, channel: int, name: str = "hadamard-test",
+    declared_p=Fraction(1, 2), declared_eps=None,
 ) -> ProtocolSpec:
     """Assemble a trace-form protocol from explicit controlled pieces.
 
@@ -462,10 +455,6 @@ def hadamard_test_protocol(
     {control, channel} sent every round, so the acceptance is
     1/2 + Re Tr(prod pieces) / 2^(d+1) with d = len(owners) - 1.
     """
-    return _hadamard_test(pieces, owners, channel, name)
-
-
-def _hadamard_test(pieces, owners, channel: int, name: str, **declared) -> ProtocolSpec:
     pieces = [(ref, tuple(tg)) for ref, tg in pieces]
     if len(pieces) % 2:
         raise ShapeError("need an even number of pieces (players alternate)")
@@ -491,8 +480,9 @@ def _hadamard_test(pieces, owners, channel: int, name: str, **declared) -> Proto
         rounds=tuple(rounds),
         measurement=Measurement(single_qubit=0),
         channel=FIXED,
+        declared_p=declared_p,
+        declared_eps=declared_eps,
         trace_plan=TracePlan(control=0, channel=channel, pieces=tuple(pieces)),
-        **declared,
     )
 
 
@@ -576,8 +566,7 @@ def unclock(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
         measurement=p.measurement,
         mode=SEMI_UNCLOCKED,
         channel=FIXED,
-        declared_p=p.declared_p,
-        declared_eps=p.declared_eps,
+        **_declared(p, Fraction(1), Fraction(0)),
         trace_plan=TracePlan(
             control=plan.control,
             channel=ch,
@@ -586,18 +575,8 @@ def unclock(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
             pairs=pairs,
         ),
     )
-    cert = TransformCert(
-        input_bias=p.declared_eps,
-        predicted_bias=p.declared_eps,
-        acceptance_slope=Fraction(1),
-        acceptance_offset=Fraction(0),
-        communication_before=communication_cost(p),
-        communication_after=n_rounds * (2 + w),
-        reference_before=p.declared_p,
-        reference_after=p.declared_p,
-        notes=f"{w} counter qubits over {pairs} pairs; acceptance unchanged for every start",
-    )
-    return out, cert
+    notes = f"{w} counter qubits over {pairs} pairs; acceptance unchanged for every start"
+    return out, _cert(p, out, Fraction(1), Fraction(0), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +599,8 @@ def two_round_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     if len(msg_rounds) != 2 or len(p.rounds) not in (2, 3):
         raise ShapeError("expected exactly two messages (Alice -> Bob -> Alice)")
     r1, r2 = msg_rounds
+    if r1 is not p.rounds[0]:
+        raise ShapeError("the first round must send the k clean qubits")
     k = p.layout.clean
     clean = frozenset(range(k))
     alice, bob = r1.player, r2.player
@@ -655,21 +636,10 @@ def two_round_one_clean(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
         initial_owner=(alice,) + p.initial_owner,
         rounds=tuple(rounds),
         measurement=Measurement(qubits=support, projector=proj),
-        declared_p=_affine(p.declared_p, slope, Fraction(0)),
-        declared_eps=_affine(p.declared_eps, slope, Fraction(0)),
+        **_declared(p, slope, Fraction(0)),
     )
-    cert = TransformCert(
-        input_bias=p.declared_eps,
-        predicted_bias=out.declared_eps,
-        acceptance_slope=slope,
-        acceptance_offset=Fraction(0),
-        communication_before=communication_cost(p),
-        communication_after=2 * k,
-        reference_before=p.declared_p,
-        reference_after=out.declared_p,
-        notes=f"two-round flag construction at k={k}; acceptance a -> a/{1 << k}",
-    )
-    return out, cert
+    notes = f"two-round flag construction at k={k}; acceptance a -> a/{1 << k}"
+    return out, _cert(p, out, slope, Fraction(0), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +777,7 @@ def pp_to_oneway(
         acceptance_slope=slope,
         acceptance_offset=(1 - slope) / 2,
         communication_before=c,
-        communication_after=c + 1,
+        communication_after=communication_cost(out),
         reference_before=Fraction(1, 2),
         reference_after=Fraction(1, 2),
         q1_bound=Fraction(c + 1) * (1 << (2 * c)) / eps**2 if eps else None,

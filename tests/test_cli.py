@@ -152,19 +152,74 @@ def test_run_reports_are_deterministic(tmp_path):
     assert header == "input,acceptance,backend,seed,elapsed"
 
 
+# the cert files of the README's ip2-clocked n = 1 chain, byte for byte
+README_CHAIN_CERTS = {
+    "00-k1": """\
+{
+ "acceptance_map": {
+  "offset": "3/8",
+  "slope": "1/4"
+ },
+ "communication_after": 3,
+ "communication_before": 2,
+ "input_bias": "1/2",
+ "notes": "k=2; flag + coin qubit added; acceptance a -> 3/8 + a/4",
+ "predicted_bias": "1/8",
+ "q1_bound": null,
+ "reference_after": "1/2",
+ "reference_before": "1/2"
+}
+""",
+    "02-trace-form": """\
+{
+ "acceptance_map": {
+  "offset": "1/2",
+  "slope": "1/8"
+ },
+ "communication_after": 32,
+ "communication_before": 3,
+ "input_bias": "1/8",
+ "notes": "j=2 clean slots -> p0 = 1/2 + a/8; 16 rounds of 2 qubits",
+ "predicted_bias": "1/64",
+ "q1_bound": null,
+ "reference_after": "9/16",
+ "reference_before": "1/2"
+}
+""",
+    "03-unclock": """\
+{
+ "acceptance_map": {
+  "offset": "0",
+  "slope": "1"
+ },
+ "communication_after": 80,
+ "communication_before": 32,
+ "input_bias": "1/64",
+ "notes": "3 counter qubits over 8 pairs; acceptance unchanged for every start",
+ "predicted_bias": "1/64",
+ "q1_bound": null,
+ "reference_after": "9/16",
+ "reference_before": "9/16"
+}
+""",
+}
+
+
 def test_transform_chain_writes_descriptor_and_certs(tmp_path, capsys):
     out = tmp_path / "chain"
     code = run_cli(
         "transform", "--protocol", "ip2-clocked", "--n", "1",
-        "--pass", "k1", "--pass", "sq-measure", "--pass", "trace-form",
+        "--pass", "k1", "--pass", "sq-measure", "--pass", "trace-form", "--pass", "unclock",
         "--out-dir", str(out),
     )
     assert code == 0
     spec = protocol.deserialize((out / "protocol.json").read_text())
-    assert spec.trace_plan is not None
-    k1cert = json.loads((out / "00-k1.cert.json").read_text())
-    assert k1cert["predicted_bias"] == "1/8"
-    assert (out / "02-trace-form.cert.json").exists()
+    assert spec.trace_plan is not None and spec.trace_plan.counter
+    assert sorted(f.name for f in out.glob("*.cert.json")) == [
+        f"{name}.cert.json" for name in README_CHAIN_CERTS
+    ]
+    for name, text in README_CHAIN_CERTS.items():
+        assert (out / f"{name}.cert.json").read_text() == text
 
 
 def _ip2_trace_form():
@@ -274,13 +329,15 @@ def test_classical_domain_error_exits_2(capsys):
     [
         (["knr", "--trials", "0"], 2, "--trials"),
         (["knr", "--trials", "-1"], 2, "--trials"),
+        (["knr", "--n", "-3", "--trials", "1"], 2, "--n"),
+        (["knr", "--n", "0"], 2, "--n"),
         (["abc", "--trials", "0"], 2, "--trials"),
         (["abc", "--trials", "-1"], 2, "--trials"),
         (["caps", "--n", "4", "--k", "1", "--samples", "5"], 2, "1e4 samples"),
         (["abc", "--n", "6"], 2, "k=2 outside [1, n/4]"),
         (["disc", "--matrix", "{tall}"], 3, "16x16"),
     ],
-    ids=["knr-trials-0", "knr-trials-neg", "abc-trials-0", "abc-trials-neg", "caps-samples",
+    ids=["knr-trials-0", "knr-trials-neg", "knr-n-neg", "knr-n-0", "abc-trials-0", "abc-trials-neg", "caps-samples",
          "abc-n", "disc-17x3"],
 )
 def test_classical_bad_inputs_exit_with_one_error_line(tmp_path, capsys, argv, code, named):
@@ -290,6 +347,15 @@ def test_classical_bad_inputs_exit_with_one_error_line(tmp_path, capsys, argv, c
     err = capsys.readouterr().err
     errors = [l for l in err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and named in errors[0] and "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["-2", "0"])
+def test_gen_razborov_count_below_one_exits_with_one_error_line(capsys, count):
+    assert run_cli("gen", "razborov", "--n", "14", "--which", "mu1", "--count", count) == 2
+    captured = capsys.readouterr()
+    errors = [l for l in captured.err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and "--count" in errors[0] and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_gen_abc_instance_round_trip(tmp_path, capsys):

@@ -295,6 +295,21 @@ def test_lemma1_random_two_round_quarter_scaling(seed):
 def test_lemma1_shape_errors():
     with pytest.raises(ShapeError):
         transforms.two_round_one_clean(problems.ip2_clocked(2))
+    # Alice local, then Alice sends the clean qubit, then Bob sends it back
+    silent_first = ProtocolSpec(
+        name="silent-first",
+        players=2,
+        layout=RegisterLayout(clean=1, mixed=0),
+        initial_owner=(ALICE,),
+        rounds=(
+            RoundAction(ALICE, explicit(qstate.H), (0,), frozenset(), None),
+            RoundAction(ALICE, explicit(qstate.X), (0,), frozenset({0}), BOB),
+            RoundAction(BOB, explicit(qstate.H), (0,), frozenset({0}), ALICE),
+        ),
+        measurement=Measurement(single_qubit=0),
+    )
+    with pytest.raises(ShapeError, match="first round must send the k clean qubits"):
+        transforms.two_round_one_clean(silent_first)
 
 
 # ------------------------------------------------------------- pp-oneway
@@ -421,7 +436,7 @@ def _legal_passes(p: ProtocolSpec) -> dict:
 @settings(max_examples=30, deadline=None)
 def test_random_pass_sequences_agree_across_backends_and_certs(seed, qubits, single, data):
     base = random_protocol(seed, qubits, clean=1 + seed % qubits, single_qubit=single)
-    p, certs = base, []
+    p, stages = base, []
     for _ in range(data.draw(st.integers(1, 4))):
         legal = _legal_passes(p)
         if not legal:
@@ -433,10 +448,14 @@ def test_random_pass_sequences_agree_across_backends_and_certs(seed, qubits, sin
             name = data.draw(st.sampled_from(sorted(legal)))
         p, cert = legal[name]
         if cert is not None:
-            certs.append(cert)
+            stages.append((p, cert))
     inp, _ = bit_inputs()[seed % 2]
     want = simulator.run_density(base, inp).acceptance
-    for cert in certs:
+    for out, cert in stages:
+        # the cert states what its output spec declares
+        assert cert.communication_after == protocol.communication_cost(out)
+        assert cert.reference_after == out.declared_p
+        assert cert.predicted_bias == out.declared_eps
         want = cert.predict(want)
     d = simulator.run_density(p, inp).acceptance
     assert abs(d - want) < TOL
