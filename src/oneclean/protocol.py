@@ -278,6 +278,8 @@ class TracePlan:
     number of non-control, non-counter qubits. For semi-unclocked
     protocols ``counter`` lists the counter qubits and ``pairs`` the
     number of dispatch pairs (pieces come in (even, odd) pairs).
+    ``trace_form_spec`` is the one place that builds rounds from a plan,
+    and a descriptor stores a trace form as its plan only.
     """
 
     control: int
@@ -439,6 +441,8 @@ def _validate_trace_plan(tp: TracePlan, total: int) -> list:
     named = [("control", tp.control), ("channel", tp.channel)]
     named += [("counter qubit", c) for c in tp.counter]
     v = [f"trace_plan: {what} {q} out of range" for what, q in named if not 0 <= q < total]
+    if 0 < tp.control < total:
+        v.append(f"trace_plan: control {tp.control} is not the clean qubit 0")
     reserved = {tp.control: "the control", **{c: "a counter qubit" for c in tp.counter}}
     for j, (ref, targets) in enumerate(tp.pieces):
         where = f"trace_plan piece {j}"
@@ -450,8 +454,11 @@ def _validate_trace_plan(tp: TracePlan, total: int) -> list:
             elif t in reserved:
                 v.append(f"{where}: target {t} is {reserved[t]}")
         v.extend(f"{where}: {msg}" for msg in _lowering_violations(ref, targets))
-    if tp.counter and len(tp.pieces) != 2 * tp.pairs:
-        v.append(f"trace_plan: {len(tp.pieces)} pieces for {tp.pairs} counter pairs")
+    if tp.counter or tp.pairs:
+        if 1 << len(tp.counter) != tp.pairs:
+            v.append(f"trace_plan: {tp.pairs} counter pairs, not 2^{len(tp.counter)}")
+        if len(tp.pieces) != 2 * tp.pairs:
+            v.append(f"trace_plan: {len(tp.pieces)} pieces for {tp.pairs} counter pairs")
     return v
 
 
@@ -472,10 +479,8 @@ def _validate_semi_unclocked(p: ProtocolSpec) -> list:
     first: dict = {}  # player -> that player's first round
     for i, r in enumerate(p.rounds):
         r0 = first.setdefault(r.player, r)
-        # identity first: unclock shares one ref per player, and serializing it costs
-        if r.targets != r0.targets or (
-            r.unitary is not r0.unitary and _ref_to_obj(r.unitary) != _ref_to_obj(r0.unitary)
-        ):
+        # each player applies one fixed unitary: the same reference every round
+        if r.targets != r0.targets or r.unitary is not r0.unitary:
             v.append(f"semi-unclocked round {i} unitary differs from earlier rounds")
             break
     if p.channel != FIXED:
@@ -538,10 +543,82 @@ def cost_report(p: ProtocolSpec) -> CostReport:
 
 
 # ---------------------------------------------------------------------------
+# Trace forms: the rounds of a Hadamard-test plan
+# ---------------------------------------------------------------------------
+
+
+def _compose(factors) -> tuple[ComposedU, tuple]:
+    """One ComposedU over the union of the factors' global targets, in time order."""
+    targets = tuple(sorted({t for _, tg in factors for t in tg}))
+    local = {q: i for i, q in enumerate(targets)}
+    return (
+        ComposedU(len(targets), tuple((ref, tuple(local[t] for t in tg)) for ref, tg in factors)),
+        targets,
+    )
+
+
+def _dispatch(plan: TracePlan, parity: int) -> tuple[ComposedU, tuple]:
+    """One player's fixed unitary: H on the control, the controlled piece
+    ``2 * counter + parity``, H; the odd player increments the counter."""
+    pieces = plan.pieces[parity::2]
+    targets = sorted({plan.control, *plan.counter, *(t for _, tg in pieces for t in tg)})
+    local = {q: i for i, q in enumerate(targets)}
+    branches = tuple(
+        (ControlledU(ref), tuple(local[t] for t in (plan.control,) + tg)) for ref, tg in pieces
+    )
+    disp = DispatchU(len(targets), tuple(local[q] for q in plan.counter), branches, parity)
+    h = (explicit(qstate.H), (plan.control,))
+    return _compose([h, (disp, tuple(targets)), h])
+
+
+def trace_form_spec(
+    plan: TracePlan, owners, name: str, declared_p=Fraction(1, 2), declared_eps=None
+) -> ProtocolSpec:
+    """The trace-form protocol of ``plan``, whose acceptance is the plan's
+    1/2 + Re Tr(prod pieces) / 2^(d+1).
+
+    The control (qubit 0, the one clean qubit) is measured at the end. Its
+    owner plays the even rounds and the other player the odd ones, and
+    each round sends the control, the channel and the counter. A clocked
+    plan (``pairs == 0``) runs piece i, controlled, in round i, with H on
+    the control before the first and after the last. A counter plan runs
+    ``2 * pairs`` rounds of one fixed unitary per player (``_dispatch``),
+    so every counter start runs the pieces in a cyclic rotation.
+    """
+    players = (owners[plan.control], 1 - owners[plan.control])
+    message = frozenset({plan.control, plan.channel, *plan.counter})
+    if plan.pairs:
+        steps = [_dispatch(plan, 0), _dispatch(plan, 1)] * plan.pairs
+    else:
+        h, last = (explicit(qstate.H), (plan.control,)), len(plan.pieces) - 1
+        steps = []
+        for i, (ref, tg) in enumerate(plan.pieces):
+            factors = [h] * (i == 0) + [(ControlledU(ref), (plan.control,) + tg)] + [h] * (i == last)
+            steps.append(_compose(factors) if len(factors) > 1 else factors[0])
+    rounds = [
+        RoundAction(players[t % 2], ref, tg, message, players[1 - t % 2])
+        for t, (ref, tg) in enumerate(steps)
+    ]
+    return ProtocolSpec(
+        name=name,
+        players=2,
+        layout=RegisterLayout(clean=1, mixed=len(owners) - 1),
+        initial_owner=tuple(owners),
+        rounds=tuple(rounds),
+        measurement=Measurement(single_qubit=plan.control),
+        mode=SEMI_UNCLOCKED if plan.pairs else CLOCKED,
+        channel=FIXED,
+        declared_p=declared_p,
+        declared_eps=declared_eps,
+        trace_plan=plan,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Descriptor serialization (exact round trip, floats via shortest repr)
 # ---------------------------------------------------------------------------
 
-DESCRIPTOR_VERSION = 1
+DESCRIPTOR_VERSION = 2
 
 
 def _num_to_obj(x):
@@ -647,15 +724,19 @@ def _ref_from_obj(obj, where: str):
     raise ParseError(f"{where}: unknown unitary kind {kind!r}")
 
 
-def to_descriptor(p: ProtocolSpec) -> dict:
-    obj = {
-        "version": DESCRIPTOR_VERSION,
-        "name": p.name,
-        "players": p.players,
-        "layout": {"clean": p.layout.clean, "mixed": p.layout.mixed},
-        "initial_owner": list(p.initial_owner),
-        "mode": p.mode,
-        "channel": p.channel,
+def _layout_obj(f: dict) -> dict:
+    """The descriptor fields that a trace form rebuilds from its plan, from
+    ``f``: a spec's ``vars`` or the fields parsed from a descriptor."""
+    meas = f["measurement"]
+    if meas.single_qubit is not None:
+        mobj = {"single_qubit": meas.single_qubit}
+    else:
+        mobj = {"qubits": list(meas.qubits), "projector": qstate.matrix_to_obj(meas.projector)}
+    return {
+        "players": f["players"],
+        "layout": {"clean": f["layout"].clean, "mixed": f["layout"].mixed},
+        "mode": f["mode"],
+        "channel": f["channel"],
         "rounds": [
             {
                 "player": r.player,
@@ -664,19 +745,24 @@ def to_descriptor(p: ProtocolSpec) -> dict:
                 "message": sorted(r.message),
                 "to": r.to,
             }
-            for r in p.rounds
+            for r in f["rounds"]
         ],
+        "measurement": mobj,
+    }
+
+
+def to_descriptor(p: ProtocolSpec) -> dict:
+    """Version 2: a trace form is stored as its plan, any other spec with its rounds."""
+    obj = {
+        "version": DESCRIPTOR_VERSION,
+        "name": p.name,
+        "initial_owner": list(p.initial_owner),
         "declared": {"p": _num_to_obj(p.declared_p), "eps": _num_to_obj(p.declared_eps)},
     }
-    if p.measurement.single_qubit is not None:
-        obj["measurement"] = {"single_qubit": p.measurement.single_qubit}
+    tp = p.trace_plan
+    if tp is None:
+        obj.update(_layout_obj(vars(p)))
     else:
-        obj["measurement"] = {
-            "qubits": list(p.measurement.qubits),
-            "projector": qstate.matrix_to_obj(p.measurement.projector),
-        }
-    if p.trace_plan is not None:
-        tp = p.trace_plan
         obj["trace_plan"] = {
             "control": tp.control,
             "channel": tp.channel,
@@ -690,7 +776,7 @@ def to_descriptor(p: ProtocolSpec) -> dict:
 
 
 def serialize(p: ProtocolSpec) -> str:
-    return json.dumps(to_descriptor(p), indent=1)
+    return json.dumps(to_descriptor(p), separators=(",", ":"))
 
 
 _KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
@@ -721,9 +807,9 @@ def _int_list(obj: dict, key: str, where: str, optional: bool = False) -> tuple[
     return tuple(_expect(v, int, f"{where}: field {key!r} entry {i}") for i, v in enumerate(vals))
 
 
-def from_descriptor(obj: dict) -> ProtocolSpec:
+def _layout_from_obj(obj: dict) -> dict:
+    """The fields ``_layout_obj`` writes, parsed from a descriptor."""
     where = "descriptor"
-    _expect(obj, dict, where)
     layout_obj = _require(obj, "layout", where, dict)
     layout = RegisterLayout(
         _require(layout_obj, "clean", "layout", int),
@@ -750,40 +836,68 @@ def from_descriptor(obj: dict) -> ProtocolSpec:
             qubits=_int_list(mobj, "qubits", "measurement"),
             projector=qstate.matrix_from_obj(_require(mobj, "projector", "measurement")),
         )
-    declared = _optional(obj, "declared", where, dict) or {}
-    plan = None
-    tp = _optional(obj, "trace_plan", where, dict)
-    if tp is not None:
-        pieces = []
-        for j, pc in enumerate(_require(tp, "pieces", "trace_plan", list)):
-            pw = f"trace_plan.pieces[{j}]"
-            _expect(pc, dict, pw)
-            pieces.append(
-                (
-                    _ref_from_obj(_require(pc, "ref", pw), pw),
-                    _int_list(pc, "targets", pw),
-                )
-            )
-        plan = TracePlan(
-            control=_require(tp, "control", "trace_plan", int),
-            channel=_require(tp, "channel", "trace_plan", int),
-            pieces=tuple(pieces),
-            counter=_int_list(tp, "counter", "trace_plan", optional=True),
-            pairs=_optional(tp, "pairs", "trace_plan", int) or 0,
-        )
-    return ProtocolSpec(
-        name=_expect(obj.get("name", "protocol"), str, f"{where}: field 'name'"),
-        players=_require(obj, "players", where, int),
-        layout=layout,
-        initial_owner=_int_list(obj, "initial_owner", where),
-        rounds=tuple(rounds),
-        measurement=meas,
-        mode=_require(obj, "mode", where, str),
-        channel=_require(obj, "channel", where, str),
-        declared_p=_num_from_obj(declared.get("p", "1/2"), "declared.p"),
-        declared_eps=_num_from_obj(declared.get("eps"), "declared.eps"),
-        trace_plan=plan,
+    return {
+        "players": _require(obj, "players", where, int),
+        "layout": layout,
+        "mode": _require(obj, "mode", where, str),
+        "channel": _require(obj, "channel", where, str),
+        "rounds": tuple(rounds),
+        "measurement": meas,
+    }
+
+
+def _plan_from_obj(tp: dict) -> TracePlan:
+    pieces = []
+    for j, pc in enumerate(_require(tp, "pieces", "trace_plan", list)):
+        pw = f"trace_plan.pieces[{j}]"
+        _expect(pc, dict, pw)
+        pieces.append((_ref_from_obj(_require(pc, "ref", pw), pw), _int_list(pc, "targets", pw)))
+    return TracePlan(
+        control=_require(tp, "control", "trace_plan", int),
+        channel=_require(tp, "channel", "trace_plan", int),
+        pieces=tuple(pieces),
+        counter=_int_list(tp, "counter", "trace_plan", optional=True),
+        pairs=_optional(tp, "pairs", "trace_plan", int) or 0,
     )
+
+
+def from_descriptor(obj: dict) -> ProtocolSpec:
+    """The spec a version-1 or -2 descriptor states (no version field reads as 1).
+
+    A trace form is built from its plan by ``trace_form_spec``; a version-2
+    one stores nothing else, and a version-1 one must state the rounds and
+    layout that its plan builds.
+    """
+    where = "descriptor"
+    _expect(obj, dict, where)
+    version = _expect(obj.get("version", 1), int, f"{where}: field 'version'")
+    if version not in (1, 2):
+        raise ParseError(f"{where}: field 'version' is {version}, expected 1 or 2")
+    declared = _optional(obj, "declared", where, dict) or {}
+    head = {
+        "name": _expect(obj.get("name", "protocol"), str, f"{where}: field 'name'"),
+        "declared_p": _num_from_obj(declared.get("p", "1/2"), "declared.p"),
+        "declared_eps": _num_from_obj(declared.get("eps"), "declared.eps"),
+    }
+    owners = _int_list(obj, "initial_owner", where)
+    tp = _optional(obj, "trace_plan", where, dict)
+    plan = None if tp is None else _plan_from_obj(tp)
+    if plan is None or version == 1:
+        fields = _layout_from_obj(obj)
+    elif stray := [k for k in ("players", "layout", "mode", "channel", "rounds", "measurement")
+                   if k in obj]:
+        raise ParseError(f"{where}: field {stray[0]!r} is not stored in a version-2 trace form")
+    if plan is None:
+        return ProtocolSpec(initial_owner=owners, **head, **fields)
+    if violations := _validate_trace_plan(plan, len(owners)):
+        raise ValidationError(violations)
+    try:
+        spec = trace_form_spec(plan, owners, **head)
+    except ValidationError as e:  # rounds the plan's owners cannot run
+        raise ValidationError([f"trace_plan: {v}" for v in e.violations]) from None
+    if version == 1 and _layout_obj(fields) != _layout_obj(vars(spec)):
+        raise ValidationError(["trace_plan: the rounds or layout differ from the ones the plan builds"])
+    return spec
 
 
 def deserialize(text: str) -> ProtocolSpec:

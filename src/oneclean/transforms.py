@@ -20,8 +20,6 @@ from .protocol import (
     BOB,
     AdjointU,
     ComposedU,
-    ControlledU,
-    DispatchU,
     FIXED,
     FlagStateU,
     GenU,
@@ -31,11 +29,13 @@ from .protocol import (
     RoundAction,
     SEMI_UNCLOCKED,
     TracePlan,
+    _compose,
     _num_to_obj,
     communication_cost,
     explicit,
     measuring_player,
     register_generator,
+    trace_form_spec,
 )
 
 
@@ -120,16 +120,6 @@ def _shift_round(r: RoundAction, shift: int) -> RoundAction:
         targets=tuple(t + shift for t in r.targets),
         message=frozenset(q + shift for q in r.message),
         to=r.to,
-    )
-
-
-def _compose(factors) -> tuple[ComposedU, tuple]:
-    """One ComposedU over the union of the factors' global targets, in time order."""
-    targets = tuple(sorted({t for _, tg in factors for t in tg}))
-    local = {q: i for i, q in enumerate(targets)}
-    return (
-        ComposedU(len(targets), tuple((ref, tuple(local[t] for t in tg)) for ref, tg in factors)),
-        targets,
     )
 
 
@@ -392,22 +382,16 @@ def to_trace_form(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     def cnot_factor(src_slot: int, anc: int):
         return (explicit(qstate.CNOT), (1 + src_slot, anc))
 
-    def round_ref(r_: RoundAction):
-        # fc round unitary lifted to wrapper coordinates
-        targets = tuple(t + 1 for t in r_.targets)
-        return r_.unitary, targets
-
-    pieces: list[tuple] = []
+    # fc round unitaries lifted to wrapper coordinates
+    lifted = [(r_.unitary, tuple(t + 1 for t in r_.targets)) for r_ in fc.rounds]
     # piece 0 (measurer): initial projectors for measurer-owned clean slots
     head = [cnot_factor(c, init_anc[c]) for c in m_cleans]
     if not head:
         head = [(explicit(qstate.I2), (1 + channel,))]
-    pieces.append(_compose(head))
+    pieces = [_compose(head)]
     # forward pass, with the end projector folded into U_r
-    for t in range(1, r):
-        ref, tg = round_ref(fc.rounds[t - 1])
-        pieces.append((ref, tg))
-    last_ref, last_tg = round_ref(fc.rounds[r - 1])
+    pieces += lifted[:-1]
+    last_ref, last_tg = lifted[-1]
     pieces.append(
         _compose(
             [
@@ -418,10 +402,8 @@ def to_trace_form(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
         )
     )
     # backward pass
-    for t in range(r - 1, 1, -1):
-        ref, tg = round_ref(fc.rounds[t - 1])
-        pieces.append((AdjointU(ref), tg))
-    first_ref, first_tg = round_ref(fc.rounds[0])
+    pieces += [(AdjointU(ref), tg) for ref, tg in reversed(lifted[1:-1])]
+    first_ref, first_tg = lifted[0]
     tail = [(AdjointU(first_ref), first_tg)]
     tail.extend(cnot_factor(c, init_anc[c]) for c in s_cleans)
     pieces.append(_compose(tail))
@@ -447,43 +429,13 @@ def hadamard_test_protocol(
     pieces, owners, channel: int, name: str = "hadamard-test",
     declared_p=Fraction(1, 2), declared_eps=None,
 ) -> ProtocolSpec:
-    """Assemble a trace-form protocol from explicit controlled pieces.
-
-    ``pieces[i]`` is (ref, targets) on non-control qubits; qubit 0 is the
-    clean control, everything else starts mixed. Piece i is applied by the
-    control's owner when i is even and by the other player when odd, with
-    {control, channel} sent every round, so the acceptance is
-    1/2 + Re Tr(prod pieces) / 2^(d+1) with d = len(owners) - 1.
-    """
-    pieces = [(ref, tuple(tg)) for ref, tg in pieces]
+    """The clocked Hadamard test (``trace_form_spec``) of an even number of
+    pieces, each (ref, targets) on qubits other than the control, qubit 0."""
+    pieces = tuple((ref, tuple(tg)) for ref, tg in pieces)
     if len(pieces) % 2:
         raise ShapeError("need an even number of pieces (players alternate)")
-    first = owners[0]
-    rounds = []
-    for idx, (ref, tg) in enumerate(pieces):
-        player = first if idx % 2 == 0 else 1 - first
-        ctrl = (ControlledU(ref), (0,) + tg)
-        if idx == 0:
-            unitary, targets = _compose([(explicit(qstate.H), (0,)), ctrl])
-        elif idx == len(pieces) - 1:
-            unitary, targets = _compose([ctrl, (explicit(qstate.H), (0,))])
-        else:
-            unitary, targets = ctrl
-        rounds.append(
-            RoundAction(player, unitary, targets, frozenset({0, channel}), 1 - player)
-        )
-    return ProtocolSpec(
-        name=name,
-        players=2,
-        layout=RegisterLayout(clean=1, mixed=len(owners) - 1),
-        initial_owner=tuple(owners),
-        rounds=tuple(rounds),
-        measurement=Measurement(single_qubit=0),
-        channel=FIXED,
-        declared_p=declared_p,
-        declared_eps=declared_eps,
-        trace_plan=TracePlan(control=0, channel=channel, pieces=tuple(pieces)),
-    )
+    plan = TracePlan(control=0, channel=channel, pieces=pieces)
+    return trace_form_spec(plan, owners, name, declared_p, declared_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -502,78 +454,20 @@ def unclock(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     the acceptance is exactly that of the clocked input.
     """
     plan = p.trace_plan
-    if plan is None or plan.counter:
+    if plan is None or plan.pairs:
         raise ShapeError("unclock expects a clocked trace-form protocol")
-    n_rounds = len(p.rounds)
-    if n_rounds % 2:
+    pairs, odd = divmod(len(plan.pieces), 2)
+    if odd:
         raise ShapeError("trace-form protocol must have an even round count")
-    pairs = n_rounds // 2
-    if pairs & (pairs - 1):
+    if not pairs or pairs & (pairs - 1):
         raise ShapeError(f"round pair count {pairs} is not a power of two")
     w = pairs.bit_length() - 1
-
-    first = p.rounds[0].player
-    second = p.rounds[1].player
     base = p.layout.total
-    counter = tuple(range(base, base + w))
-    ch = plan.channel
-    message = frozenset({plan.control, ch} | set(counter))
-
-    def dispatch_for(parity: int, increment: int):
-        branch_pieces = [plan.pieces[2 * i + parity] for i in range(pairs)]
-        targets = sorted(
-            {plan.control} | set(counter) | {t for _, tg in branch_pieces for t in tg}
-        )
-        local = {q: i for i, q in enumerate(targets)}
-        branches = []
-        for ref, tg in branch_pieces:
-            ctrl_targets = (plan.control,) + tg
-            branches.append(
-                (ControlledU(ref), tuple(local[t] for t in ctrl_targets))
-            )
-        disp = DispatchU(
-            width=len(targets),
-            selector=tuple(local[q] for q in counter),
-            branches=tuple(branches),
-            increment=increment,
-        )
-        cpos = (local[plan.control],)
-        ref = ComposedU(
-            len(targets),
-            (
-                (explicit(qstate.H), cpos),
-                (disp, tuple(range(len(targets)))),
-                (explicit(qstate.H), cpos),
-            ),
-        )
-        return ref, tuple(targets)
-
-    ref_a, tg_a = dispatch_for(0, 0)
-    ref_b, tg_b = dispatch_for(1, 1)
-    rounds = []
-    for t in range(n_rounds):
-        if t % 2 == 0:
-            rounds.append(RoundAction(first, ref_a, tg_a, message, second))
-        else:
-            rounds.append(RoundAction(second, ref_b, tg_b, message, first))
-
-    out = ProtocolSpec(
-        name=p.name + "+unclocked",
-        players=2,
-        layout=RegisterLayout(clean=1, mixed=p.layout.mixed + w),
-        initial_owner=p.initial_owner + (first,) * w,
-        rounds=tuple(rounds),
-        measurement=p.measurement,
-        mode=SEMI_UNCLOCKED,
-        channel=FIXED,
+    out = trace_form_spec(
+        dataclasses.replace(plan, counter=tuple(range(base, base + w)), pairs=pairs),
+        p.initial_owner + (p.initial_owner[plan.control],) * w,
+        p.name + "+unclocked",
         **_declared(p, Fraction(1), Fraction(0)),
-        trace_plan=TracePlan(
-            control=plan.control,
-            channel=ch,
-            pieces=plan.pieces,
-            counter=counter,
-            pairs=pairs,
-        ),
     )
     notes = f"{w} counter qubits over {pairs} pairs; acceptance unchanged for every start"
     return out, _cert(p, out, Fraction(1), Fraction(0), notes)

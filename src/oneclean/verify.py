@@ -278,9 +278,10 @@ def check_disc(quick: bool):
 
 
 def check_serde(quick: bool):
-    p = problems.ip2_one_clean(2)
-    q = protocol.deserialize(protocol.serialize(p))
-    return protocol.protocol_equal(p, q), "descriptor round-trip is exact"
+    tf = _haar_trace_form(7, 8)
+    specs = (problems.ip2_one_clean(2), tf, transforms.unclock(tf)[0])
+    ok = all(protocol.protocol_equal(p, protocol.deserialize(protocol.serialize(p))) for p in specs)
+    return ok, "descriptor round-trip is exact"
 
 
 CHECKS = [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from oneclean import protocol, qstate
@@ -27,6 +29,15 @@ from oneclean.transforms import hadamard_test_protocol
 from oneclean.verify import _toy_rotation_base as toy_rotation_base  # noqa: F401
 # the dense two-sided density evolution, independent of both the ring and the column blocks
 from oneclean.verify import _two_sided_acceptance as density_oracle  # noqa: F401
+
+# descriptors written in format version 1, by the code before format version 2
+DATA = Path(__file__).parent / "data"
+
+
+def v1_descriptor(p: ProtocolSpec) -> dict:
+    """``p``'s descriptor in format version 1, which states the rounds and
+    layout of a trace form beside its plan."""
+    return {**protocol.to_descriptor(p), **protocol._layout_obj(vars(p)), "version": 1}
 
 
 def sign_sketch_agreements(a, b, s: int, rng) -> int:

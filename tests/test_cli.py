@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from oneclean import cli, protocol, problems, transforms
+from oneclean import cli, protocol, problems, simulator, transforms
 from oneclean.errors import ValidationError
+
+from helpers import DATA, random_trace_form, v1_descriptor
 
 
 def run_cli(*argv):
@@ -229,7 +231,7 @@ def _ip2_trace_form():
 
 
 def _total(d) -> int:
-    return d["layout"]["clean"] + d["layout"]["mixed"]
+    return len(d["initial_owner"])
 
 
 def _plan_field(key: str, value):
@@ -259,9 +261,11 @@ def _set_target(piece: int, slot: int, value):
         (False, lambda d: d["trace_plan"]["pieces"][0].update(
             ref={"kind": "composed", "width": 9, "factors": []}), "piece 0: ComposedU width 9 != "),
         (True, _plan_field("pairs", lambda d: d["trace_plan"]["pairs"] + 1), "pieces for {pairs} counter pairs"),
+        (False, _plan_field("control", lambda d: 1), "control 1 is not the clean qubit 0"),
+        (True, _plan_field("counter", lambda d: d["trace_plan"]["counter"][1:]), "{pairs} counter pairs, not 2^2"),
     ],
     ids=["control", "channel", "counter", "target-range", "target-repeated", "target-control",
-         "target-counter", "piece-lowering", "piece-count"],
+         "target-counter", "piece-lowering", "piece-count", "control-not-clean", "counter-width"],
 )
 def test_malformed_trace_plan_is_a_named_violation_exiting_2(tmp_path, capsys, unclocked, mutate, named):
     tf = _ip2_trace_form()
@@ -278,6 +282,57 @@ def test_malformed_trace_plan_is_a_named_violation_exiting_2(tmp_path, capsys, u
     assert run_cli("run", "--descriptor", str(desc), "--backend", "trace") == 2
     err = capsys.readouterr().err
     assert "trace_plan" in err and named in err
+
+
+def _swap_pieces(obj: dict, i: int, j: int) -> dict:
+    pieces = obj["trace_plan"]["pieces"]
+    pieces[i], pieces[j] = pieces[j], pieces[i]
+    return obj
+
+
+_IP2_INPUTS = '{"0": "1", "1": "1"}'
+
+
+@pytest.mark.parametrize("backend", ["density", "ensemble", "trace"])
+@pytest.mark.parametrize("source", ["ip2-chain", "fixture"])
+def test_version_1_descriptor_with_swapped_pieces_exits_2(tmp_path, capsys, source, backend):
+    # pieces 1 and 2 belong to different players: the swapped plan builds
+    # rounds that its owners cannot run, and that the file does not state
+    if source == "ip2-chain":
+        obj = v1_descriptor(_ip2_trace_form())
+    else:
+        obj = json.loads((DATA / "trace_form_v1.json").read_text())
+    desc = tmp_path / "swapped.json"
+    desc.write_text(json.dumps(_swap_pieces(obj, 1, 2)))
+    argv = ["run", "--descriptor", str(desc), "--backend", backend, "--inputs", _IP2_INPUTS]
+    assert run_cli(*argv) == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: trace_plan: round ")
+
+
+@pytest.mark.parametrize("source", ["ip2-chain", "fixture"])
+def test_version_2_descriptor_with_swapped_pieces_gives_one_number(tmp_path, source):
+    tf = _ip2_trace_form() if source == "ip2-chain" else random_trace_form(3, pairs=2)
+    # pieces 0 and 2 both belong to the control's owner, so the swap is a valid plan
+    with pytest.raises(ValidationError) as e:
+        protocol.from_descriptor(_swap_pieces(v1_descriptor(tf), 0, 2))
+    assert e.value.violations == [
+        "trace_plan: the rounds or layout differ from the ones the plan builds"
+    ]
+    desc = tmp_path / "swapped.json"
+    desc.write_text(json.dumps(_swap_pieces(protocol.to_descriptor(tf), 0, 2)))
+    got = []
+    # ensemble's branch loop takes seconds on the 13-qubit IP2 form; density is
+    # its other engine there
+    backends = ("density", "trace") if source == "ip2-chain" else ("density", "ensemble", "trace")
+    for backend in backends:
+        out = tmp_path / f"{backend}.json"
+        argv = ["run", "--descriptor", str(desc), "--backend", backend, "--inputs", _IP2_INPUTS]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        got.append(json.loads(out.read_text())["records"][0]["acceptance"])
+    assert max(got) - min(got) < 1e-9, got
+    unswapped = simulator.run_trace(tf, {0: "1", 1: "1"}).acceptance
+    assert abs(got[0] - unswapped) > 1e-6  # the swap changes the operator
 
 
 def test_transform_unknown_pass_exits_2(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from oneclean.protocol import (
     explicit,
 )
 
-from helpers import dense_ref_oracle, random_trace_form, random_two_clean, table_ref
+from helpers import DATA, dense_ref_oracle, random_trace_form, random_two_clean, table_ref, v1_descriptor
 
 
 def test_validate_builtin_protocols_clean():
@@ -55,26 +56,26 @@ def test_validate_flags_foreign_qubit():
     assert any("owned by player" in v for v in e.value.violations)
 
 
-def test_validate_semi_unclocked_message_mismatch():
-    p = random_trace_form(0, pairs=2)
-    uc, _ = __import__("oneclean.transforms", fromlist=["unclock"]).unclock(p)
+@pytest.mark.parametrize(
+    "index, edit, named",
+    [
+        (1, lambda r: dataclasses.replace(r, message=frozenset(sorted(r.message)[:-1])),
+         "semi-unclocked message sets differ across rounds"),
+        (2, lambda r: dataclasses.replace(r, unitary=AdjointU(r.unitary)),
+         "semi-unclocked round 2 unitary differs from earlier rounds"),
+    ],
+    ids=["message-sets", "round-unitary"],
+)
+def test_validate_semi_unclocked_message_mismatch(index, edit, named):
+    # built in memory without a trace_plan, so no plan rebuilds the rounds
+    uc, _ = transforms.unclock(random_trace_form(0, pairs=2))
+    fields = {f: getattr(uc, f) for f in ("layout", "initial_owner", "measurement", "mode", "channel")}
+    ProtocolSpec(name="good", players=2, rounds=uc.rounds, **fields)
     rounds = list(uc.rounds)
-    r = rounds[1]
-    smaller = frozenset(list(sorted(r.message))[:-1])
-    rounds[1] = RoundAction(r.player, r.unitary, r.targets, smaller, r.to)
+    rounds[index] = edit(rounds[index])
     with pytest.raises(ValidationError) as e:
-        ProtocolSpec(
-            name="bad",
-            players=2,
-            layout=uc.layout,
-            initial_owner=uc.initial_owner,
-            rounds=tuple(rounds),
-            measurement=uc.measurement,
-            mode=protocol.SEMI_UNCLOCKED,
-            channel=protocol.FIXED,
-            trace_plan=uc.trace_plan,
-        )
-    assert any("message sets differ" in v for v in e.value.violations)
+        ProtocolSpec(name="bad", players=2, rounds=tuple(rounds), **fields)
+    assert named in e.value.violations
 
 
 def test_communication_costs_ip2():
@@ -175,9 +176,15 @@ def test_cost_monotonicity(c1, c2, e1, e2):
         assert protocol.pp_cost(hi_c, hi_e) <= protocol.pp_cost(hi_c, lo_e)
 
 
-def test_serialize_round_trip_exact():
-    from oneclean.transforms import unclock
+def _readme_chain():
+    """The specs of the README's four-pass IP2 n = 1 chain."""
+    k1, _ = transforms.k_to_one_clean(problems.ip2_clocked(1))
+    sq = transforms.projective_to_single_qubit(k1)
+    tf, _ = transforms.to_trace_form(sq)
+    return [k1, sq, tf, transforms.unclock(tf)[0]]
 
+
+def test_serialize_round_trip_exact():
     protos = [
         problems.ip2_clocked(2),
         problems.ip2_one_clean(2),
@@ -185,7 +192,8 @@ def test_serialize_round_trip_exact():
         problems.abc_protocol(2),
         random_trace_form(3, pairs=2),
     ]
-    protos.append(unclock(protos[-1])[0])
+    protos.append(transforms.unclock(protos[-1])[0])
+    protos += _readme_chain()
     for p in protos:
         q = protocol.deserialize(protocol.serialize(p))
         assert protocol.protocol_equal(p, q), p.name
@@ -307,35 +315,90 @@ def _complement_projector(d):
     d["measurement"]["projector"] = qstate.matrix_to_obj(np.eye(len(proj)) - proj)
 
 
+# the one violation of a version-1 trace form whose rounds its plan does not build
+V1_MISMATCH = "trace_plan: the rounds or layout differ from the ones the plan builds"
+
+
 @pytest.mark.parametrize(
-    "build, mutate",
+    "source, mutate, named",
     [
-        (_unclocked, _bump_player_dispatch_entries),
-        (lambda: problems.ip2_clocked(2), _set_generator_param),
-        (_unclocked, lambda d: d["trace_plan"]["pieces"][0]["targets"].reverse()),
-        (lambda: problems.ip2_one_clean(2), lambda d: d["declared"].update(eps="1/16")),
-        (lambda: random_two_clean(1), _complement_projector),
+        (DATA / "unclocked_v1.json", _bump_player_dispatch_entries, V1_MISMATCH),
+        (lambda: problems.ip2_clocked(2), _set_generator_param, None),
+        (_unclocked, lambda d: d["trace_plan"]["pieces"][0]["targets"].reverse(), None),
+        (lambda: problems.ip2_one_clean(2), lambda d: d["declared"].update(eps="1/16"), None),
+        (lambda: random_two_clean(1), _complement_projector, None),
     ],
     ids=["dispatch-entry", "generator-param", "plan-target", "declared-eps", "projector-entry"],
 )
-def test_protocol_equal_sees_a_single_changed_field(build, mutate):
-    p = build()
+def test_protocol_equal_sees_a_single_changed_field(tmp_path, capsys, source, mutate, named):
+    """A changed field reads as a different spec, or, where the plan
+    rebuilds the changed field (a version-1 round), as a named violation."""
+    text = source.read_text() if isinstance(source, Path) else protocol.serialize(source())
+    p = protocol.deserialize(text)
     assert protocol.protocol_equal(p, protocol.deserialize(protocol.serialize(p)))
-    obj = json.loads(protocol.serialize(p))
+    obj = json.loads(text)
     mutate(obj)
-    assert not protocol.protocol_equal(p, protocol.from_descriptor(obj))
+    if named is None:
+        assert not protocol.protocol_equal(p, protocol.from_descriptor(obj))
+        return
+    with pytest.raises(ValidationError) as e:
+        protocol.from_descriptor(obj)
+    assert e.value.violations == [named]
+    desc = tmp_path / "changed.json"
+    desc.write_text(json.dumps(obj))
+    assert cli.main(["run", "--descriptor", str(desc), "--backend", "trace"]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_deserialized_unclocked_spec_validates_and_flags_a_changed_round():
     uc = _unclocked()
     q = protocol.deserialize(protocol.serialize(uc))
-    assert q.rounds[0].unitary is not q.rounds[2].unitary
+    assert q.rounds[0].unitary is q.rounds[2].unitary
     assert protocol.validate(q) == []
-    obj = json.loads(protocol.serialize(uc))
+    obj = json.loads((DATA / "unclocked_v1.json").read_text())
     _bump_dispatch_entry(obj["rounds"][2])
     with pytest.raises(ValidationError) as e:
         protocol.from_descriptor(obj)
-    assert e.value.violations == ["semi-unclocked round 2 unitary differs from earlier rounds"]
+    assert e.value.violations == [V1_MISMATCH]
+
+
+@pytest.mark.parametrize("unclocked", [False, True], ids=["trace-form", "unclocked"])
+def test_version_1_fixture_loads_and_equals_its_version_2_reading(unclocked):
+    tf = random_trace_form(3, pairs=2)
+    want = transforms.unclock(tf)[0] if unclocked else tf
+    obj = json.loads((DATA / ("unclocked_v1.json" if unclocked else "trace_form_v1.json")).read_text())
+    assert obj == v1_descriptor(want)  # the helper writes what the version-1 code wrote
+    p = protocol.from_descriptor(obj)
+    v2 = json.loads(protocol.serialize(p))
+    assert v2["version"] == 2 and set(v2) == {"version", "name", "initial_owner", "declared", "trace_plan"}
+    assert protocol.protocol_equal(p, protocol.from_descriptor(v2))
+    assert protocol.protocol_equal(p, want)
+
+
+@pytest.mark.parametrize(
+    "version, error",
+    [(0, "field 'version' is 0"), (3, "field 'version' is 3"), ("2", "field 'version' must be an integer"),
+     (2.0, "field 'version' must be an integer"), (True, "field 'version' must be an integer")],
+)
+def test_descriptor_version_other_than_1_or_2_is_a_parse_error(tmp_path, capsys, version, error):
+    obj = protocol.to_descriptor(problems.ip2_clocked(1))
+    assert obj["version"] == 2
+    del obj["version"]  # read as version 1
+    assert protocol.protocol_equal(problems.ip2_clocked(1), protocol.from_descriptor(obj))
+    obj["version"] = version
+    with pytest.raises(ParseError, match=error):
+        protocol.from_descriptor(obj)
+    desc = tmp_path / "p.json"
+    desc.write_text(json.dumps(obj))
+    assert cli.main(["run", "--descriptor", str(desc), "--inputs", '{"0": "1", "1": "1"}']) == 2
+    assert error in capsys.readouterr().err
+
+
+def test_version_2_trace_form_stores_no_rounds():
+    obj = json.loads((DATA / "trace_form_v1.json").read_text())
+    obj["version"] = 2
+    with pytest.raises(ParseError, match="field 'players' is not stored in a version-2 trace form"):
+        protocol.from_descriptor(obj)
 
 
 def _random_ref(rng, width: int, depth: int, kind=None):

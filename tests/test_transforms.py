@@ -462,3 +462,7 @@ def test_random_pass_sequences_agree_across_backends_and_certs(seed, qubits, sin
     assert abs(simulator.run_ensemble(p, inp, sample="all").acceptance - d) < TOL
     if p.trace_plan is not None:
         assert abs(simulator.run_trace(p, inp).acceptance - d) < TOL
+    # the final spec survives its descriptor, a trace form's plan included
+    q = protocol.deserialize(protocol.serialize(p))
+    assert protocol.protocol_equal(p, q)
+    assert simulator.run_density(q, inp).acceptance == d
