@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Any, Optional
 
 import numpy as np
 
 from . import qstate
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, OneCleanError, ParseError, ValidationError
 
 CLOCKED = "clocked"
 SEMI_UNCLOCKED = "semi-unclocked"
@@ -72,6 +73,17 @@ class ExplicitU:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
+
+    @cached_property
+    def is_unitary(self) -> bool:
+        """Unitary within 1e-9; checked once, as the matrix is read-only."""
+        return qstate.is_unitary(self.matrix)
+
+
+class _Built(ExplicitU):
+    """A leaf that ``lower`` or ``trace_form_spec`` builds: unitary by construction."""
+
+    is_unitary = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,12 +181,12 @@ def lower(ref, targets) -> tuple:
         if ref.increment % (1 << w):
             # the selector increment |i + inc mod 2^w><i|, after every branch
             step = np.roll(np.eye(1 << w, dtype=complex), ref.increment, axis=0)
-            out.append((ExplicitU(step), sel, False, (), 0))
+            out.append((_Built(step), sel, False, (), 0))
         return tuple(out)
     if isinstance(ref, FlagStateU):
         # X (x) P + I (x) (I - P) with P = W|0><0|W^dagger is W^dagger, flip-if-zero, W
         inner = lower(ref.inner, targets[1:])
-        flip = (ExplicitU(qstate.flip_if_zero(len(targets) - 1)), targets, False, (), 0)
+        flip = (_Built(qstate.flip_if_zero(len(targets) - 1)), targets, False, (), 0)
         return _adjoint(inner) + (flip,) + inner
     raise DomainError(f"unknown unitary reference {type(ref).__name__}")
 
@@ -206,7 +218,12 @@ def resolve_ref(piece, inputs) -> np.ndarray:
         m, what = leaf.matrix, "explicit matrix"
     else:
         fn, what = generator(leaf.name), f"generator {leaf.name!r}"
-        m = np.asarray(fn(leaf.params, (inputs or {}).get(leaf.input_player)), dtype=complex)
+        try:
+            m = np.asarray(fn(leaf.params, (inputs or {}).get(leaf.input_player)), dtype=complex)
+        except OneCleanError:
+            raise
+        except Exception as e:  # the generator's own failure on its params or input
+            raise DomainError(f"{what} failed: {type(e).__name__}: {e}") from e
     if m.shape != (1 << len(qubits),) * 2:
         raise DomainError(f"{what} has shape {m.shape}, expected dim 2^{len(qubits)}")
     return m.conj().T if adjoint else m
@@ -366,29 +383,28 @@ def validate(p: ProtocolSpec) -> list:
 
     owners = list(p.initial_owner)
     lowered: dict = {}  # (unitary, targets) -> its violations; unclock shares one ref per player
+    bad: dict = {}  # violation -> the rounds that have it, so a repeated one reads once
     for i, r in enumerate(p.rounds):
         if not 0 <= r.player < p.players:
-            v.append(f"round {i}: player {r.player} out of range")
+            bad.setdefault(f"player {r.player} out of range", []).append(i)
             continue
-        seen = set()
+        seen, msgs = set(), []
         for t in r.targets:
             if not 0 <= t < total:
-                v.append(f"round {i}: target {t} out of range")
+                msgs.append(f"target {t} out of range")
             elif t in seen:
-                v.append(f"round {i}: repeated target {t}")
+                msgs.append(f"repeated target {t}")
             elif owners[t] != r.player:
-                v.append(
-                    f"round {i}: unitary touches qubit {t} owned by player {owners[t]}"
-                )
+                msgs.append(f"unitary touches qubit {t} owned by player {owners[t]}")
             seen.add(t)
         for q in sorted(r.message):
             if not 0 <= q < total:
-                v.append(f"round {i}: message qubit {q} out of range")
+                msgs.append(f"message qubit {q} out of range")
             elif owners[q] != r.player:
-                v.append(f"round {i}: message qubit {q} not owned by sender")
+                msgs.append(f"message qubit {q} not owned by sender")
         if r.message:
             if r.to is None or not 0 <= r.to < p.players or r.to == r.player:
-                v.append(f"round {i}: bad receiver {r.to}")
+                msgs.append(f"bad receiver {r.to}")
             else:
                 for q in r.message:
                     if 0 <= q < total:
@@ -396,7 +412,10 @@ def validate(p: ProtocolSpec) -> list:
         key = (r.unitary, r.targets)
         if key not in lowered:
             lowered[key] = _lowering_violations(r.unitary, r.targets)
-        v.extend(f"round {i}: {msg}" for msg in lowered[key])
+        for msg in dict.fromkeys(msgs + lowered[key]):
+            bad.setdefault(msg, []).append(i)
+    for msg, rounds in bad.items():
+        v.append(f"round{'s' * (len(rounds) > 1)} {', '.join(map(str, rounds))}: {msg}")
 
     support = p.measurement.support()
     for q in support:
@@ -427,12 +446,12 @@ def _lowering_violations(ref, targets: tuple) -> list:
     """Why ``ref`` cannot act on ``targets``: a ``lower`` failure, or an
     explicit leaf of the wrong dimension or not unitary within 1e-9."""
     try:
-        pieces = lower(ref, targets)
-        leaves = {(pc[0], len(pc[1])): pc for pc in pieces if isinstance(pc[0], ExplicitU)}
-        bad = [pc for pc in leaves.values() if not qstate.is_unitary(resolve_ref(pc, None))]
+        leaves = {(pc[0], len(pc[1])): pc for pc in lower(ref, targets) if isinstance(pc[0], ExplicitU)}
+        for pc in leaves.values():
+            resolve_ref(pc, None)  # the shape check
     except DomainError as e:
         return [str(e)]
-    return ["explicit matrix is not unitary within 1e-9"] * len(bad)
+    return [] if all(u.is_unitary for u, _ in leaves) else ["explicit matrix is not unitary within 1e-9"]
 
 
 def _validate_trace_plan(tp: TracePlan, total: int) -> list:
@@ -547,6 +566,9 @@ def cost_report(p: ProtocolSpec) -> CostReport:
 # ---------------------------------------------------------------------------
 
 
+_H = _Built(qstate.H)
+
+
 def _compose(factors) -> tuple[ComposedU, tuple]:
     """One ComposedU over the union of the factors' global targets, in time order."""
     targets = tuple(sorted({t for _, tg in factors for t in tg}))
@@ -567,7 +589,7 @@ def _dispatch(plan: TracePlan, parity: int) -> tuple[ComposedU, tuple]:
         (ControlledU(ref), tuple(local[t] for t in (plan.control,) + tg)) for ref, tg in pieces
     )
     disp = DispatchU(len(targets), tuple(local[q] for q in plan.counter), branches, parity)
-    h = (explicit(qstate.H), (plan.control,))
+    h = (_H, (plan.control,))
     return _compose([h, (disp, tuple(targets)), h])
 
 
@@ -590,7 +612,7 @@ def trace_form_spec(
     if plan.pairs:
         steps = [_dispatch(plan, 0), _dispatch(plan, 1)] * plan.pairs
     else:
-        h, last = (explicit(qstate.H), (plan.control,)), len(plan.pieces) - 1
+        h, last = (_H, (plan.control,)), len(plan.pieces) - 1
         steps = []
         for i, (ref, tg) in enumerate(plan.pieces):
             factors = [h] * (i == 0) + [(ControlledU(ref), (plan.control,) + tg)] + [h] * (i == last)
@@ -618,7 +640,7 @@ def trace_form_spec(
 # Descriptor serialization (exact round trip, floats via shortest repr)
 # ---------------------------------------------------------------------------
 
-DESCRIPTOR_VERSION = 2
+DESCRIPTOR_VERSION = 3
 
 
 def _num_to_obj(x):
@@ -635,148 +657,11 @@ def _num_from_obj(x, where: str):
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except ValueError as e:
+        except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"{where}: bad rational {x!r}") from e
     if isinstance(x, (int, float)):
         return float(x)
     raise ParseError(f"{where}: expected number or rational string")
-
-
-def _ref_to_obj(ref) -> dict:
-    if isinstance(ref, ExplicitU):
-        return {"kind": "explicit", "matrix": qstate.matrix_to_obj(ref.matrix)}
-    if isinstance(ref, GenU):
-        return {
-            "kind": "generator",
-            "name": ref.name,
-            "params": ref.params,
-            "input_player": ref.input_player,
-        }
-    if isinstance(ref, AdjointU):
-        return {"kind": "adjoint", "inner": _ref_to_obj(ref.inner)}
-    if isinstance(ref, ControlledU):
-        return {"kind": "controlled", "inner": _ref_to_obj(ref.inner)}
-    if isinstance(ref, FlagStateU):
-        return {"kind": "flag_state", "inner": _ref_to_obj(ref.inner)}
-    if isinstance(ref, ComposedU):
-        return {
-            "kind": "composed",
-            "width": ref.width,
-            "factors": [
-                {"ref": _ref_to_obj(sub), "pos": list(pos)} for sub, pos in ref.factors
-            ],
-        }
-    if isinstance(ref, DispatchU):
-        return {
-            "kind": "dispatch",
-            "width": ref.width,
-            "selector": list(ref.selector),
-            "increment": ref.increment,
-            "branches": [
-                None if b is None else {"ref": _ref_to_obj(b[0]), "pos": list(b[1])}
-                for b in ref.branches
-            ],
-        }
-    raise ParseError(f"cannot serialize unitary reference {type(ref).__name__}")
-
-
-def _ref_from_obj(obj, where: str):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"{where}: unitary reference needs a 'kind'")
-    kind = obj["kind"]
-    try:
-        if kind == "explicit":
-            return ExplicitU(qstate.matrix_from_obj(obj["matrix"]))
-        if kind == "generator":
-            return GenU(
-                _require(obj, "name", where, str),
-                _optional(obj, "params", where, dict) or {},
-                _require(obj, "input_player", where, int),
-            )
-        if kind == "adjoint":
-            return AdjointU(_ref_from_obj(obj["inner"], where))
-        if kind == "controlled":
-            return ControlledU(_ref_from_obj(obj["inner"], where))
-        if kind == "flag_state":
-            return FlagStateU(_ref_from_obj(obj["inner"], where))
-        if kind == "composed":
-            return ComposedU(
-                _require(obj, "width", where, int),
-                tuple(
-                    (_ref_from_obj(f["ref"], where), _int_list(f, "pos", where))
-                    for f in obj["factors"]
-                ),
-            )
-        if kind == "dispatch":
-            return DispatchU(
-                _require(obj, "width", where, int),
-                _int_list(obj, "selector", where),
-                tuple(
-                    None
-                    if b is None
-                    else (_ref_from_obj(b["ref"], where), _int_list(b, "pos", where))
-                    for b in obj["branches"]
-                ),
-                _optional(obj, "increment", where, int) or 0,
-            )
-    except KeyError as e:
-        raise ParseError(f"{where}: missing field {e.args[0]!r}") from e
-    raise ParseError(f"{where}: unknown unitary kind {kind!r}")
-
-
-def _layout_obj(f: dict) -> dict:
-    """The descriptor fields that a trace form rebuilds from its plan, from
-    ``f``: a spec's ``vars`` or the fields parsed from a descriptor."""
-    meas = f["measurement"]
-    if meas.single_qubit is not None:
-        mobj = {"single_qubit": meas.single_qubit}
-    else:
-        mobj = {"qubits": list(meas.qubits), "projector": qstate.matrix_to_obj(meas.projector)}
-    return {
-        "players": f["players"],
-        "layout": {"clean": f["layout"].clean, "mixed": f["layout"].mixed},
-        "mode": f["mode"],
-        "channel": f["channel"],
-        "rounds": [
-            {
-                "player": r.player,
-                "unitary": _ref_to_obj(r.unitary),
-                "targets": list(r.targets),
-                "message": sorted(r.message),
-                "to": r.to,
-            }
-            for r in f["rounds"]
-        ],
-        "measurement": mobj,
-    }
-
-
-def to_descriptor(p: ProtocolSpec) -> dict:
-    """Version 2: a trace form is stored as its plan, any other spec with its rounds."""
-    obj = {
-        "version": DESCRIPTOR_VERSION,
-        "name": p.name,
-        "initial_owner": list(p.initial_owner),
-        "declared": {"p": _num_to_obj(p.declared_p), "eps": _num_to_obj(p.declared_eps)},
-    }
-    tp = p.trace_plan
-    if tp is None:
-        obj.update(_layout_obj(vars(p)))
-    else:
-        obj["trace_plan"] = {
-            "control": tp.control,
-            "channel": tp.channel,
-            "pieces": [
-                {"ref": _ref_to_obj(ref), "targets": list(tg)} for ref, tg in tp.pieces
-            ],
-            "counter": list(tp.counter),
-            "pairs": tp.pairs,
-        }
-    return obj
-
-
-def serialize(p: ProtocolSpec) -> str:
-    return json.dumps(to_descriptor(p), separators=(",", ":"))
 
 
 _KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
@@ -807,27 +692,152 @@ def _int_list(obj: dict, key: str, where: str, optional: bool = False) -> tuple[
     return tuple(_expect(v, int, f"{where}: field {key!r} entry {i}") for i, v in enumerate(vals))
 
 
-def _layout_from_obj(obj: dict) -> dict:
+# A field codec is a pair: write(value, matrices) gives the JSON value, and
+# read(obj, key, where, matrices) reads ``obj[key]``. The writer's ``matrices``
+# maps each explicit matrix, keyed by its exact value, to (index, matrix) in
+# first-occurrence order. The reader's lists the explicit leaves of a version-3
+# descriptor, and is None for versions 1 and 2, which write each matrix inline.
+
+
+def _field(kind: type, default=None):
+    """A JSON integer, string or object; absent or null reads as ``default()`` if given."""
+
+    def read(obj, key, where, matrices):
+        return default() if default and obj.get(key) is None else _require(obj, key, where, kind)
+
+    return (lambda val, matrices: val), read
+
+
+def _ints(write=list, optional: bool = False):
+    """A list of integers, written by ``write``; absent reads as () if ``optional``."""
+    return (lambda val, matrices: write(val)), lambda obj, key, where, _: _int_list(obj, key, where, optional)
+
+
+def _placed(identity_ok: bool, pos: str = "pos"):
+    """A list of ``{ref, pos}`` entries, and ``None`` (the identity) if ``identity_ok``."""
+
+    def write(entries, matrices):
+        return [None if e is None else {"ref": _ref_to_obj(e[0], matrices), pos: list(e[1])} for e in entries]
+
+    def read(obj, key, where, matrices):
+        out = list(_require(obj, key, where, list))
+        for i, e in enumerate(out):
+            if e is not None or not identity_ok:
+                ew = f"{where}.{key}[{i}]"
+                out[i] = (_ref_from_obj(_expect(e, dict, ew), "ref", ew, matrices), _int_list(e, pos, ew))
+        return tuple(out)
+
+    return write, read
+
+
+def _write_matrix(m: np.ndarray, matrices: dict) -> int:
+    return matrices.setdefault((m.shape, m.tobytes()), (len(matrices), m))[0]
+
+
+def _read_matrix(obj, key, where, matrices) -> ExplicitU:
+    val = _require(obj, key, where)
+    if matrices is None:  # versions 1 and 2 write the matrix inline
+        return ExplicitU(qstate.matrix_from_obj(val))
+    i = _expect(val, int, f"{where}: field {key!r}")
+    if not 0 <= i < len(matrices):
+        raise ParseError(f"{where}: field {key!r} is {i}, not an index into the {len(matrices)} matrices")
+    return matrices[i]
+
+
+def _write(x, fields, matrices) -> dict:
+    return {key: write(getattr(x, key), matrices) for key, (write, _) in fields}
+
+
+def _read(obj: dict, fields, where: str, matrices) -> dict:
+    return {key: read(obj, key, where, matrices) for key, (_, read) in fields}
+
+
+def _ref_to_obj(ref, matrices: dict) -> dict:
+    kind = _KIND_OF.get(type(ref))
+    if kind is None:
+        raise ParseError(f"cannot serialize unitary reference {type(ref).__name__}")
+    return {"kind": kind, **_write(ref, _REF_KINDS[kind][1], matrices)}
+
+
+def _ref_from_obj(obj, key: str, where: str, matrices):
+    ref, where = _require(obj, key, where), f"{where}.{key}"
+    kind = _require(_expect(ref, dict, where), "kind", where, str)
+    if kind not in _REF_KINDS:
+        raise ParseError(f"{where}: unknown unitary kind {kind!r}")
+    cls, fields = _REF_KINDS[kind]
+    vals = _read(ref, fields, where, matrices)
+    # an explicit leaf is the reader's own object, so equal matrices share one leaf
+    return vals["matrix"] if cls is ExplicitU else cls(**vals)
+
+
+_INT, _INTS, _REF = _field(int), _ints(), (_ref_to_obj, _ref_from_obj)
+# kind -> (class, ((field, codec), ...)), the fields in descriptor order
+_REF_KINDS = {
+    "explicit": (ExplicitU, (("matrix", (_write_matrix, _read_matrix)),)),
+    "generator": (GenU, (("name", _field(str)), ("params", _field(dict, dict)), ("input_player", _INT))),
+    "adjoint": (AdjointU, (("inner", _REF),)),
+    "controlled": (ControlledU, (("inner", _REF),)),
+    "flag_state": (FlagStateU, (("inner", _REF),)),
+    "composed": (ComposedU, (("width", _INT), ("factors", _placed(False)))),
+    "dispatch": (DispatchU, (("width", _INT), ("selector", _INTS), ("increment", _field(int, int)),
+                             ("branches", _placed(True)))),
+}
+_KIND_OF = {_Built: "explicit", **{cls: kind for kind, (cls, _) in _REF_KINDS.items()}}
+_LAYOUT = (("clean", _INT), ("mixed", _INT))
+_ROUND = (("player", _INT), ("unitary", _REF), ("targets", _INTS), ("message", _ints(sorted)),
+          ("to", _field(int, lambda: None)))
+_PLAN = (("control", _INT), ("channel", _INT), ("pieces", _placed(False, "targets")),
+         ("counter", _ints(optional=True)), ("pairs", _field(int, int)))
+
+
+def _layout_obj(f: dict, matrices: dict) -> dict:
+    """The descriptor fields that a trace form rebuilds from its plan, from
+    ``f``: a spec's ``vars`` or the fields parsed from a descriptor."""
+    meas = f["measurement"]
+    if meas.single_qubit is not None:
+        mobj = {"single_qubit": meas.single_qubit}
+    else:
+        mobj = {"qubits": list(meas.qubits), "projector": qstate.matrix_to_obj(meas.projector)}
+    return {
+        "players": f["players"],
+        "layout": _write(f["layout"], _LAYOUT, matrices),
+        "mode": f["mode"],
+        "channel": f["channel"],
+        "rounds": [_write(r, _ROUND, matrices) for r in f["rounds"]],
+        "measurement": mobj,
+    }
+
+
+def to_descriptor(p: ProtocolSpec) -> dict:
+    """Version 3: a trace form is stored as its plan, any other spec with its
+    rounds, and each distinct explicit matrix once, in ``matrices``."""
+    matrices: dict = {}
+    obj = {
+        "version": DESCRIPTOR_VERSION,
+        "name": p.name,
+        "initial_owner": list(p.initial_owner),
+        "declared": {"p": _num_to_obj(p.declared_p), "eps": _num_to_obj(p.declared_eps)},
+    }
+    if p.trace_plan is None:
+        obj.update(_layout_obj(vars(p), matrices))
+    else:
+        obj["trace_plan"] = _write(p.trace_plan, _PLAN, matrices)
+    obj["matrices"] = [qstate.matrix_to_obj(m) for _, m in matrices.values()]
+    return obj
+
+
+def serialize(p: ProtocolSpec) -> str:
+    return json.dumps(to_descriptor(p), separators=(",", ":"))
+
+
+def _layout_from_obj(obj: dict, matrices) -> dict:
     """The fields ``_layout_obj`` writes, parsed from a descriptor."""
     where = "descriptor"
-    layout_obj = _require(obj, "layout", where, dict)
-    layout = RegisterLayout(
-        _require(layout_obj, "clean", "layout", int),
-        _require(layout_obj, "mixed", "layout", int),
-    )
-    rounds = []
-    for i, r in enumerate(_require(obj, "rounds", where, list)):
-        rw = f"rounds[{i}]"
-        _expect(r, dict, rw)
-        rounds.append(
-            RoundAction(
-                player=_require(r, "player", rw, int),
-                unitary=_ref_from_obj(_require(r, "unitary", rw), rw),
-                targets=_int_list(r, "targets", rw),
-                message=frozenset(_int_list(r, "message", rw)),
-                to=_optional(r, "to", rw, int),
-            )
-        )
+    layout = _read(_require(obj, "layout", where, dict), _LAYOUT, "layout", matrices)
+    rounds = [
+        RoundAction(**_read(_expect(r, dict, f"rounds[{i}]"), _ROUND, f"rounds[{i}]", matrices))
+        for i, r in enumerate(_require(obj, "rounds", where, list))
+    ]
     mobj = _require(obj, "measurement", where, dict)
     if "single_qubit" in mobj:
         meas = Measurement(single_qubit=_require(mobj, "single_qubit", "measurement", int))
@@ -838,7 +848,7 @@ def _layout_from_obj(obj: dict) -> dict:
         )
     return {
         "players": _require(obj, "players", where, int),
-        "layout": layout,
+        "layout": RegisterLayout(**layout),
         "mode": _require(obj, "mode", where, str),
         "channel": _require(obj, "channel", where, str),
         "rounds": tuple(rounds),
@@ -846,33 +856,22 @@ def _layout_from_obj(obj: dict) -> dict:
     }
 
 
-def _plan_from_obj(tp: dict) -> TracePlan:
-    pieces = []
-    for j, pc in enumerate(_require(tp, "pieces", "trace_plan", list)):
-        pw = f"trace_plan.pieces[{j}]"
-        _expect(pc, dict, pw)
-        pieces.append((_ref_from_obj(_require(pc, "ref", pw), pw), _int_list(pc, "targets", pw)))
-    return TracePlan(
-        control=_require(tp, "control", "trace_plan", int),
-        channel=_require(tp, "channel", "trace_plan", int),
-        pieces=tuple(pieces),
-        counter=_int_list(tp, "counter", "trace_plan", optional=True),
-        pairs=_optional(tp, "pairs", "trace_plan", int) or 0,
-    )
-
-
 def from_descriptor(obj: dict) -> ProtocolSpec:
-    """The spec a version-1 or -2 descriptor states (no version field reads as 1).
+    """The spec a version-1, -2 or -3 descriptor states (no version field reads as 1).
 
-    A trace form is built from its plan by ``trace_form_spec``; a version-2
-    one stores nothing else, and a version-1 one must state the rounds and
-    layout that its plan builds.
+    A trace form is built from its plan by ``trace_form_spec``; from version
+    2 on it stores nothing else, and a version-1 one must state the rounds
+    and layout that its plan builds. Version 3 reads each explicit leaf from
+    ``matrices`` by index, one object per entry; earlier ones write it inline.
     """
     where = "descriptor"
     _expect(obj, dict, where)
     version = _expect(obj.get("version", 1), int, f"{where}: field 'version'")
-    if version not in (1, 2):
-        raise ParseError(f"{where}: field 'version' is {version}, expected 1 or 2")
+    if not 1 <= version <= DESCRIPTOR_VERSION:
+        raise ParseError(f"{where}: field 'version' is {version}, expected 1 to {DESCRIPTOR_VERSION}")
+    matrices = None
+    if version == 3:
+        matrices = [ExplicitU(qstate.matrix_from_obj(m)) for m in _require(obj, "matrices", where, list)]
     declared = _optional(obj, "declared", where, dict) or {}
     head = {
         "name": _expect(obj.get("name", "protocol"), str, f"{where}: field 'name'"),
@@ -881,12 +880,12 @@ def from_descriptor(obj: dict) -> ProtocolSpec:
     }
     owners = _int_list(obj, "initial_owner", where)
     tp = _optional(obj, "trace_plan", where, dict)
-    plan = None if tp is None else _plan_from_obj(tp)
+    plan = None if tp is None else TracePlan(**_read(tp, _PLAN, "trace_plan", matrices))
     if plan is None or version == 1:
-        fields = _layout_from_obj(obj)
+        fields = _layout_from_obj(obj, matrices)
     elif stray := [k for k in ("players", "layout", "mode", "channel", "rounds", "measurement")
                    if k in obj]:
-        raise ParseError(f"{where}: field {stray[0]!r} is not stored in a version-2 trace form")
+        raise ParseError(f"{where}: field {stray[0]!r} is not stored in a version-{version} trace form")
     if plan is None:
         return ProtocolSpec(initial_owner=owners, **head, **fields)
     if violations := _validate_trace_plan(plan, len(owners)):
@@ -895,7 +894,8 @@ def from_descriptor(obj: dict) -> ProtocolSpec:
         spec = trace_form_spec(plan, owners, **head)
     except ValidationError as e:  # rounds the plan's owners cannot run
         raise ValidationError([f"trace_plan: {v}" for v in e.violations]) from None
-    if version == 1 and _layout_obj(fields) != _layout_obj(vars(spec)):
+    written: dict = {}  # one matrix table, so equal indices are equal matrices
+    if version == 1 and _layout_obj(fields, written) != _layout_obj(vars(spec), written):
         raise ValidationError(["trace_plan: the rounds or layout differ from the ones the plan builds"])
     return spec
 
@@ -913,8 +913,4 @@ def protocol_equal(a: ProtocolSpec, b: ProtocolSpec) -> bool:
     return to_descriptor(a) == to_descriptor(b)
 
 
-# Convenience constructors used by transforms and built-ins.
-
-
-def explicit(matrix) -> ExplicitU:
-    return ExplicitU(matrix)
+explicit = ExplicitU  # the short name that transforms and built-ins use

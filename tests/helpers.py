@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +31,31 @@ from oneclean.verify import _toy_rotation_base as toy_rotation_base  # noqa: F40
 # the dense two-sided density evolution, independent of both the ring and the column blocks
 from oneclean.verify import _two_sided_acceptance as density_oracle  # noqa: F401
 
-# descriptors written in format version 1, by the code before format version 2
+# descriptors written by earlier format versions, named <spec>_v<version>.json
 DATA = Path(__file__).parent / "data"
+
+
+def inline_matrices(desc: dict) -> dict:
+    """A version-3 descriptor with each explicit matrix written inline in its
+    leaf, as versions 1 and 2 wrote it, and no ``matrices`` list."""
+
+    def inline(obj):
+        if isinstance(obj, list):
+            return [inline(v) for v in obj]
+        if not isinstance(obj, dict):
+            return obj
+        if obj.get("kind") == "explicit":
+            return {**obj, "matrix": desc["matrices"][obj["matrix"]]}
+        return {k: inline(v) for k, v in obj.items()}
+
+    return {k: inline(v) for k, v in desc.items() if k != "matrices"}
 
 
 def v1_descriptor(p: ProtocolSpec) -> dict:
     """``p``'s descriptor in format version 1, which states the rounds and
-    layout of a trace form beside its plan."""
-    return {**protocol.to_descriptor(p), **protocol._layout_obj(vars(p)), "version": 1}
+    layout of a trace form beside its plan, with every matrix inline."""
+    rounds = inline_matrices(protocol.to_descriptor(dataclasses.replace(p, trace_plan=None)))
+    return {**rounds, **inline_matrices(protocol.to_descriptor(p)), "version": 1}
 
 
 def sign_sketch_agreements(a, b, s: int, rng) -> int:

@@ -40,8 +40,10 @@ def test_run_malformed_descriptor_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-# row 0 of the explicit Hadamard factor in middle(n=2)'s round 0
-_ENTRY = ("rounds", 0, "unitary", "factors", 0, "ref", "matrix", "entries", 0)
+# row 0 of matrices[0], the explicit Hadamard factor of middle(n=2)'s round 0
+_ENTRY = ("matrices", 0, "entries", 0)
+_FACTORS = ("rounds", 0, "unitary", "factors")
+_DISPATCH = {"kind": "dispatch", "width": 2, "selector": [0], "increment": 0}
 
 
 @pytest.mark.parametrize(
@@ -67,6 +69,14 @@ _ENTRY = ("rounds", 0, "unitary", "factors", 0, "ref", "matrix", "entries", 0)
         (("mode",), "'mode'"),
         (_ENTRY + ((0, [1]),), "[re, im]"),
         (_ENTRY + ((0, ["1", 0]),), "[re, im]"),
+        (("declared", ("p", "1/0")), "declared.p: bad rational '1/0'"),
+        (_FACTORS[:-1] + (("factors", "ab"),), "field 'factors' must be a list"),
+        (_FACTORS + ((0, 7),), "factors[0] must be an object"),
+        (("rounds", 0, ("unitary", {**_DISPATCH, "branches": "ab"})), "field 'branches' must be a list"),
+        (("rounds", 0, ("unitary", {**_DISPATCH, "branches": [7, None]})), "branches[0] must be an object"),
+        (_FACTORS + (0, "ref", ("matrix", 1)), "field 'matrix' is 1, not an index into the 1 matrices"),
+        (_FACTORS + (0, "ref", ("matrix", -1)), "field 'matrix' is -1, not an index"),
+        (_FACTORS + (0, "ref", ("matrix", {"dim": 1, "entries": [[[1, 0]]]})), "'matrix' must be an integer"),
     ],
 )
 def test_run_descriptor_with_a_mistyped_field_exits_2(tmp_path, capsys, path, named):
@@ -88,6 +98,21 @@ def test_run_descriptor_with_a_mistyped_field_exits_2(tmp_path, capsys, path, na
     assert run_cli("run", "--descriptor", str(desc)) == 2
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and named in errors[0]
+
+
+@pytest.mark.parametrize(
+    "params, named",
+    [({}, "KeyError: 'i'"), ({"i": "x", "n": 1}, "ValueError: "), ({"i": 5, "n": 1}, "IndexError: ")],
+    ids=["missing", "not-an-integer", "out-of-range"],
+)
+def test_run_descriptor_whose_generator_fails_on_its_params_exits_2(tmp_path, capsys, params, named):
+    obj = protocol.to_descriptor(problems.ip2_one_clean(1))
+    obj["rounds"][1]["unitary"]["params"] = params
+    desc = tmp_path / "p.json"
+    desc.write_text(json.dumps(obj))
+    assert run_cli("run", "--descriptor", str(desc), "--inputs", '{"0": "1", "1": "1"}') == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and "generator 'ip2_bob' failed" in errors[0] and named in errors[0]
 
 
 @pytest.mark.parametrize(

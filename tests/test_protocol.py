@@ -16,6 +16,7 @@ from oneclean.protocol import (
     ComposedU,
     ControlledU,
     DispatchU,
+    ExplicitU,
     FlagStateU,
     Measurement,
     ProtocolSpec,
@@ -24,7 +25,9 @@ from oneclean.protocol import (
     explicit,
 )
 
-from helpers import DATA, dense_ref_oracle, random_trace_form, random_two_clean, table_ref, v1_descriptor
+from helpers import (
+    DATA, dense_ref_oracle, inline_matrices, random_trace_form, random_two_clean, table_ref, v1_descriptor,
+)
 
 
 def test_validate_builtin_protocols_clean():
@@ -176,9 +179,9 @@ def test_cost_monotonicity(c1, c2, e1, e2):
         assert protocol.pp_cost(hi_c, hi_e) <= protocol.pp_cost(hi_c, lo_e)
 
 
-def _readme_chain():
-    """The specs of the README's four-pass IP2 n = 1 chain."""
-    k1, _ = transforms.k_to_one_clean(problems.ip2_clocked(1))
+def _readme_chain(base=None):
+    """The specs of the README's four-pass chain, on IP2 n = 1 by default."""
+    k1, _ = transforms.k_to_one_clean(base or problems.ip2_clocked(1))
     sq = transforms.projective_to_single_qubit(k1)
     tf, _ = transforms.to_trace_form(sq)
     return [k1, sq, tf, transforms.unclock(tf)[0]]
@@ -209,9 +212,9 @@ def test_deserialize_missing_mode_names_field():
 def test_deserialize_then_validate_catches_perturbed_unitary():
     p = problems.middle_protocol(2)
     obj = protocol.to_descriptor(p)
-    # perturb one explicit matrix entry by 1e-3
-    mat = obj["rounds"][0]["unitary"]["factors"][0]["ref"]["matrix"]
-    mat["entries"][0][0][0] += 1e-3
+    # perturb one entry of round 0's first explicit matrix by 1e-3
+    index = obj["rounds"][0]["unitary"]["factors"][0]["ref"]["matrix"]
+    obj["matrices"][index]["entries"][0][0][0] += 1e-3
     with pytest.raises(ValidationError) as e:
         protocol.from_descriptor(obj)
     assert any("not unitary" in v for v in e.value.violations)
@@ -350,6 +353,41 @@ def test_protocol_equal_sees_a_single_changed_field(tmp_path, capsys, source, mu
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("base, entries", [(lambda: problems.ip2_clocked(1), 5),
+                                           (lambda: problems.middle_protocol(8), 6)], ids=["ip2-n1", "middle-n8"])
+def test_version_3_descriptor_names_each_explicit_matrix_once(monkeypatch, base, entries):
+    text = protocol.serialize(_readme_chain(base())[-1])
+    obj = json.loads(text)
+    assert len(obj["matrices"]) == entries == len({json.dumps(m) for m in obj["matrices"]})
+    # leaves hold indices, and no matrix object is written outside the list
+    assert _first_ref(obj, "explicit")["matrix"] == 0
+    assert '"dim"' not in json.dumps({k: v for k, v in obj.items() if k != "matrices"})
+    checked = []
+    is_unitary = qstate.is_unitary
+    monkeypatch.setattr(qstate, "is_unitary", lambda m: checked.append(m) or is_unitary(m))
+    q = protocol.deserialize(text)
+    assert len(checked) == entries  # once per entry, none for the leaves the program builds
+    # after reading, equal matrices are one leaf object
+    leaves = {id(pc[0]): pc[0] for ref, tg in q.trace_plan.pieces for pc in protocol.lower(ref, tg)
+              if isinstance(pc[0], ExplicitU)}
+    assert len(leaves) == len({leaf.matrix.tobytes() for leaf in leaves.values()}) == entries
+
+
+def test_a_violation_repeated_over_rounds_reads_once():
+    obj = protocol.to_descriptor(_readme_chain()[-1])
+    pieces = obj["trace_plan"]["pieces"]
+    pieces[1], pieces[2] = pieces[2], pieces[1]  # each piece handed to the other player
+    with pytest.raises(ValidationError) as e:
+        protocol.from_descriptor(obj)
+    even, odd = "rounds 0, 2, 4, 6, 8, 10, 12, 14", "rounds 1, 3, 5, 7, 9, 11, 13, 15"
+    assert e.value.violations == [
+        f"trace_plan: {even}: unitary touches qubit 2 owned by player 0",
+        f"trace_plan: {even}: unitary touches qubit 3 owned by player 0",
+        f"trace_plan: {even}: unitary touches qubit 4 owned by player 0",
+        f"trace_plan: {odd}: unitary touches qubit 7 owned by player 1",
+    ]
+
+
 def test_deserialized_unclocked_spec_validates_and_flags_a_changed_round():
     uc = _unclocked()
     q = protocol.deserialize(protocol.serialize(uc))
@@ -369,20 +407,49 @@ def test_version_1_fixture_loads_and_equals_its_version_2_reading(unclocked):
     obj = json.loads((DATA / ("unclocked_v1.json" if unclocked else "trace_form_v1.json")).read_text())
     assert obj == v1_descriptor(want)  # the helper writes what the version-1 code wrote
     p = protocol.from_descriptor(obj)
-    v2 = json.loads(protocol.serialize(p))
-    assert v2["version"] == 2 and set(v2) == {"version", "name", "initial_owner", "declared", "trace_plan"}
+    v2 = {**inline_matrices(protocol.to_descriptor(p)), "version": 2}
+    assert set(v2) == {"version", "name", "initial_owner", "declared", "trace_plan"}
     assert protocol.protocol_equal(p, protocol.from_descriptor(v2))
     assert protocol.protocol_equal(p, want)
 
 
+# the spec that each committed descriptor states, built in memory
+_FIXTURE_SPECS = {
+    "trace_form_v1": lambda: random_trace_form(3, pairs=2),
+    "unclocked_v1": lambda: transforms.unclock(random_trace_form(3, pairs=2))[0],
+    "unclocked_v2": _unclocked,
+    "two_clean_v2": lambda: random_two_clean(1),
+    "unclocked_v3": _unclocked,
+    "two_clean_v3": lambda: random_two_clean(1),
+}
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda path: path.stem)
+def test_committed_descriptor_loads_and_equals_its_spec(path):
+    want = _FIXTURE_SPECS[path.stem]()
+    version = int(path.stem.rsplit("_v", 1)[1])
+    obj = json.loads(path.read_text())
+    assert obj.get("version", 1) == version
+    # the helpers write what each earlier version's code wrote
+    if version == 1:
+        assert obj == v1_descriptor(want)
+    elif version == 2:
+        assert obj == {**inline_matrices(protocol.to_descriptor(want)), "version": 2}
+    else:
+        assert path.read_text() == protocol.serialize(want) + "\n"
+    p = protocol.from_descriptor(obj)
+    assert protocol.protocol_equal(p, want)
+    assert protocol.protocol_equal(p, protocol.deserialize(protocol.serialize(p)))
+
+
 @pytest.mark.parametrize(
     "version, error",
-    [(0, "field 'version' is 0"), (3, "field 'version' is 3"), ("2", "field 'version' must be an integer"),
+    [(0, "field 'version' is 0"), (4, "field 'version' is 4"), ("2", "field 'version' must be an integer"),
      (2.0, "field 'version' must be an integer"), (True, "field 'version' must be an integer")],
 )
-def test_descriptor_version_other_than_1_or_2_is_a_parse_error(tmp_path, capsys, version, error):
+def test_descriptor_version_outside_1_to_3_is_a_parse_error(tmp_path, capsys, version, error):
     obj = protocol.to_descriptor(problems.ip2_clocked(1))
-    assert obj["version"] == 2
+    assert obj["version"] == 3
     del obj["version"]  # read as version 1
     assert protocol.protocol_equal(problems.ip2_clocked(1), protocol.from_descriptor(obj))
     obj["version"] = version
@@ -515,7 +582,9 @@ def test_malformed_unitary_ref_is_a_named_violation_exiting_2(tmp_path, capsys, 
     assert violations[0].startswith("round 0: ") and named in violations[0]
     # the same round written into a valid one-round descriptor
     obj = protocol.to_descriptor(_one_round(_X, (0,)))
-    obj["rounds"][0].update(unitary=protocol._ref_to_obj(ref), targets=list(targets))
+    matrices: dict = {}
+    obj["rounds"][0].update(unitary=protocol._ref_to_obj(ref, matrices), targets=list(targets))
+    obj["matrices"] = [qstate.matrix_to_obj(m) for _, m in matrices.values()]
     desc = tmp_path / "bad.json"
     desc.write_text(json.dumps(obj))
     assert cli.main(["run", "--descriptor", str(desc)]) == 2
