@@ -98,6 +98,8 @@ def _builtin_protocol(name: str, n: int) -> protocol.ProtocolSpec:
 
 
 def _load_protocol(args) -> protocol.ProtocolSpec:
+    if args.descriptor and args.protocol:
+        raise OneCleanError("give --protocol or --descriptor, not both")
     if args.descriptor:
         return protocol.deserialize(Path(args.descriptor).read_text())
     if not args.protocol:

@@ -82,14 +82,13 @@ def ip2_clocked(n: int) -> ProtocolSpec:
     """Clocked two-clean-qubit IP2 protocol: zero error, communication 2n."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    accept_one = np.array([[0, 0], [0, 1]], dtype=complex)
     return ProtocolSpec(
         name=f"ip2-clocked(n={n})",
         players=2,
         layout=RegisterLayout(clean=2, mixed=0),
         initial_owner=(ALICE, ALICE),
         rounds=tuple(_ip2_rounds(n, shift=0)),
-        measurement=Measurement(qubits=(1,), projector=accept_one),
+        measurement=Measurement(qubits=(1,), projector=qstate.basis_projector(1)),
         declared_p=Fraction(1, 2),
         declared_eps=Fraction(1, 2),
     )
@@ -113,9 +112,8 @@ def ip2_one_clean(n: int) -> ProtocolSpec:
     first = ComposedU(3, (flag, (rounds[0].unitary, (1,))))
     rounds[0] = RoundAction(ALICE, first, (0, 1, 2), frozenset({0, 1, 2}), BOB)
     plus = np.full((2, 2), 0.5, dtype=complex)
-    accept_one = np.array([[0, 0], [0, 1]], dtype=complex)
     proj = np.kron(
-        qstate.basis_projector(1), np.kron(qstate.I2, accept_one)
+        qstate.basis_projector(1), np.kron(qstate.I2, qstate.basis_projector(1))
     ) + np.kron(qstate.basis_projector(0), np.kron(plus, qstate.I2))
     return ProtocolSpec(
         name=f"ip2-one-clean(n={n})",

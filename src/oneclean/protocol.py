@@ -10,6 +10,7 @@ protocol object describes the whole input-indexed family.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -88,11 +89,15 @@ class _Built(ExplicitU):
 
 @dataclass(frozen=True, eq=False)
 class GenU:
-    """Named generator; resolved with ``input_player``'s input at run time."""
+    """Named generator; resolved with ``input_player``'s input at run time.
+    ``params`` is the generator's own deep copy, so no caller's dict can change it."""
 
     name: str
     params: dict
     input_player: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", copy.deepcopy(self.params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -700,12 +705,13 @@ def _int_list(obj: dict, key: str, where: str, optional: bool = False) -> tuple[
 
 
 def _field(kind: type, default=None):
-    """A JSON integer, string or object; absent or null reads as ``default()`` if given."""
+    """A JSON integer, string or object (written as a deep copy, so a descriptor
+    shares no dict with its spec); absent or null reads as ``default()`` if given."""
 
     def read(obj, key, where, matrices):
         return default() if default and obj.get(key) is None else _require(obj, key, where, kind)
 
-    return (lambda val, matrices: val), read
+    return (lambda val, matrices: copy.deepcopy(val) if kind is dict else val), read
 
 
 def _ints(write=list, optional: bool = False):
@@ -730,6 +736,14 @@ def _placed(identity_ok: bool, pos: str = "pos"):
     return write, read
 
 
+def _matrix(val, where: str) -> np.ndarray:
+    """``qstate.matrix_from_obj``, its error naming the descriptor path ``where``."""
+    try:
+        return qstate.matrix_from_obj(val)
+    except ParseError as e:
+        raise ParseError(f"{where}: {e}") from None
+
+
 def _write_matrix(m: np.ndarray, matrices: dict) -> int:
     return matrices.setdefault((m.shape, m.tobytes()), (len(matrices), m))[0]
 
@@ -737,7 +751,7 @@ def _write_matrix(m: np.ndarray, matrices: dict) -> int:
 def _read_matrix(obj, key, where, matrices) -> ExplicitU:
     val = _require(obj, key, where)
     if matrices is None:  # versions 1 and 2 write the matrix inline
-        return ExplicitU(qstate.matrix_from_obj(val))
+        return ExplicitU(_matrix(val, f"{where}: field {key!r}"))
     i = _expect(val, int, f"{where}: field {key!r}")
     if not 0 <= i < len(matrices):
         raise ParseError(f"{where}: field {key!r} is {i}, not an index into the {len(matrices)} matrices")
@@ -844,7 +858,7 @@ def _layout_from_obj(obj: dict, matrices) -> dict:
     else:
         meas = Measurement(
             qubits=_int_list(mobj, "qubits", "measurement"),
-            projector=qstate.matrix_from_obj(_require(mobj, "projector", "measurement")),
+            projector=_matrix(_require(mobj, "projector", "measurement"), "measurement.projector"),
         )
     return {
         "players": _require(obj, "players", where, int),
@@ -871,7 +885,8 @@ def from_descriptor(obj: dict) -> ProtocolSpec:
         raise ParseError(f"{where}: field 'version' is {version}, expected 1 to {DESCRIPTOR_VERSION}")
     matrices = None
     if version == 3:
-        matrices = [ExplicitU(qstate.matrix_from_obj(m)) for m in _require(obj, "matrices", where, list)]
+        listed = _require(obj, "matrices", where, list)
+        matrices = [ExplicitU(_matrix(m, f"matrices[{i}]")) for i, m in enumerate(listed)]
     declared = _optional(obj, "declared", where, dict) or {}
     head = {
         "name": _expect(obj.get("name", "protocol"), str, f"{where}: field 'name'"),

@@ -61,17 +61,11 @@ class RepetitionPlan:
 
 
 def initial_density(p: ProtocolSpec, pin: Optional[dict] = None) -> np.ndarray:
-    """|0><0|^k (x) I/2^m, with pinned mixed qubits fixed to basis states."""
-    pin = pin or {}
-    factors = []
-    for q in range(p.layout.total):
-        if q < p.layout.clean:
-            factors.append(qstate.basis_projector(0))
-        elif q in pin:
-            factors.append(qstate.basis_projector(pin[q]))
-        else:
-            factors.append(qstate.I2 / 2.0)
-    return qstate.tensor_all(factors)
+    """|0><0|^k (x) I/2^m, with the qubits that ``_fixed_bits`` fixes in their basis states."""
+    fixed = _fixed_bits(p, pin)
+    return qstate.tensor_all(
+        [qstate.basis_projector(fixed[q]) if q in fixed else qstate.I2 / 2.0 for q in range(p.layout.total)]
+    )
 
 
 def _fixed_bits(p: ProtocolSpec, pin: Optional[dict]) -> dict:

@@ -20,7 +20,6 @@ from .protocol import (
     BOB,
     AdjointU,
     ComposedU,
-    FIXED,
     FlagStateU,
     GenU,
     Measurement,
@@ -231,38 +230,23 @@ def projective_to_single_qubit(p: ProtocolSpec) -> ProtocolSpec:
 
 
 # ---------------------------------------------------------------------------
-# Ghosted -> fixed channel (courier construction)
+# Trace-estimation wrap: Hadamard test around the courier schedule
 # ---------------------------------------------------------------------------
 
 
-def _merge_consecutive(p: ProtocolSpec) -> ProtocolSpec:
-    """Fold empty-message rounds into the next round by the same player."""
-    rounds = list(p.rounds)
-    i = 0
-    while i + 1 < len(rounds):
-        a, b = rounds[i], rounds[i + 1]
-        if a.player == b.player and not a.message:
-            merged, targets = _compose([(a.unitary, a.targets), (b.unitary, b.targets)])
-            rounds[i : i + 2] = [RoundAction(a.player, merged, targets, b.message, b.to)]
-        else:
-            i += 1
-    if len(rounds) == len(p.rounds):
-        return p
-    return dataclasses.replace(p, rounds=tuple(rounds))
-
-
-def to_fixed_channel(p: ProtocolSpec) -> ProtocolSpec:
-    """Reroute every transfer through one bouncing channel qubit.
+def _courier_slots(p: ProtocolSpec) -> tuple[list, tuple]:
+    """The fixed-channel (courier) schedule of ``p``: its slots and owners.
 
     Original qubits become fixed slots owned by their initial holder;
     message content travels via SWAPs into the courier, qubit
     ``p.layout.total``, with receiver-side guest slots allocated on
-    demand. Rounds strictly alternate, the non-measuring player first,
-    each sending exactly the courier, and the count is padded to a power
-    of two (at least 2). Acceptance is exactly preserved (pure wire
-    bookkeeping).
+    demand. Slots strictly alternate, the non-measuring player first, and
+    a player's consecutive rounds share one slot. Returns one
+    ``(ref, targets)`` per slot, padded to a power of two (at least 2)
+    with the identity on the courier, and the initial owner of each
+    original qubit, the courier and each guest slot. Acceptance is
+    exactly preserved (pure wire bookkeeping).
     """
-    p = _merge_consecutive(p)
     if p.players != 2:
         raise ShapeError("fixed-channel conversion handles two-player protocols")
     support = p.measurement.support()
@@ -312,80 +296,50 @@ def to_fixed_channel(p: ProtocolSpec) -> ProtocolSpec:
             cur = t_s + 1
 
     last = max(factors) if factors else 1
-    r_fc = max(2, 1 << (last - 1).bit_length())
-
-    rounds = []
-    for t in range(1, r_fc + 1):
-        player = player_of(t)
-        fl = factors.get(t, [])
-        if fl:
-            ref, targets = _compose(fl)
-        else:
-            targets = (ch,)
-            ref = explicit(qstate.I2)
-        rounds.append(
-            RoundAction(player, ref, targets, frozenset({ch}), 1 - player)
-        )
-
-    return ProtocolSpec(
-        name=p.name + "+fc",
-        players=2,
-        layout=RegisterLayout(p.layout.clean, p.layout.mixed + 1 + len(guest_owner)),
-        initial_owner=p.initial_owner + (starter,) + tuple(guest_owner),
-        rounds=tuple(rounds),
-        measurement=p.measurement,
-        mode=p.mode,
-        channel=FIXED,
-        declared_p=p.declared_p,
-        declared_eps=p.declared_eps,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Trace-estimation wrap: Hadamard test around the back-and-forth operator
-# ---------------------------------------------------------------------------
+    slots = [
+        _compose(factors[t]) if t in factors else (explicit(qstate.I2), (ch,))
+        for t in range(1, max(2, 1 << (last - 1).bit_length()) + 1)
+    ]
+    return slots, p.initial_owner + (starter,) + tuple(guest_owner)
 
 
 def to_trace_form(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     """Wrap a single-qubit-measuring protocol into a Hadamard test.
 
-    The controlled operator runs the fixed-channel form backwards and
-    forwards with one CNOT onto a fresh mixed ancilla per clean slot plus
-    one for the measured slot; each CNOT realizes a |0><0| projector
-    inside the trace, so with j clean qubits the acceptance becomes
-    p0 = 1/2 + a / 2^(j+1)  (j = 2 along the standard chain: 1/2 + a/8,
-    i.e. 1/2 + 1/16 + eps/2^(k+3) at a = 1/2 + eps/2^k).
+    The controlled operator runs the courier schedule (``_courier_slots``)
+    backwards and forwards with one CNOT onto a fresh mixed ancilla per
+    clean slot plus one for the measured slot; each CNOT realizes a
+    |0><0| projector inside the trace, so with j clean qubits the
+    acceptance becomes p0 = 1/2 + a / 2^(j+1)  (j = 2 along the standard
+    chain: 1/2 + a/8, i.e. 1/2 + 1/16 + eps/2^(k+3) at a = 1/2 + eps/2^k).
     """
     if p.measurement.single_qubit is None:
         raise ShapeError("trace form needs a single-qubit measurement; apply sq-measure first")
     j = p.layout.clean
-    fc = to_fixed_channel(p)
+    slots, owners = _courier_slots(p)
     measurer = measuring_player(p)
     starter = 1 - measurer
     channel = p.layout.total
-    r = len(fc.rounds)
+    r = len(slots)
     measured = p.measurement.single_qubit
-    n_fc = fc.layout.total
 
-    # wrapper register: control 0, fc slots shifted by one, then the CNOT
+    # wrapper register: control 0, the slots shifted by one, then the CNOT
     # ancillas (one per clean slot + one for the measured slot's final
     # projector). Everything but the control starts totally mixed.
-    clean_slots = list(range(fc.layout.clean))
-    anc_base = 1 + n_fc
-    init_anc = {c: anc_base + i for i, c in enumerate(clean_slots)}
-    end_anc = anc_base + len(clean_slots)
+    clean_slots = range(j)
+    anc_base = 1 + len(owners)  # clean slot c's ancilla is anc_base + c
+    end_anc = anc_base + j
 
-    owners = list(fc.initial_owner)
     m_cleans = [c for c in clean_slots if owners[c] == measurer]
     s_cleans = [c for c in clean_slots if owners[c] == starter]
 
     def cnot_factor(src_slot: int, anc: int):
         return (explicit(qstate.CNOT), (1 + src_slot, anc))
 
-    # fc round unitaries lifted to wrapper coordinates
-    lifted = [(r_.unitary, tuple(t + 1 for t in r_.targets)) for r_ in fc.rounds]
+    # slot unitaries lifted to wrapper coordinates
+    lifted = [(ref, tuple(t + 1 for t in tg)) for ref, tg in slots]
     # piece 0 (measurer): initial projectors for measurer-owned clean slots
-    head = [cnot_factor(c, init_anc[c]) for c in m_cleans]
+    head = [cnot_factor(c, anc_base + c) for c in m_cleans]
     if not head:
         head = [(explicit(qstate.I2), (1 + channel,))]
     pieces = [_compose(head)]
@@ -405,16 +359,13 @@ def to_trace_form(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     pieces += [(AdjointU(ref), tg) for ref, tg in reversed(lifted[1:-1])]
     first_ref, first_tg = lifted[0]
     tail = [(AdjointU(first_ref), first_tg)]
-    tail.extend(cnot_factor(c, init_anc[c]) for c in s_cleans)
+    tail.extend(cnot_factor(c, anc_base + c) for c in s_cleans)
     pieces.append(_compose(tail))
     assert len(pieces) == 2 * r
 
-    new_owner = [measurer]  # control
-    new_owner.extend(owners)
-    new_owner[1 + channel] = measurer  # courier starts with round 1's sender
-    for c in clean_slots:
-        new_owner.append(owners[c])  # init ancilla sits with its slot's owner
-    new_owner.append(measurer)  # end ancilla
+    # the control, the slots with the courier at round 0's sender, each init
+    # ancilla with its slot's owner, and the end ancilla
+    new_owner = (measurer, *owners[:channel], measurer, *owners[channel + 1 :], *owners[:j], measurer)
 
     slope = Fraction(1, 1 << (j + 1))
     offset = Fraction(1, 2)
@@ -449,7 +400,7 @@ def unclock(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
     Round pairs become branches of a counter-conditioned dispatch wrapped
     in (H (x) I) sandwiches on the control; the second player of each pair
     increments the counter mod 2^w. The pair count is a power of two (the
-    fixed-channel padding guarantees it), so every counter start runs the
+    courier padding guarantees it), so every counter start runs the
     pieces in a cyclic rotation and by the cyclic property of the trace
     the acceptance is exactly that of the clocked input.
     """
@@ -648,9 +599,8 @@ def pp_to_oneway(
 
     ser_btable = {y: {z: str(b) for z, b in row.items()} for y, row in btable.items()}
     total = 1 + c + 1 + s
-    alice_u = GenU("pp_alice_flag", {"c": c, "table": dict(t_map)}, ALICE)
+    alice_u = GenU("pp_alice_flag", {"c": c, "table": t_map}, ALICE)
     bob_u = GenU("pp_bob_decide", {"c": c, "coins": s, "btable": ser_btable}, BOB)
-    accept_one = np.array([[0, 0], [0, 1]], dtype=complex)
     out = ProtocolSpec(
         name=f"pp-oneway(c={c})",
         players=2,
@@ -660,7 +610,7 @@ def pp_to_oneway(
             RoundAction(ALICE, alice_u, tuple(range(c + 1)), frozenset(range(c + 1)), BOB),
             RoundAction(BOB, bob_u, tuple(range(total)), frozenset(), None),
         ),
-        measurement=Measurement(qubits=(1,), projector=accept_one),
+        measurement=Measurement(qubits=(1,), projector=qstate.basis_projector(1)),
         declared_p=Fraction(1, 2),
         declared_eps=(eps / (1 << c)) or None,
     )

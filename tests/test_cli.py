@@ -5,7 +5,7 @@ import pytest
 from oneclean import cli, protocol, problems, simulator, transforms
 from oneclean.errors import ValidationError
 
-from helpers import DATA, random_trace_form, v1_descriptor
+from helpers import DATA, inline_matrices, random_trace_form, v1_descriptor
 
 
 def run_cli(*argv):
@@ -98,6 +98,50 @@ def test_run_descriptor_with_a_mistyped_field_exits_2(tmp_path, capsys, path, na
     assert run_cli("run", "--descriptor", str(desc)) == 2
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and named in errors[0]
+
+
+# the inline version-1 or -2 matrix of middle(n=2)'s round-0 Hadamard factor
+_INLINE_LEAF = _FACTORS + (0, "ref", "matrix")
+
+
+@pytest.mark.parametrize(
+    "version, path, named",
+    [
+        (3, ("matrices", 0), "matrices[0]: matrix entries"),
+        (3, ("measurement", "projector"), "measurement.projector: matrix entries"),
+        (2, _INLINE_LEAF, "rounds[0].unitary.factors[0].ref: field 'matrix': matrix entries"),
+        (1, _INLINE_LEAF, "rounds[0].unitary.factors[0].ref: field 'matrix': matrix entries"),
+    ],
+    ids=["listed", "projector", "inline-v2", "inline-v1"],
+)
+def test_run_descriptor_with_a_malformed_matrix_names_its_path(tmp_path, capsys, version, path, named):
+    obj = protocol.to_descriptor(problems.middle_protocol(2))
+    if version < 3:
+        obj = {**inline_matrices(obj), "version": version}
+    matrix = obj
+    for key in path:
+        matrix = matrix[key]
+    matrix["entries"][0][0] = [1]
+    desc = tmp_path / "bad.json"
+    desc.write_text(json.dumps(obj))
+    assert run_cli("run", "--descriptor", str(desc)) == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0]
+
+
+@pytest.mark.parametrize("command", ["run", "transform"])
+def test_protocol_and_descriptor_together_exit_2(tmp_path, capsys, command):
+    desc = tmp_path / "p.json"
+    desc.write_text(protocol.serialize(problems.middle_protocol(4)))
+    argv = [command, "--descriptor", str(desc), "--protocol", "middle", "--n", "4"]
+    if command == "run":
+        argv += ["--x", "1100", "--y", "1010"]
+    else:
+        argv += ["--pass", "k1", "--out-dir", str(tmp_path / "o")]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: give --protocol or --descriptor, not both\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

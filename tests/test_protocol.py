@@ -318,6 +318,22 @@ def _complement_projector(d):
     d["measurement"]["projector"] = qstate.matrix_to_obj(np.eye(len(proj)) - proj)
 
 
+def test_a_descriptor_and_its_spec_share_no_generator_params():
+    p = problems.ip2_one_clean(1)
+    text = protocol.serialize(p)
+    _first_ref(protocol.to_descriptor(p)["rounds"][1], "generator")["params"]["i"] = 5
+    assert protocol.serialize(p) == text
+    obj = json.loads(text)
+    q = protocol.from_descriptor(obj)
+    _first_ref(obj["rounds"][1], "generator")["params"]["i"] = 5
+    assert protocol.serialize(q) == text
+    # a nested dict is the generator's own too
+    table = {"0": "1"}
+    u = protocol.GenU("pp_alice_flag", {"c": 1, "table": table}, ALICE)
+    table["0"] = "0"
+    assert u.params == {"c": 1, "table": {"0": "1"}}
+
+
 # the one violation of a version-1 trace form whose rounds its plan does not build
 V1_MISMATCH = "trace_plan: the rounds or layout differ from the ones the plan builds"
 

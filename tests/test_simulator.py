@@ -118,6 +118,12 @@ def test_run_density_rejects_a_pin_that_is_not_a_bit():
         simulator.run_density(problems.ip2_one_clean(1), {ALICE: "1", BOB: "1"}, pin={1: 2})
 
 
+def test_the_dense_reference_rejects_a_pin_that_is_not_a_bit():
+    # the reference's rho0 follows the backends' pin rule, so it never holds a -0.5
+    with pytest.raises(DomainError, match="0 or 1"):
+        density_oracle(problems.ip2_one_clean(1), pin={1: 2})
+
+
 def test_run_ensemble_keeps_the_density_pin_rule():
     # a pin on the clean qubit is ignored by both backends (it stays |0>)
     p, inp = problems.ip2_one_clean(1), {ALICE: "1", BOB: "1"}

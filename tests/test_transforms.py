@@ -200,16 +200,26 @@ def test_trace_form_ip2_chain_paper_formula():
 
 def test_trace_form_builds_each_spec_once(monkeypatch):
     sq = transforms.projective_to_single_qubit(transforms.k_to_one_clean(problems.ip2_clocked(1))[0])
-    middle = problems.middle_protocol(2)
     calls = []
     validate = protocol.validate
     monkeypatch.setattr(protocol, "validate", lambda p: calls.append(p.name) or validate(p))
     transforms.to_trace_form(sq)
-    # the merged rounds, the fixed-channel form and the trace form
-    assert len(calls) == 3
-    calls.clear()
-    assert transforms._merge_consecutive(middle) is middle
-    assert calls == []
+    # the courier schedule builds no spec of its own: only the trace form is built
+    assert calls == [sq.name + "+trace"]
+
+
+def test_trace_form_runs_a_players_consecutive_rounds_in_one_slot():
+    sq = transforms.projective_to_single_qubit(transforms.k_to_one_clean(problems.ip2_clocked(1))[0])
+    tf, _ = transforms.to_trace_form(sq)
+    assert len(tf.rounds) == 16
+    # Alice's k1 flag round and her first load share courier slot 1, ahead of
+    # the SWAP that moves her first message qubit into the courier
+    pieces = protocol.lower(*tf.trace_plan.pieces[1])
+    leaves = [pc[0] for pc in pieces]
+    assert [getattr(leaf, "name", None) for leaf in leaves] == [None, "ip2_alice", None]
+    assert np.array_equal(leaves[0].matrix, qstate.flip_if_zero(2))
+    assert np.array_equal(leaves[2].matrix, qstate.SWAP2)
+    assert tf.trace_plan.channel in pieces[2][1]
 
 
 # --------------------------------------------------------------- unclock
