@@ -142,8 +142,12 @@ def _abc_instance_from(root: Path) -> problems.AbcInstance:
     return problems.AbcInstance(n=n, a=a, b=b, c=c, label=label)
 
 
-def _run_inputs(args, spec) -> list[tuple[str, dict, object]]:
+def _run_inputs(args) -> list[tuple[str, dict, object]]:
     """Yield (printable-input, inputs-dict, label-or-None) triples."""
+    if args.descriptor:
+        for flag, given in (("--x", args.x), ("--y", args.y), ("--all-inputs", args.all_inputs)):
+            if given not in (None, False):
+                raise OneCleanError(f"{flag} needs --protocol; give a descriptor's inputs with --inputs")
     name = args.protocol or ""
     if name.startswith("ip2"):
         if args.all_inputs:
@@ -182,7 +186,7 @@ def _run_inputs(args, spec) -> list[tuple[str, dict, object]]:
 
 def cmd_run(args) -> int:
     spec = _load_protocol(args)
-    triples = _run_inputs(args, spec)
+    triples = _run_inputs(args)
     ref = spec.declared_p
     records = []
     kw = {}

@@ -18,10 +18,16 @@ control qubits read a value. No round is built as one dense matrix.
   columns (<= 20 qubits), in blocks of about ``ENSEMBLE_BLOCK_BYTES``,
   applying each piece only to the slice where its controls read its
   value; exact with ``sample="all"``, and independent of the ring engine.
+  The columns are float64 when every resolved piece and the measurement
+  projector are real, which holds for every built-in family and chain,
+  and complex128 otherwise. Consecutive pieces with the same controls and
+  value run as one fused operator (``_fusion_groups``) when that saves
+  passes over the columns without adding multiply-adds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -36,7 +42,7 @@ from .errors import BackendLimitError, DimensionError, DomainError, ShapeError
 from .protocol import ProtocolSpec, lower, q1_cost, resolve_ref
 
 ENSEMBLE_QUBIT_LIMIT = 20
-ENSEMBLE_BLOCK_BYTES = 1 << 20  # one block of state columns: 32 columns at 11 qubits
+ENSEMBLE_BLOCK_BYTES = 1 << 20  # one block of state columns: 64 real or 32 complex at 11 qubits
 TRACE_MAX_BYTES = 1 << 30
 
 
@@ -134,6 +140,43 @@ def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> Run
     return RunReport(acc, "density", elapsed=time.perf_counter() - t0)
 
 
+@functools.lru_cache(maxsize=64)
+def _fusion_groups(shape: tuple) -> tuple:
+    """Consecutive pieces that share ``(controls, value)``, as ``(union, indices)``.
+
+    ``shape`` lists each lowered piece's ``(qubits, controls, value)`` in
+    application order. A group takes the next piece with its controls and
+    value only while 2^|union of qubits| stays at most the sum of
+    2^|qubits| over its parts, so its product applied at once costs no
+    more multiply-adds per column entry than the parts do one after
+    another. ``union`` lists the qubits in order of first use. It depends
+    only on ``shape``, so it is cached.
+    """
+    groups, key, union, cost = [], None, (), 0
+    for i, (qubits, controls, value) in enumerate(shape):
+        size = 1 << len(qubits)
+        if key == (controls, value):
+            wider = union + tuple(q for q in qubits if q not in union)
+            if 1 << len(wider) <= cost + size:
+                union, cost = wider, cost + size
+                groups[-1] = (union, groups[-1][1] + (i,))
+                continue
+        key, union, cost = (controls, value), qubits, size
+        groups.append((union, (i,)))
+    return tuple(groups)
+
+
+def _fused_operator(union, parts) -> np.ndarray:
+    """The product of ``parts``, ``(qubits, matrix)`` in application order,
+    as one matrix on ``union``: the identity there, evolved by each part."""
+    w = len(union)
+    at = {q: i for i, q in enumerate(union)}
+    t = np.eye(1 << w, dtype=np.result_type(*(m for _, m in parts))).reshape((2,) * w + (1 << w,))
+    for qubits, m in parts:
+        t = qstate._contract(t, m, tuple(at[q] for q in qubits))
+    return t.reshape(1 << w, 1 << w)
+
+
 def run_ensemble(
     p: ProtocolSpec,
     inputs=None,
@@ -147,7 +190,10 @@ def run_ensemble(
     within 1e-9); an integer draws that many branches uniformly with
     replacement from the root seed. ``pin`` follows ``_fixed_bits``.
     Branches are evolved as the columns of one array, in blocks of about
-    ``ENSEMBLE_BLOCK_BYTES``.
+    ``ENSEMBLE_BLOCK_BYTES``: in float64 when every resolved piece and the
+    measurement projector are real, else in complex128. A group of
+    ``_fusion_groups`` runs as one fused operator when evolving the
+    columns through its parts would cost more than building its product.
     """
     t0 = time.perf_counter()
     n = p.layout.total
@@ -174,22 +220,36 @@ def run_ensemble(
     pieces = [pc for r in p.rounds for pc in lower(r.unitary, r.targets)]
     mats = [resolve_ref(pc, inputs) for pc in pieces]
     proj, support = p.measurement.operator()
-    block = max(1, ENSEMBLE_BLOCK_BYTES // (np.dtype(complex).itemsize << n))
+    dtype = complex
+    if not np.count_nonzero(np.concatenate([m.ravel() for m in [proj, *mats]]).imag):
+        dtype, proj = float, proj.real
+        mats = [np.ascontiguousarray(m.real) for m in mats]
+    ops = []
+    for union, group in _fusion_groups(tuple((pc[1], pc[3], pc[4]) for pc in pieces)):
+        controls, value = pieces[group[0]][3:]
+        parts = [(pieces[i][1], mats[i]) for i in group]
+        # fuse when the evolution it replaces, over every column, outweighs the build
+        if len(parts) > 1 and len(rows) << (n - len(controls)) > 1 << (2 * len(union)):
+            parts = [(union, _fused_operator(union, parts))]
+        if not controls:
+            ops.extend((None, qubits, u) for qubits, u in parts)
+            continue
+        # act on the slice where the controls read the value; later axes shift down
+        bits = dict(zip(controls, map(int, format(value, f"0{len(controls)}b"))))
+        at = tuple(bits.get(k, slice(None)) for k in range(n)) + (slice(None),)
+        ops.extend((at, tuple(q - sum(c < q for c in controls) for q in qubits), u) for qubits, u in parts)
+    block = max(1, ENSEMBLE_BLOCK_BYTES // (np.dtype(dtype).itemsize << n))
     total = 0.0
     for start in range(0, len(rows), block):
         chunk = rows[start : start + block]
-        v = np.zeros((1 << n, len(chunk)), dtype=complex)
+        v = np.zeros((1 << n, len(chunk)), dtype=dtype)
         v[chunk, np.arange(len(chunk))] = 1.0
         v = v.reshape((2,) * n + (len(chunk),))
-        for (_, qubits, _, controls, value), u in zip(pieces, mats):
-            if not controls:
-                v = qstate._contract(v, u, qubits)
-                continue
-            # u acts on the slice where the controls read the value; later axes shift down
-            bits = dict(zip(controls, map(int, format(value, f"0{len(controls)}b"))))
-            at = tuple(bits.get(k, slice(None)) for k in range(n)) + (slice(None),)
-            axes = tuple(q - sum(c < q for c in controls) for q in qubits)
-            v[at] = qstate._contract(v[at], u, axes)
+        for at, axes, u in ops:
+            if at is None:
+                v = qstate._contract(v, u, axes)
+            else:
+                v[at] = qstate._contract(v[at], u, axes)
         total += np.vdot(v, qstate._contract(v, proj, support))
     acc = qstate.checked_acceptance(total / len(rows))
     return RunReport(acc, "ensemble", seed=used_seed, elapsed=time.perf_counter() - t0)

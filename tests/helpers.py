@@ -412,3 +412,45 @@ def ring_plan_oracle(d: int, piece_axes: tuple[tuple[int, ...], ...]):
         live[len(labels) + len(steps) - 1] = [lab for lab in la + lb if lab not in shared]
         largest = max(largest, 1 << size)
     return tuple(traces), tuple(steps), free, largest
+
+
+def _embedded_oracle(m, positions, w: int) -> np.ndarray:
+    """``m`` on ``positions`` of a w-qubit register, by ``np.kron`` and an axis permutation."""
+    full = np.kron(m, np.eye(1 << (w - len(positions)))).reshape((2,) * (2 * w))
+    order = list(positions) + [q for q in range(w) if q not in positions]
+    perm = [order.index(q) for q in range(w)]
+    return full.transpose(perm + [w + i for i in perm]).reshape(1 << w, 1 << w)
+
+
+def check_fusion(pieces, inputs) -> int:
+    """Assert what ``simulator._fusion_groups`` promises of lowered ``pieces``;
+    return the number of groups with more than one part.
+
+    The groups cover the pieces in order; each shares one (controls, value),
+    lists its qubits in order of first use and keeps 2^|union| at most the
+    sum of 2^|qubits| over its parts; a group ends before a piece with its
+    key only where taking that piece would break the bound; and each fused
+    operator equals the product of its parts, embedded without ``_contract``,
+    within 1e-12.
+    """
+    from oneclean import simulator
+
+    mats = [protocol.resolve_ref(pc, inputs) for pc in pieces]
+    groups = simulator._fusion_groups(tuple((pc[1], pc[3], pc[4]) for pc in pieces))
+    assert [i for _, group in groups for i in group] == list(range(len(pieces)))
+    for k, (union, group) in enumerate(groups):
+        key = pieces[group[0]][3:]
+        assert all(pieces[i][3:] == key for i in group)
+        assert union == tuple(dict.fromkeys(q for i in group for q in pieces[i][1]))
+        cost = sum(1 << len(pieces[i][1]) for i in group)
+        assert 1 << len(union) <= cost
+        if k + 1 < len(groups) and pieces[groups[k + 1][1][0]][3:] == key:
+            after = pieces[groups[k + 1][1][0]][1]
+            assert 1 << len(set(union) | set(after)) > cost + (1 << len(after))
+        w = len(union)
+        want = np.eye(1 << w, dtype=complex)
+        for i in group:
+            want = _embedded_oracle(mats[i], [union.index(q) for q in pieces[i][1]], w) @ want
+        got = simulator._fused_operator(union, [(pieces[i][1], mats[i]) for i in group])
+        assert np.max(np.abs(got - want)) < 1e-12
+    return sum(len(group) > 1 for _, group in groups)

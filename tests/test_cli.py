@@ -145,6 +145,22 @@ def test_protocol_and_descriptor_together_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "flags", [["--x", "1"], ["--y", "1"], ["--x", "1", "--y", "1"], ["--all-inputs"]],
+    ids=["x", "y", "x-and-y", "all-inputs"],
+)
+def test_run_descriptor_refuses_the_builtin_input_flags(tmp_path, capsys, flags):
+    # --x, --y and --all-inputs pick a built-in family's inputs; with a
+    # descriptor they were ignored, even next to --inputs
+    desc = tmp_path / "p.json"
+    desc.write_text(protocol.serialize(problems.ip2_one_clean(1)))
+    argv = ["run", "--descriptor", str(desc), "--inputs", '{"0": "1", "1": "1"}', *flags]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flags[0]} needs --protocol; give a descriptor's inputs with --inputs\n"
+
+
+@pytest.mark.parametrize(
     "params, named",
     [({}, "KeyError: 'i'"), ({"i": "x", "n": 1}, "ValueError: "), ({"i": 5, "n": 1}, "IndexError: ")],
     ids=["missing", "not-an-integer", "out-of-range"],
@@ -391,10 +407,7 @@ def test_version_2_descriptor_with_swapped_pieces_gives_one_number(tmp_path, sou
     desc = tmp_path / "swapped.json"
     desc.write_text(json.dumps(_swap_pieces(protocol.to_descriptor(tf), 0, 2)))
     got = []
-    # ensemble's branch loop takes seconds on the 13-qubit IP2 form; density is
-    # its other engine there
-    backends = ("density", "trace") if source == "ip2-chain" else ("density", "ensemble", "trace")
-    for backend in backends:
+    for backend in ("density", "ensemble", "trace"):
         out = tmp_path / f"{backend}.json"
         argv = ["run", "--descriptor", str(desc), "--backend", backend, "--inputs", _IP2_INPUTS]
         assert run_cli(*argv, "--out", str(out)) == 0

@@ -26,7 +26,14 @@ from oneclean.protocol import (
 )
 
 from helpers import (
-    DATA, dense_ref_oracle, inline_matrices, random_trace_form, random_two_clean, table_ref, v1_descriptor,
+    DATA,
+    check_fusion,
+    dense_ref_oracle,
+    inline_matrices,
+    random_trace_form,
+    random_two_clean,
+    table_ref,
+    v1_descriptor,
 )
 
 
@@ -532,12 +539,8 @@ def _nest(rng, width, depth):
     return AdjointU(ControlledU(_random_ref(rng, width - 1, depth, "composed")))
 
 
-@pytest.mark.parametrize(
-    "kind",
-    ["explicit", "generator", "adjoint", "controlled", "composed", "dispatch", "flag_state", "nest"],
-)
-@pytest.mark.parametrize("seed", range(8))
-def test_lowered_pieces_multiply_to_the_dense_oracle(kind, seed):
+def _seeded_ref(kind: str, seed: int):
+    """A seeded reference of ``kind``, a shuffled target list and the register width."""
     rng = np.random.default_rng([seed, 7])
     width = int(rng.integers(2, 5))
     ref = _nest(rng, width, 2) if kind == "nest" else _random_ref(rng, width, 2, kind)
@@ -545,12 +548,32 @@ def test_lowered_pieces_multiply_to_the_dense_oracle(kind, seed):
         # both increments over the seeds, whatever the random draw
         ref = DispatchU(ref.width, ref.selector, ref.branches, seed % 2)
     # the reference acts on a shuffled target list of the register
-    targets = tuple(int(q) for q in rng.permutation(width))
+    return ref, tuple(int(q) for q in rng.permutation(width)), width
+
+
+_KINDS = pytest.mark.parametrize(
+    "kind",
+    ["explicit", "generator", "adjoint", "controlled", "composed", "dispatch", "flag_state", "nest"],
+)
+
+
+@_KINDS
+@pytest.mark.parametrize("seed", range(8))
+def test_lowered_pieces_multiply_to_the_dense_oracle(kind, seed):
+    ref, targets, width = _seeded_ref(kind, seed)
     for bit in "01":
         inputs = {ALICE: bit}
         want = qstate.embed_operator(dense_ref_oracle(ref, inputs, width), targets, width)
         got = _lowered_product(ref, targets, width, inputs)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+@_KINDS
+@pytest.mark.parametrize("seed", range(8))
+def test_fused_operators_multiply_to_their_parts(kind, seed):
+    ref, targets, _ = _seeded_ref(kind, seed)
+    for bit in "01":
+        check_fusion(protocol.lower(ref, targets), {ALICE: bit})
 
 
 def test_lowered_dispatch_with_identity_branches_and_an_increment():

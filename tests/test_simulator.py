@@ -24,6 +24,7 @@ from oneclean.protocol import (
 )
 
 from helpers import (
+    check_fusion,
     density_oracle,
     random_protocol,
     random_trace_form,
@@ -100,6 +101,86 @@ def test_run_density_blocks_match_two_sided_evolution(seed, monkeypatch):
     for cols in (1, 3):
         monkeypatch.setattr(simulator, "ENSEMBLE_BLOCK_BYTES", cols * (16 << qubits))
         assert abs(simulator.run_ensemble(p, inp, pin=pin).acceptance - want) < TOL
+
+
+def _block_arrays(monkeypatch, n: int) -> list:
+    """Records every whole column block (n qubit axes and a column axis)
+    that ``run_ensemble`` hands to ``qstate._contract``."""
+    seen, contract = [], qstate._contract
+
+    def recording(t, u, axes):
+        if t.ndim == n + 1:
+            seen.append((t.dtype, t.shape[-1]))
+        return contract(t, u, axes)
+
+    monkeypatch.setattr(qstate, "_contract", recording)
+    return seen
+
+
+def _real_specs():
+    k1, _ = transforms.k_to_one_clean(problems.ip2_clocked(2))
+    rot, _ = transforms.k_to_one_clean(toy_rotation_base(2 * math.pi / 3, math.pi / 5))
+    return [
+        (problems.ip2_one_clean(2), {ALICE: "11", BOB: "01"}),
+        (k1, {ALICE: "10", BOB: "11"}),
+        (transforms.projective_to_single_qubit(rot), {ALICE: "1", BOB: ""}),
+    ]
+
+
+@pytest.mark.parametrize("which", range(3), ids=["ip2-one-clean", "ip2-k1", "rotation-k1-sq"])
+def test_run_ensemble_real_blocks_match_two_sided_evolution(which, monkeypatch):
+    # real leaves and projector: float64 blocks hold 8 bytes a column entry,
+    # and 2^f columns leave a partial last block of 3
+    p, inp = _real_specs()[which]
+    n, f = p.layout.total, p.layout.mixed
+    want = density_oracle(p, inp)
+    for cols in (1, 3):
+        monkeypatch.setattr(simulator, "ENSEMBLE_BLOCK_BYTES", cols * (8 << n))
+        seen = _block_arrays(monkeypatch, n)
+        assert abs(simulator.run_ensemble(p, inp).acceptance - want) < TOL
+        assert {dtype for dtype, _ in seen} == {np.dtype(float)}
+        assert {c for _, c in seen} == {cols, (1 << f) % cols or cols}
+
+
+@pytest.mark.parametrize("phase", [-1, 1j], ids=["real", "one-complex-leaf"])
+def test_run_ensemble_keeps_complex_blocks_for_one_complex_leaf(phase, monkeypatch):
+    # four real rounds and a diag(1, phase): S = diag(1, i) alone is complex
+    gate = np.diag([1, phase]).astype(complex)
+    rounds = [(qstate.H, (0,)), (qstate.CNOT, (0, 1)), (gate, (1,)), (qstate.H, (1,)), (qstate.CNOT, (1, 0))]
+    p = ProtocolSpec(
+        name="phase",
+        players=2,
+        layout=RegisterLayout(clean=1, mixed=2),
+        initial_owner=(ALICE,) * 3,
+        rounds=tuple(RoundAction(ALICE, explicit(u), t, frozenset(), None) for u, t in rounds),
+        measurement=Measurement(single_qubit=0),
+    )
+    want = density_oracle(p)
+    monkeypatch.setattr(simulator, "ENSEMBLE_BLOCK_BYTES", 3 * (16 << 3))
+    seen = _block_arrays(monkeypatch, 3)
+    assert abs(simulator.run_ensemble(p).acceptance - want) < TOL
+    assert {dtype for dtype, _ in seen} == {np.dtype(float) if phase == -1 else np.dtype(complex)}
+    # the same bytes hold twice the float64 columns
+    assert {c for _, c in seen} == ({4} if phase == -1 else {3, 1})
+
+
+def test_fused_operators_of_the_wide_chains_multiply_to_their_parts():
+    ip2 = _trace_chain(problems.ip2_clocked(1))
+    k1, _ = transforms.k_to_one_clean(problems.ip2_clocked(2))
+    chains = [
+        (ip2, {ALICE: "1", BOB: "1"}),
+        (transforms.unclock(ip2)[0], {ALICE: "1", BOB: "0"}),
+        (_trace_chain(problems.middle_protocol(2)), {ALICE: "10", BOB: "11"}),
+        (_trace_chain(toy_rotation_base(2 * math.pi / 3, math.pi / 5)), {ALICE: "1", BOB: ""}),
+        (k1, {ALICE: "10", BOB: "11"}),
+    ]
+    fused = []
+    for p, inp in chains:
+        fused.append(check_fusion([pc for r in p.rounds for pc in protocol.lower(r.unitary, r.targets)], inp))
+        if p.layout.total <= 12:
+            d = simulator.run_density(p, inp).acceptance
+            assert abs(simulator.run_ensemble(p, inp).acceptance - d) < TOL
+    assert min(fused[:4]) > 0  # each trace form runs some groups as fused operators
 
 
 def test_run_density_on_the_13_qubit_ip2_trace_form_equals_run_trace():
@@ -188,6 +269,8 @@ def test_ensemble_sampled_records_seed():
     assert rep.seed == 9
     rep2 = simulator.run_ensemble(p, inp, sample=16, seed=9)
     assert rep.acceptance == rep2.acceptance
+    # the same 16 drawn branches as when every block was complex and unfused
+    assert rep.acceptance == 0.53125
 
 
 def _trace_form_with_piece(m, width):
