@@ -3,6 +3,10 @@
 Sign-sketch inner-product estimation, the randomized ABC protocol built
 on spherical-cap codebooks, the exact cap probability and its sampled
 estimate, and exact rectangle discrepancy on small sign matrices.
+
+``cap_probability`` is the module's only use of scipy (the incomplete
+beta), which it imports on its first call, so importing the module loads
+only numpy.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import BackendLimitError, DomainError
 from .problems import AbcInstance
@@ -105,6 +108,9 @@ def cap_probability(n: int, k: int) -> float:
     """
     if not 1 <= k <= n / 4:
         raise DomainError(f"cap parameter k={k} outside [1, n/4] at n={n}")
+    # imported here so that importing oneclean loads no scipy
+    from scipy.special import betainc
+
     return float(betainc((n - 1) / 2, 0.5, 1.0 - k / n))
 
 

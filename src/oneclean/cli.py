@@ -145,9 +145,13 @@ def _abc_instance_from(root: Path) -> problems.AbcInstance:
 def _run_inputs(args) -> list[tuple[str, dict, object]]:
     """Yield (printable-input, inputs-dict, label-or-None) triples."""
     if args.descriptor:
-        for flag, given in (("--x", args.x), ("--y", args.y), ("--all-inputs", args.all_inputs)):
+        builtin = (("--x", args.x), ("--y", args.y), ("--all-inputs", args.all_inputs),
+                   ("--instance", args.instance), ("--label", args.label))
+        for flag, given in builtin:
             if given not in (None, False):
                 raise OneCleanError(f"{flag} needs --protocol; give a descriptor's inputs with --inputs")
+    if args.label is None:
+        args.label = 1  # the default; None only marks that --label was not given
     name = args.protocol or ""
     if name.startswith("ip2"):
         if args.all_inputs:
@@ -185,6 +189,8 @@ def _run_inputs(args) -> list[tuple[str, dict, object]]:
 
 
 def cmd_run(args) -> int:
+    if args.samples is not None and args.backend != "ensemble":
+        raise OneCleanError(f"--samples needs --backend ensemble; {args.backend} is exact")
     spec = _load_protocol(args)
     triples = _run_inputs(args)
     ref = spec.declared_p
@@ -398,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--all-inputs", action="store_true", dest="all_inputs")
     run.add_argument("--inputs", help="JSON dict player->input, or @file")
     run.add_argument("--instance", help="directory from 'gen abc-instance'")
-    run.add_argument("--label", type=int, default=1, choices=(1, -1))
+    run.add_argument("--label", type=int, choices=(1, -1), help="generated abc instance's label (default: 1)")
     run.add_argument("--backend", choices=sorted(simulator.BACKENDS), default="density")
     run.add_argument("--samples", type=int, help="ensemble branch samples (default: all)")
     run.add_argument("--seed", type=int)

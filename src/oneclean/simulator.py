@@ -23,6 +23,10 @@ control qubits read a value. No round is built as one dense matrix.
   and complex128 otherwise. Consecutive pieces with the same controls and
   value run as one fused operator (``_fusion_groups``) when that saves
   passes over the columns without adding multiply-adds.
+
+``amplify`` reads each binomial tail of the repetition harness as one
+regularized incomplete beta. It is the module's only use of scipy, which
+it imports on its first call, so importing the module loads only numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.stats import binom
 
 from . import qstate
 from .errors import BackendLimitError, DimensionError, DomainError, ShapeError
@@ -352,13 +355,25 @@ def amplify(acc0, acc1, ref, eps) -> float:
     """Exact two-sided binomial error after t = ceil(4/eps^2) repetitions.
 
     Returns max(Pr[Bin(t, acc1) < ref*t], Pr[Bin(t, acc0) >= ref*t]); the
-    standard Chernoff argument makes this at most 1/3.
+    standard Chernoff argument makes this at most 1/3. With k = threshold - 1
+    each tail is one regularized incomplete beta, read directly rather than
+    as 1 - cdf: Pr[Bin(t, p) <= k] = I_{1-p}(t-k, k+1) and
+    Pr[Bin(t, p) >= k+1] = I_p(k+1, t-k).
     """
+    for name, value in (("acc0", acc0), ("acc1", acc1)):
+        if not 0 <= value <= 1:
+            raise DomainError(f"{name} = {value} is not a probability in [0, 1]")
+    if not 0 < ref < 1:
+        raise DomainError(f"ref = {ref} is outside (0, 1)")
     if not (acc0 <= ref - eps and ref + eps <= acc1):
         raise DomainError(
             f"need acc0 <= ref-eps <= ref+eps <= acc1, got ({acc0}, {ref}, {eps}, {acc1})"
         )
+    # imported here so that importing oneclean loads no scipy
+    from scipy.special import betainc
+
     plan = repetition_plan(eps, ref)
-    err1 = float(binom.cdf(plan.threshold - 1, plan.t, float(acc1)))
-    err0 = float(1.0 - binom.cdf(plan.threshold - 1, plan.t, float(acc0)))
+    t, k = plan.t, plan.threshold - 1
+    err1 = float(betainc(t - k, k + 1, float(1 - acc1)))
+    err0 = float(betainc(k + 1, t - k, float(acc0)))
     return max(err0, err1)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from oneclean import protocol, qstate
+from oneclean import protocol, qstate, simulator
 from oneclean.errors import DomainError
 from oneclean.protocol import (
     ALICE,
@@ -92,6 +94,16 @@ def cap_probability_gaussian(n: int, k: int, samples: int, seed=None) -> float:
         hits += int(np.count_nonzero(first_sq >= k / n))
         left -= m
     return hits / samples
+
+
+def exact_amplify(acc0, acc1, ref, eps) -> Fraction:
+    """simulator.amplify's error, max(Pr[Bin(t, acc1) < threshold],
+    Pr[Bin(t, acc0) >= threshold]), summed in exact arithmetic."""
+    plan = simulator.repetition_plan(eps, ref)
+    t, a0, a1 = plan.t, Fraction(acc0), Fraction(acc1)
+    err0 = sum(math.comb(t, j) * a0**j * (1 - a0) ** (t - j) for j in range(plan.threshold, t + 1))
+    err1 = sum(math.comb(t, j) * a1**j * (1 - a1) ** (t - j) for j in range(plan.threshold))
+    return max(err0, err1)
 
 
 @register_generator("matrix_table")

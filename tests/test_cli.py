@@ -1,11 +1,17 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from oneclean import cli, protocol, problems, simulator, transforms
 from oneclean.errors import ValidationError
 
-from helpers import DATA, inline_matrices, random_trace_form, v1_descriptor
+from helpers import DATA, exact_amplify, inline_matrices, random_trace_form, v1_descriptor
 
 
 def run_cli(*argv):
@@ -145,12 +151,15 @@ def test_protocol_and_descriptor_together_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--x", "1"], ["--y", "1"], ["--x", "1", "--y", "1"], ["--all-inputs"]],
-    ids=["x", "y", "x-and-y", "all-inputs"],
+    "flags",
+    [["--x", "1"], ["--y", "1"], ["--x", "1", "--y", "1"], ["--all-inputs"], ["--instance", "inst"],
+     ["--label", "-1"], ["--label", "1"]],
+    ids=["x", "y", "x-and-y", "all-inputs", "instance", "label", "label-default"],
 )
 def test_run_descriptor_refuses_the_builtin_input_flags(tmp_path, capsys, flags):
-    # --x, --y and --all-inputs pick a built-in family's inputs; with a
-    # descriptor they were ignored, even next to --inputs
+    # --x, --y and --all-inputs pick a built-in family's inputs, and
+    # --instance and --label an abc instance; with a descriptor they were
+    # ignored, even next to --inputs
     desc = tmp_path / "p.json"
     desc.write_text(protocol.serialize(problems.ip2_one_clean(1)))
     argv = ["run", "--descriptor", str(desc), "--inputs", '{"0": "1", "1": "1"}', *flags]
@@ -222,6 +231,24 @@ def test_run_ensemble_with_zero_samples_exits_2(capsys):
     assert run_cli(*argv, "--samples", "0") == 2
     assert "sample count must be >= 1" in capsys.readouterr().err
     assert run_cli(*argv, "--samples", "1", "--seed", "3") == 0
+
+
+def test_run_config_echoes_the_label_default(capsys):
+    argv = ["run", "--protocol", "ip2-one-clean", "--n", "1", "--x", "1", "--y", "1"]
+    for extra, label in (([], 1), (["--label", "-1"], -1)):
+        assert run_cli(*argv, *extra) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["label"] == label
+
+
+def test_run_samples_needs_the_ensemble_backend(capsys):
+    # the exact backends ignored --samples; --seed stays accepted everywhere
+    argv = ["run", "--protocol", "ip2-one-clean", "--n", "2", "--x", "10", "--y", "11", "--seed", "5"]
+    for backend in ("density", "trace"):
+        assert run_cli(*argv, "--backend", backend, "--samples", "3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --samples needs --backend ensemble; {backend} is exact\n"
+    assert run_cli(*argv, "--backend", "density") == 0
 
 
 def test_run_reports_are_deterministic(tmp_path):
@@ -631,3 +658,40 @@ def test_verify_quick_battery_passes(capsys):
     assert run_cli("verify", "--quick") == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines and not any(l.startswith("FAIL") for l in lines)
+
+
+COLD_START = """
+import importlib, json, pkgutil, sys
+from fractions import Fraction
+import oneclean
+from oneclean import cli
+for m in pkgutil.iter_modules(oneclean.__path__):
+    importlib.import_module("oneclean." + m.name)
+out = sys.argv[1]
+codes = [
+    cli.main(["run", "--protocol", "ip2-one-clean", "--n", "2", "--x", "10", "--y", "11",
+              "--out", out + "/run.json"]),
+    cli.main(["transform", "--protocol", "ip2-clocked", "--n", "2", "--pass", "k1",
+              "--out-dir", out + "/k1"]),
+]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from oneclean import classical, simulator
+cap = classical.cap_probability(4, 1)
+amp = simulator.amplify(Fraction(3, 8), Fraction(5, 8), Fraction(1, 2), Fraction(1, 8))
+print(json.dumps({"codes": codes, "scipy": loaded, "cap": cap, "amplify": amp}))
+"""
+
+
+def test_importing_and_running_oneclean_loads_no_scipy(tmp_path):
+    # scipy costs about 1 s of start-up; only cap_probability and amplify import it, on first call
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0]
+    assert got["scipy"] == []
+    closed = (4 / math.pi) * (math.pi / 6 - math.sqrt(3) / 8)
+    assert got["cap"] == pytest.approx(closed, abs=1e-12)
+    want = exact_amplify(Fraction(3, 8), Fraction(5, 8), Fraction(1, 2), Fraction(1, 8))
+    assert got["amplify"] == pytest.approx(float(want), rel=1e-12)

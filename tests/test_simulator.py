@@ -26,6 +26,7 @@ from oneclean.protocol import (
 from helpers import (
     check_fusion,
     density_oracle,
+    exact_amplify,
     random_protocol,
     random_trace_form,
     random_two_clean,
@@ -607,6 +608,33 @@ def test_amplify_error_bound_across_biases():
 def test_amplify_precondition():
     with pytest.raises(DomainError):
         simulator.amplify(0.5, 0.6, Fraction(1, 2), Fraction(1, 4))
+
+
+@pytest.mark.parametrize(
+    "acc0, acc1, ref, eps",
+    [
+        (0.05, 0.95, Fraction(1, 2), Fraction(1, 4)),  # 1 - cdf read 4.43e-26, the other tail
+        (0.1, 0.9, Fraction(1, 2), Fraction(1, 8)),
+        (0.2, 0.8, Fraction(1, 2), Fraction(1, 4)),  # 1 - cdf kept 9 digits
+        (Fraction(3, 8), Fraction(5, 8), Fraction(1, 2), Fraction(1, 8)),
+        (0.1, 0.6, Fraction(3, 8), Fraction(1, 8)),
+    ],
+)
+def test_amplify_matches_the_exact_binomial_tails(acc0, acc1, ref, eps):
+    want = float(exact_amplify(acc0, acc1, ref, eps))
+    assert simulator.amplify(acc0, acc1, ref, eps) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [((-0.5, 1.0, 0, Fraction(1, 2)), "acc0 = -0.5"), ((0.0, 1.5, Fraction(1, 2), Fraction(1, 2)), "acc1 = 1.5"),
+     ((0.0, 1.0, 1, 0), "ref = 1")],
+    ids=["acc0-negative", "acc1-above-one", "ref-one"],
+)
+def test_amplify_refuses_values_outside_the_unit_interval(args, named):
+    # without these checks the first two returned nan and 0.0
+    with pytest.raises(DomainError, match=named):
+        simulator.amplify(*args)
 
 
 def test_acceptance_stays_in_unit_interval():
