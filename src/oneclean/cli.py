@@ -9,6 +9,7 @@ errors, 3 backend limits, 1 failed verify checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,6 +35,28 @@ PASSES = {
     "lemma1": transforms.two_round_one_clean,
 }
 
+# built-in protocol name -> (its input source, its builder for size n)
+PROTOCOLS = {
+    "ip2-clocked": ("ip2", problems.ip2_clocked),
+    "ip2-one-clean": ("ip2", problems.ip2_one_clean),
+    "middle": ("middle", lambda n: problems.middle_protocol(n, "standard")),
+    "middle-one-clean": ("middle", lambda n: problems.middle_protocol(n, "one_clean")),
+    "abc": ("abc", problems.abc_protocol),
+}
+
+# The input flags each source of `run` and `transform` reads; a flag given that
+# its source does not read is an error. The defaults are filled in after that.
+SOURCE_FLAGS = {
+    "ip2": ("n", "x", "y"),
+    "ip2 --all-inputs": ("n", "all_inputs"),
+    "middle": ("n", "x", "y"),
+    "abc": ("n", "label"),
+    "abc --instance": ("instance",),
+    "descriptor": ("inputs",),
+}
+INPUT_FLAGS = {flag for flags in SOURCE_FLAGS.values() for flag in flags}
+INPUT_DEFAULTS = {"n": 2, "label": 1}
+
 
 def _seed_from(args) -> int | None:
     if args.seed is not None:
@@ -43,8 +66,7 @@ def _seed_from(args) -> int | None:
 
 
 def _echo_config(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 def _meta(args) -> dict:
@@ -82,43 +104,50 @@ def _write_report(args, records: list[dict], extra: dict) -> None:
     _write_text(args, "\n".join(lines) + "\n")
 
 
-def _builtin_protocol(name: str, n: int) -> protocol.ProtocolSpec:
-    table = {
-        "ip2-clocked": problems.ip2_clocked,
-        "ip2-one-clean": problems.ip2_one_clean,
-        "middle": lambda n: problems.middle_protocol(n, "standard"),
-        "middle-one-clean": lambda n: problems.middle_protocol(n, "one_clean"),
-        "abc": problems.abc_protocol,
-    }
-    if name not in table:
-        raise OneCleanError(
-            f"unknown protocol {name!r}; choose from {sorted(table)} or use --descriptor"
-        )
-    return table[name](n)
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
-def _load_protocol(args) -> protocol.ProtocolSpec:
+def _load_protocol(args) -> tuple[str, protocol.ProtocolSpec, problems.AbcInstance | None]:
+    """The input source ``args`` name (a SOURCE_FLAGS key; a flag given that it
+    does not read is an error), its protocol, and the instance abc --instance read."""
     if args.descriptor and args.protocol:
         raise OneCleanError("give --protocol or --descriptor, not both")
     if args.descriptor:
-        return protocol.deserialize(Path(args.descriptor).read_text())
-    if not args.protocol:
+        source = "descriptor"
+    elif not args.protocol:
         raise OneCleanError("need --protocol or --descriptor")
-    return _builtin_protocol(args.protocol, args.n)
+    elif args.protocol not in PROTOCOLS:
+        raise OneCleanError(
+            f"unknown protocol {args.protocol!r}; choose from {sorted(PROTOCOLS)} or use --descriptor"
+        )
+    else:
+        source = PROTOCOLS[args.protocol][0]
+        mode = {"ip2": "all_inputs", "abc": "instance"}.get(source, "")
+        if vars(args).get(mode):
+            source += " " + _flag(mode)
+    for dest, value in vars(args).items():
+        if dest not in INPUT_FLAGS or value is None or value is False or dest in SOURCE_FLAGS[source]:
+            continue
+        if source == "descriptor":
+            hint = "; give a descriptor's inputs with --inputs" if args.command == "run" else ""
+            raise OneCleanError(f"{_flag(dest)} needs --protocol{hint}")
+        mode = source.partition(" ")[2]
+        raise OneCleanError(f"--protocol {args.protocol}{' with ' + mode if mode else ''} reads "
+                            f"{', '.join(map(_flag, SOURCE_FLAGS[source]))}, not {_flag(dest)}")
+    for dest, default in INPUT_DEFAULTS.items():
+        if getattr(args, dest, default) is None:
+            setattr(args, dest, default)
+    if source == "descriptor":
+        return source, protocol.deserialize(Path(args.descriptor).read_text()), None
+    inst = _abc_instance_from(Path(args.instance)) if source == "abc --instance" else None
+    return source, PROTOCOLS[args.protocol][1](args.n if inst is None else inst.n), inst
 
 
 def _bias_record(acc: float, label, ref) -> float | None:
     if label is None or ref is None:
         return None
     return acc - float(ref) if label == 1 else float(ref) - acc
-
-
-def _xy_inputs(args) -> dict:
-    """The --x/--y inputs as a player-to-input dict; both flags are required."""
-    for flag in ("x", "y"):
-        if getattr(args, flag) is None:
-            raise OneCleanError(f"--protocol {args.protocol} needs --{flag}")
-    return {ALICE: args.x, BOB: args.y}
 
 
 def _abc_instance_from(root: Path) -> problems.AbcInstance:
@@ -139,38 +168,29 @@ def _abc_instance_from(root: Path) -> problems.AbcInstance:
     a, b, c = (qstate.matrix_from_json((root / files[key]).read_text()) for key in "ABC")
     if type(n) is not int or any(m.shape != (n, n) for m in (a, b, c)):
         raise ParseError(f"{path}: 'n' must be the integer side of A, B and C, got {n!r}")
-    return problems.AbcInstance(n=n, a=a, b=b, c=c, label=label)
+    inst = problems.AbcInstance(n=n, a=a, b=b, c=c, label=label)
+    inst.check()
+    return inst
 
 
-def _run_inputs(args) -> list[tuple[str, dict, object]]:
-    """Yield (printable-input, inputs-dict, label-or-None) triples."""
-    if args.descriptor:
-        builtin = (("--x", args.x), ("--y", args.y), ("--all-inputs", args.all_inputs),
-                   ("--instance", args.instance), ("--label", args.label))
-        for flag, given in builtin:
-            if given not in (None, False):
-                raise OneCleanError(f"{flag} needs --protocol; give a descriptor's inputs with --inputs")
-    if args.label is None:
-        args.label = 1  # the default; None only marks that --label was not given
-    name = args.protocol or ""
-    if name.startswith("ip2"):
-        if args.all_inputs:
-            return [
-                (f"{inp[ALICE]}|{inp[BOB]}", inp, label)
-                for inp, label in problems.ip2_inputs(args.n)
-            ]
-        inp = _xy_inputs(args)
-        return [(f"{args.x}|{args.y}", inp, problems.ip2_value(args.x, args.y))]
-    if name.startswith("middle"):
-        inp = _xy_inputs(args)
-        inst = problems.MiddleInstance.from_strings(args.x, args.y)
-        return [(f"{args.x}|{args.y}", inp, inst.label)]
-    if name == "abc":
-        if args.instance:
-            inst = _abc_instance_from(Path(args.instance))
-            inst.check()
-        else:
-            inst = problems.abc_instance(args.n, args.label, seed=_seed_from(args))
+def _run_inputs(args, source: str, inst) -> list[tuple[str, dict, object]]:
+    """(printable-input, inputs-dict, label-or-None) triples of ``source``;
+    ``inst`` is the instance ``abc --instance`` read."""
+    if source == "ip2 --all-inputs":
+        return [
+            (f"{inp[ALICE]}|{inp[BOB]}", inp, label)
+            for inp, label in problems.ip2_inputs(args.n)
+        ]
+    if source in ("ip2", "middle"):
+        for flag in ("x", "y"):
+            if getattr(args, flag) is None:
+                raise OneCleanError(f"--protocol {args.protocol} needs --{flag}")
+        label = (problems.ip2_value(args.x, args.y) if source == "ip2"
+                 else problems.MiddleInstance.from_strings(args.x, args.y).label)
+        return [(f"{args.x}|{args.y}", {ALICE: args.x, BOB: args.y}, label)]
+    if source == "abc":
+        inst = problems.abc_instance(args.n, args.label, seed=_seed_from(args))
+    if inst is not None:
         return [(f"abc(label={inst.label})", inst.inputs(), 1 if inst.label == 1 else 0)]
     if args.inputs:
         raw = args.inputs
@@ -191,8 +211,8 @@ def _run_inputs(args) -> list[tuple[str, dict, object]]:
 def cmd_run(args) -> int:
     if args.samples is not None and args.backend != "ensemble":
         raise OneCleanError(f"--samples needs --backend ensemble; {args.backend} is exact")
-    spec = _load_protocol(args)
-    triples = _run_inputs(args)
+    source, spec, inst = _load_protocol(args)
+    triples = _run_inputs(args, source, inst)
     ref = spec.declared_p
     records = []
     kw = {}
@@ -227,13 +247,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    spec = _load_protocol(args)
+    spec = _load_protocol(args)[1]
+    for pass_name in args.passes:
+        if pass_name not in PASSES:
+            raise OneCleanError(f"unknown pass {pass_name!r}; choose from {sorted(PASSES)}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     certs = []
     for i, pass_name in enumerate(args.passes):
-        if pass_name not in PASSES:
-            raise OneCleanError(f"unknown pass {pass_name!r}; choose from {sorted(PASSES)}")
         spec, cert = PASSES[pass_name](spec)
         if cert is not None:
             certs.append((pass_name, cert))
@@ -324,15 +345,13 @@ def cmd_classical(args) -> int:
             )
         _write_json(args, {"records": records})
         return 0
-    if args.classical_cmd == "disc":
-        entries = _load_csv("--matrix", args.matrix)
-        weights = _load_csv("--weights", args.weights) if args.weights else None
-        m = classical.SignMatrix(entries=entries, weights=weights)
-        value, rows, cols = classical.disc_bruteforce(m)
-        out = {"value": value, "rectangle": {"rows": list(rows), "cols": list(cols)}}
-        _write_json(args, out)
-        return 0
-    raise OneCleanError(f"unknown classical subcommand {args.classical_cmd!r}")
+    entries = _load_csv("--matrix", args.matrix)  # disc
+    weights = _load_csv("--weights", args.weights) if args.weights else None
+    m = classical.SignMatrix(entries=entries, weights=weights)
+    value, rows, cols = classical.disc_bruteforce(m)
+    out = {"value": value, "rectangle": {"rows": list(rows), "cols": list(cols)}}
+    _write_json(args, out)
+    return 0
 
 
 def _load_csv(flag: str, path: str) -> np.ndarray:
@@ -368,11 +387,9 @@ def cmd_gen(args) -> int:
             lines.append(f"{xt},{yt},{1 if args.which == 'mu1' else 0}")
         _write_text(args, "\n".join(lines) + "\n")
         return 0
-    if args.gen_cmd == "middle-pad":
-        x, y = problems.middle_pad(args.x, args.y, args.n)
-        sys.stdout.write(f"{x},{y}\n")
-        return 0
-    raise OneCleanError(f"unknown gen subcommand {args.gen_cmd!r}")
+    x, y = problems.middle_pad(args.x, args.y, args.n)  # middle-pad
+    sys.stdout.write(f"{x},{y}\n")
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -387,6 +404,7 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="oneclean",
@@ -398,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate a protocol")
     run.add_argument("--protocol")
     run.add_argument("--descriptor")
-    run.add_argument("--n", type=int, default=2)
+    run.add_argument("--n", type=int, help="size (default: 2)")
     run.add_argument("--x")
     run.add_argument("--y")
     run.add_argument("--all-inputs", action="store_true", dest="all_inputs")
@@ -415,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("transform", help="apply transform passes")
     tr.add_argument("--protocol")
     tr.add_argument("--descriptor")
-    tr.add_argument("--n", type=int, default=2)
+    tr.add_argument("--n", type=int, help="size (default: 2)")
     tr.add_argument("--pass", dest="passes", action="append", required=True,
                     help="one of %s; repeatable" % ", ".join(sorted(PASSES)))
     tr.add_argument("--out-dir", required=True)
@@ -478,10 +496,7 @@ def main(argv=None) -> int:
     except BackendLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except OneCleanError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (OneCleanError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,7 @@ import io
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import helpers  # registers the fixtures' matrix_table generator
@@ -135,7 +136,5 @@ def main(scratch: Path) -> None:
 
 
 if __name__ == "__main__":
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         main(Path(tmp))

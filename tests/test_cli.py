@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -169,6 +170,65 @@ def test_run_descriptor_refuses_the_builtin_input_flags(tmp_path, capsys, flags)
     assert captured.err == f"error: {flags[0]} needs --protocol; give a descriptor's inputs with --inputs\n"
 
 
+_IP2_XY = ["--protocol", "ip2-one-clean", "--n", "1", "--x", "1", "--y", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--descriptor", "{desc}", "--inputs", '{{"0": "1", "1": "1"}}', "--n", "7"], "--n"),
+        (["transform", "--descriptor", "{desc}", "--n", "9", "--pass", "k1"], "--n"),
+        (["run", *_IP2_XY, "--inputs", '{{"0": "0", "1": "0"}}'], "--inputs"),
+        (["run", *_IP2_XY, "--label", "-1"], "--label"),
+        (["run", *_IP2_XY, "--instance", "{inst}"], "--instance"),
+        (["run", "--protocol", "ip2-one-clean", "--n", "1", "--all-inputs", "--x", "1"], "--x"),
+        (["run", "--protocol", "middle", "--n", "2", "--x", "01", "--y", "11", "--all-inputs"],
+         "--all-inputs"),
+        (["run", "--protocol", "abc", "--n", "2", "--x", "1"], "--x"),
+        (["run", "--protocol", "abc", "--n", "2", "--all-inputs"], "--all-inputs"),
+        (["run", "--protocol", "abc", "--instance", "{inst}", "--label", "1"], "--label"),
+        (["run", "--protocol", "abc", "--n", "4", "--instance", "{inst}"], "--n"),
+        (["run", "--protocol", "abc", "--n", "4", "--instance", "{inst}", "--label", "1"], "--n"),
+    ],
+    ids=["descriptor-n", "transform-descriptor-n", "ip2-inputs", "ip2-label", "ip2-instance",
+         "ip2-all-inputs-x", "middle-all-inputs", "abc-x", "abc-all-inputs", "abc-instance-label",
+         "abc-instance-n", "abc-instance-n-and-label"],
+)
+def test_an_input_flag_its_source_does_not_read_exits_2(tmp_path, capsys, argv, flag):
+    # each of these flags was ignored without a word; SOURCE_FLAGS now refuses it
+    desc, inst, out = tmp_path / "p.json", tmp_path / "inst", tmp_path / "out"
+    desc.write_text(protocol.serialize(problems.ip2_one_clean(1)))
+    assert run_cli("gen", "abc-instance", "--n", "4", "--label", "-1", "--seed", "5",
+                   "--out-dir", str(inst)) == 0
+    capsys.readouterr()
+    argv = [a.format(desc=desc, inst=inst) for a in argv]
+    argv += ["--out", str(out)] if argv[0] == "run" else ["--out-dir", str(out)]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    errors = [l for l in captured.err.splitlines() if l.startswith("error:")]
+    assert captured.out == "" and len(errors) == 1, captured.err
+    assert errors[0].endswith(f", not {flag}") or errors[0].startswith(f"error: {flag} needs --protocol")
+    assert not out.exists()
+
+
+def test_every_run_and_transform_flag_is_read_by_a_stated_source():
+    # a new input flag must name the sources that read it in cli.SOURCE_FLAGS
+    independent = {"protocol", "descriptor", "backend", "samples", "seed", "csv", "out", "out_dir", "passes"}
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("run", "transform"):
+        for action in commands.choices[command]._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.dest in cli.INPUT_FLAGS | independent, (command, action.dest)
+    assert cli.INPUT_FLAGS == {"n", "x", "y", "all_inputs", "instance", "label", "inputs"}
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    argv = ["run", "--protocol", "ip2-one-clean", "--n", "1", "--x", "1", "--y", "1"]
+    assert run_cli(*argv) == 0 and run_cli(*argv) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize(
     "params, named",
     [({}, "KeyError: 'i'"), ({"i": "x", "n": 1}, "ValueError: "), ({"i": 5, "n": 1}, "IndexError: ")],
@@ -234,7 +294,7 @@ def test_run_ensemble_with_zero_samples_exits_2(capsys):
 
 
 def test_run_config_echoes_the_label_default(capsys):
-    argv = ["run", "--protocol", "ip2-one-clean", "--n", "1", "--x", "1", "--y", "1"]
+    argv = ["run", "--protocol", "abc", "--n", "2", "--seed", "1"]
     for extra, label in (([], 1), (["--label", "-1"], -1)):
         assert run_cli(*argv, *extra) == 0
         assert json.loads(capsys.readouterr().out)["config"]["label"] == label
@@ -444,14 +504,19 @@ def test_version_2_descriptor_with_swapped_pieces_gives_one_number(tmp_path, sou
     assert abs(got[0] - unswapped) > 1e-6  # the swap changes the operator
 
 
-def test_transform_unknown_pass_exits_2(tmp_path):
+def test_transform_unknown_pass_exits_2(tmp_path, capsys):
+    # every --pass name is checked before --out-dir is made, so k1 leaves no cert
     assert (
         run_cli(
             "transform", "--protocol", "ip2-clocked", "--n", "1",
-            "--pass", "bogus", "--out-dir", str(tmp_path / "x"),
+            "--pass", "k1", "--pass", "bogus", "--out-dir", str(tmp_path / "x"),
         )
         == 2
     )
+    assert capsys.readouterr().err == (
+        "error: unknown pass 'bogus'; choose from ['k1', 'lemma1', 'sq-measure', 'trace-form', 'unclock']\n"
+    )
+    assert not (tmp_path / "x").exists()
 
 
 def test_classical_caps_report(capsys):
@@ -529,11 +594,23 @@ def test_gen_abc_instance_round_trip(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     report = tmp_path / "run.json"
-    code = run_cli("run", "--protocol", "abc", "--n", "4", "--instance", str(out),
-                   "--out", str(report))
+    code = run_cli("run", "--protocol", "abc", "--instance", str(out), "--out", str(report))
     assert code == 0
     body = json.loads(report.read_text())
     assert body["records"][0]["acceptance"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_run_abc_instance_takes_n_from_the_instance(tmp_path, capsys):
+    # the README flow: an n = 8 instance runs without repeating --n 8
+    inst = tmp_path / "inst"
+    assert run_cli("gen", "abc-instance", "--n", "8", "--label", "-1", "--seed", "3",
+                   "--out-dir", str(inst)) == 0
+    capsys.readouterr()
+    assert run_cli("run", "--protocol", "abc", "--instance", str(inst)) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["records"][0]["input"] == "abc(label=-1)"
+    assert body["records"][0]["acceptance"] == pytest.approx(0.0, abs=1e-9)
+    assert body["cost"]["qubits"] == problems.abc_protocol(8).layout.total  # not n = 2's
 
 
 @pytest.mark.parametrize(
@@ -558,7 +635,7 @@ def test_run_abc_with_a_malformed_instance_manifest_exits_2(tmp_path, capsys, ma
     assert run_cli("gen", "abc-instance", "--n", "4", "--seed", "5", "--out-dir", str(out)) == 0
     capsys.readouterr()
     (out / "instance.json").write_text(manifest)
-    assert run_cli("run", "--protocol", "abc", "--n", "4", "--instance", str(out)) == 2
+    assert run_cli("run", "--protocol", "abc", "--instance", str(out)) == 2
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and str(out / "instance.json") in errors[0] and named in errors[0]
 
