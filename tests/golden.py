@@ -1,8 +1,9 @@
-"""The golden corpus: `run`, `transform` and `gen` commands with their bytes.
+"""The golden corpus: `run`, `transform`, `classical`, `gen` and `verify`
+commands with their bytes.
 
 Each case is a list of `oneclean` argv lists run in order, in process, from
 the directory `work/` of a fresh scratch root whose sibling `data/` holds a
-copy of the descriptor fixtures in `tests/data`. Paths in an argv are
+copy of the fixtures in `tests/data`. Paths in an argv are
 relative to `work/`, so the `config` echo of a path is the same on every
 run. `tests/data/golden/<case>/` holds:
 
@@ -91,6 +92,13 @@ CASES: dict[str, list[list[str]]] = {
          "--out", "pairs.csv"],
     ],
     "readme-gen-middle-pad": [["gen", "middle-pad", "--n", "14", "--x", "00000101", "--y", "00100010"]],
+    "readme-classical-caps": [["classical", "caps", "--n", "4", "--k", "1", "--samples", "100000", "--seed", "1"]],
+    "readme-classical-abc": [["classical", "abc", "--n", "16", "--k", "2", "--trials", "100", "--seed", "7"]],
+    "readme-classical-knr": [["classical", "knr", "--n", "32", "--eps", "0.05", "--trials", "1000", "--seed", "1"]],
+    "readme-classical-disc-out": [
+        ["classical", "disc", "--matrix", "../data/eq2.csv", "--seed", "1", "--out", "disc.json"],
+    ],
+    "readme-verify-quick": [["verify", "--quick"]],
 }
 
 

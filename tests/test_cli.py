@@ -731,12 +731,6 @@ def test_full_chain_via_cli_hits_the_wrap_formula(tmp_path, capsys):
     assert acc == pytest.approx(0.5 + 1 / 16 + 0.5 / 32, abs=1e-9)
 
 
-def test_verify_quick_battery_passes(capsys):
-    assert run_cli("verify", "--quick") == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines and not any(l.startswith("FAIL") for l in lines)
-
-
 COLD_START = """
 import importlib, json, pkgutil, sys
 from fractions import Fraction

@@ -1,8 +1,13 @@
 import difflib
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 import golden
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("name", sorted(golden.CASES))
@@ -18,3 +23,20 @@ def test_cli_output_matches_the_golden_corpus(tmp_path, name):
                 f"golden/{name}/{rel}", f"now/{name}/{rel}",
             ))
     assert not diffs, "".join(diffs)
+
+
+def _command(argv: list[str]) -> tuple[str, ...]:
+    """The command and, where it has one, the subcommand that ``argv`` names."""
+    return tuple(argv[:2]) if len(argv) > 1 and not argv[1].startswith("-") else tuple(argv[:1])
+
+
+def test_the_corpus_covers_every_cli_block_in_the_readme():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    readme = {
+        _command(argv[1:])
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if (argv := shlex.split(line, comments=True))[:1] == ["oneclean"]
+    }
+    covered = {_command(argv) for steps in golden.CASES.values() for argv in steps}
+    assert readme and not readme - covered, sorted(readme - covered)
