@@ -65,8 +65,8 @@ class SignMatrix:
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2 or not np.all(np.isin(e, (-1.0, 1.0))):
-            raise DomainError("sign matrix entries must be +1 or -1")
+        if e.ndim != 2 or e.size == 0 or not np.all(np.isin(e, (-1.0, 1.0))):
+            raise DomainError("sign matrix entries must be a non-empty grid of +1 and -1")
         if self.weights is None:
             w = np.full(e.shape, 1.0 / e.size)
         else:

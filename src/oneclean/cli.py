@@ -18,11 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical, problems, protocol, qstate, simulator, transforms
-from .errors import (
-    BackendLimitError,
-    OneCleanError,
-    ParseError,
-)
+from .errors import BackendLimitError, OneCleanError, ParseError
 from .protocol import ALICE, BOB
 
 ENV_SEED = "ONECLEAN_SEED"
@@ -59,10 +55,18 @@ INPUT_DEFAULTS = {"n": 2, "label": 1}
 
 
 def _seed_from(args) -> int | None:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    return int(env) if env else None
+    """``--seed``, else ``$ONECLEAN_SEED``, else None; a seed that is not a
+    non-negative integer is a ``OneCleanError``."""
+    name, raw = "--seed", args.seed
+    if raw is None:
+        name, raw = ENV_SEED, os.environ.get(ENV_SEED) or None
+    try:
+        seed = None if raw is None else int(raw)
+    except ValueError:
+        seed = -1  # refused below, as a negative seed is
+    if seed is not None and seed < 0:
+        raise OneCleanError(f"{name} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _echo_config(args) -> dict:
@@ -70,17 +74,16 @@ def _echo_config(args) -> dict:
 
 
 def _meta(args) -> dict:
-    """The header every report carries: tool, version, config echo and seed."""
-    return {
-        "tool": "oneclean",
-        "version": __version__,
-        "config": _echo_config(args),
-        "seed": _seed_from(args),
-    }
+    """The header every report carries: tool, version, config echo and, for a
+    command with ``--seed``, the seed."""
+    meta = {"tool": "oneclean", "version": __version__, "config": _echo_config(args)}
+    if "seed" in vars(args):
+        meta["seed"] = _seed_from(args)
+    return meta
 
 
 def _write_text(args, text: str) -> None:
-    if args.out:
+    if vars(args).get("out"):
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -135,13 +138,13 @@ def _load_protocol(args) -> tuple[str, protocol.ProtocolSpec, problems.AbcInstan
         mode = source.partition(" ")[2]
         raise OneCleanError(f"--protocol {args.protocol}{' with ' + mode if mode else ''} reads "
                             f"{', '.join(map(_flag, SOURCE_FLAGS[source]))}, not {_flag(dest)}")
-    for dest, default in INPUT_DEFAULTS.items():
+    inst = _abc_instance_from(Path(args.instance)) if source == "abc --instance" else None
+    for dest, default in INPUT_DEFAULTS.items():  # an instance's own n and label
         if getattr(args, dest, default) is None:
-            setattr(args, dest, default)
+            setattr(args, dest, getattr(inst, dest, default))
     if source == "descriptor":
         return source, protocol.deserialize(Path(args.descriptor).read_text()), None
-    inst = _abc_instance_from(Path(args.instance)) if source == "abc --instance" else None
-    return source, PROTOCOLS[args.protocol][1](args.n if inst is None else inst.n), inst
+    return source, PROTOCOLS[args.protocol][1](args.n), inst
 
 
 def _bias_record(acc: float, label, ref) -> float | None:
@@ -211,38 +214,23 @@ def _run_inputs(args, source: str, inst) -> list[tuple[str, dict, object]]:
 def cmd_run(args) -> int:
     if args.samples is not None and args.backend != "ensemble":
         raise OneCleanError(f"--samples needs --backend ensemble; {args.backend} is exact")
+    seed = _seed_from(args)
     source, spec, inst = _load_protocol(args)
-    triples = _run_inputs(args, source, inst)
-    ref = spec.declared_p
-    records = []
     kw = {}
     if args.backend == "ensemble":
-        kw = {"sample": "all" if args.samples is None else args.samples, "seed": _seed_from(args)}
-    for printable, inputs, label in triples:
+        kw = {"sample": "all" if args.samples is None else args.samples, "seed": seed}
+    records = []
+    for printable, inputs, label in _run_inputs(args, source, inst):
         rep = simulator.run(spec, inputs, backend=args.backend, **kw)
-        rec = {
-            "input": printable,
-            "acceptance": rep.acceptance,
-            "backend": rep.backend,
-            "seed": rep.seed if rep.seed is not None else _seed_from(args),
-            "elapsed": None,
-        }
-        bias = _bias_record(rep.acceptance, label, ref)
+        rec = {"input": printable, "acceptance": rep.acceptance, "backend": rep.backend, "seed": seed,
+               "elapsed": None}
+        bias = _bias_record(rep.acceptance, label, spec.declared_p)
         if bias is not None:
             rec["label"] = label
             rec["bias"] = bias
         records.append(rec)
-    extra = {}
-    if spec.declared_eps is not None:
-        cr = protocol.cost_report(spec)
-        extra["cost"] = {
-            "communication": cr.communication,
-            "bias": protocol._num_to_obj(cr.bias),
-            "q1_cost": protocol._num_to_obj(cr.q1_cost),
-            "pp_cost": cr.pp_cost,
-            "qubits": cr.qubits,
-        }
-    _write_report(args, records, extra)
+    cost = {} if spec.declared_eps is None else {"cost": protocol.cost_report(spec).to_obj()}
+    _write_report(args, records, cost)
     return 0
 
 
@@ -262,16 +250,12 @@ def cmd_transform(args) -> int:
                 json.dumps(cert.to_obj(), indent=1, sort_keys=True) + "\n"
             )
     (out_dir / "protocol.json").write_text(protocol.serialize(spec) + "\n")
-    summary = {
-        "tool": "oneclean",
-        "version": __version__,
-        "config": _echo_config(args),
+    _write_json(args, {
         "passes": [name for name, _ in certs] or list(args.passes),
         "protocol": spec.name,
         "qubits": spec.layout.total,
         "communication": protocol.communication_cost(spec),
-    }
-    sys.stdout.write(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    })
     return 0
 
 
@@ -285,78 +269,46 @@ def _at_least_one(args, *flags: str) -> None:
 
 def cmd_classical(args) -> int:
     seed = _seed_from(args)
-    if args.classical_cmd == "caps":
-        est = classical.cap_probability_mc(args.n, args.k, args.samples, seed=seed)
-        bound = classical.caps_lower_bound(args.k)
-        records = [
-            {
-                "input": f"n={args.n},k={args.k}",
-                "estimate": est,
-                "bound": bound,
-                "pass": bool(est >= bound),
-                "seed": seed,
-            }
-        ]
-        _write_json(args, {"records": records})
+    if args.classical_cmd == "disc":
+        weights = _load_csv("--weights", args.weights) if args.weights else None
+        m = classical.SignMatrix(entries=_load_csv("--matrix", args.matrix), weights=weights)
+        value, rows, cols = classical.disc_bruteforce(m)
+        _write_json(args, {"value": value, "rectangle": {"rows": list(rows), "cols": list(cols)}})
         return 0
-    if args.classical_cmd == "knr":
+    rng = np.random.default_rng(seed)  # one stream for every sampler of the command
+    if args.classical_cmd == "caps":
+        est = classical.cap_probability_mc(args.n, args.k, args.samples, seed=rng)
+        bound = classical.caps_lower_bound(args.k)
+        records = [{"input": f"n={args.n},k={args.k}", "estimate": est, "bound": bound,
+                    "pass": bool(est >= bound)}]
+    elif args.classical_cmd == "knr":
         _at_least_one(args, "n", "trials")
-        rng = np.random.default_rng(seed)
         a = qstate.haar_unit_vector(args.n, rng)
         b = qstate.haar_unit_vector(args.n, rng)
         true = float(a @ b)
-        fails = 0
-        for t in range(args.trials):
-            est, tr = classical.knr_estimate(a, b, args.eps, seed=rng)
-            bits = tr.total
-            if abs(est - true) > args.eps:
-                fails += 1
-        records = [
-            {
-                "input": f"n={args.n},eps={args.eps}",
-                "true": true,
-                "failure_rate": fails / args.trials,
-                "transcript_bits": bits,
-                "trials": args.trials,
-                "seed": seed,
-            }
-        ]
-        _write_json(args, {"records": records})
-        return 0
-    if args.classical_cmd == "abc":
+        runs = [classical.knr_estimate(a, b, args.eps, seed=rng) for _ in range(args.trials)]
+        fails = sum(abs(est - true) > args.eps for est, _ in runs)
+        records = [{"input": f"n={args.n},eps={args.eps}", "true": true, "failure_rate": fails / args.trials,
+                    "transcript_bits": runs[-1][1].total, "trials": args.trials}]
+    else:  # abc
         _at_least_one(args, "trials")
-        rng = np.random.default_rng(seed)
         records = []
         for label in (1, -1):
-            ok = 0
-            for t in range(args.trials):
-                inst = problems.abc_instance(args.n, label, seed=rng)
-                ans, tr = classical.abc_classical(inst, i=args.row, k=args.k, seed=rng)
-                bits = tr.total
-                ok += int(ans == (1 if label == 1 else 0))
-            records.append(
-                {
-                    "input": f"n={args.n},k={args.k},label={label:+d}",
-                    "success_rate": ok / args.trials,
-                    "transcript_bits": bits,
-                    "trials": args.trials,
-                    "seed": seed,
-                }
-            )
-        _write_json(args, {"records": records})
-        return 0
-    entries = _load_csv("--matrix", args.matrix)  # disc
-    weights = _load_csv("--weights", args.weights) if args.weights else None
-    m = classical.SignMatrix(entries=entries, weights=weights)
-    value, rows, cols = classical.disc_bruteforce(m)
-    out = {"value": value, "rectangle": {"rows": list(rows), "cols": list(cols)}}
-    _write_json(args, out)
+            runs = [classical.abc_classical(problems.abc_instance(args.n, label, seed=rng), i=args.row,
+                                            k=args.k, seed=rng) for _ in range(args.trials)]
+            ok = sum(ans == (1 if label == 1 else 0) for ans, _ in runs)
+            records.append({"input": f"n={args.n},k={args.k},label={label:+d}", "trials": args.trials,
+                            "success_rate": ok / args.trials, "transcript_bits": runs[-1][1].total})
+    _write_json(args, {"records": [{**r, "seed": seed} for r in records]})
     return 0
 
 
 def _load_csv(flag: str, path: str) -> np.ndarray:
+    text = Path(path).read_text()
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        if not text.strip():
+            raise ValueError("the file is empty")
+        return np.loadtxt(text.splitlines(), delimiter=",", ndmin=2)
     except ValueError as e:
         raise ParseError(f"{flag} {path} is not a comma-separated numeric matrix: {e}") from e
 
@@ -367,14 +319,13 @@ def cmd_gen(args) -> int:
         inst = problems.abc_instance(args.n, args.label, seed=seed)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        files = {}
-        for key, mat in (("A", inst.a), ("B", inst.b), ("C", inst.c)):
-            fn = f"{key}.json"
-            (out / fn).write_text(qstate.matrix_to_json(mat) + "\n")
-            files[key] = fn
+        files = {key: f"{key}.json" for key in "ABC"}
+        for key, mat in zip("ABC", (inst.a, inst.b, inst.c)):
+            (out / files[key]).write_text(qstate.matrix_to_json(mat) + "\n")
         manifest = {"n": inst.n, "label": inst.label, "seed": seed, "files": files}
-        (out / "instance.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-        sys.stdout.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+        (out / "instance.json").write_text(text)
+        sys.stdout.write(text)
         return 0
     if args.gen_cmd == "razborov":
         _at_least_one(args, "count")
@@ -414,9 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate a protocol")
-    run.add_argument("--protocol")
-    run.add_argument("--descriptor")
-    run.add_argument("--n", type=int, help="size (default: 2)")
+    tr = sub.add_parser("transform", help="apply transform passes")
+    for sp in (run, tr):
+        sp.add_argument("--protocol")
+        sp.add_argument("--descriptor")
+        sp.add_argument("--n", type=int, help="size (default: 2)")
     run.add_argument("--x")
     run.add_argument("--y")
     run.add_argument("--all-inputs", action="store_true", dest="all_inputs")
@@ -430,10 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out")
     run.set_defaults(func=cmd_run)
 
-    tr = sub.add_parser("transform", help="apply transform passes")
-    tr.add_argument("--protocol")
-    tr.add_argument("--descriptor")
-    tr.add_argument("--n", type=int, help="size (default: 2)")
     tr.add_argument("--pass", dest="passes", action="append", required=True,
                     help="one of %s; repeatable" % ", ".join(sorted(PASSES)))
     tr.add_argument("--out-dir", required=True)
@@ -496,7 +445,7 @@ def main(argv=None) -> int:
     except BackendLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (OneCleanError, FileNotFoundError) as e:
+    except (OneCleanError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

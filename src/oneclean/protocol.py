@@ -343,10 +343,9 @@ class CostReport:
     pp_cost: Any
     qubits: int
 
-    CSV_HEADER = "communication,bias,q1_cost,pp_cost,qubits"
-
-    def csv_row(self) -> str:
-        return f"{self.communication},{self.bias},{self.q1_cost},{self.pp_cost},{self.qubits}"
+    def to_obj(self) -> dict:
+        """The report as JSON values, an exact bias and Q1 cost as rational strings."""
+        return {**vars(self), "bias": _num_to_obj(self.bias), "q1_cost": _num_to_obj(self.q1_cost)}
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +656,6 @@ def _num_to_obj(x):
 
 
 def _num_from_obj(x, where: str):
-    if x is None:
-        return None
     if isinstance(x, str):
         try:
             return Fraction(x)
@@ -888,10 +885,11 @@ def from_descriptor(obj: dict) -> ProtocolSpec:
         listed = _require(obj, "matrices", where, list)
         matrices = [ExplicitU(_matrix(m, f"matrices[{i}]")) for i, m in enumerate(listed)]
     declared = _optional(obj, "declared", where, dict) or {}
+    eps = declared.get("eps")  # p has a default; eps may be absent or null
     head = {
         "name": _expect(obj.get("name", "protocol"), str, f"{where}: field 'name'"),
         "declared_p": _num_from_obj(declared.get("p", "1/2"), "declared.p"),
-        "declared_eps": _num_from_obj(declared.get("eps"), "declared.eps"),
+        "declared_eps": None if eps is None else _num_from_obj(eps, "declared.eps"),
     }
     owners = _int_list(obj, "initial_owner", where)
     tp = _optional(obj, "trace_plan", where, dict)

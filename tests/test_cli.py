@@ -77,6 +77,7 @@ _DISPATCH = {"kind": "dispatch", "width": 2, "selector": [0], "increment": 0}
         (_ENTRY + ((0, [1]),), "[re, im]"),
         (_ENTRY + ((0, ["1", 0]),), "[re, im]"),
         (("declared", ("p", "1/0")), "declared.p: bad rational '1/0'"),
+        (("declared", ("p", None)), "declared.p: expected number or rational string"),
         (_FACTORS[:-1] + (("factors", "ab"),), "field 'factors' must be a list"),
         (_FACTORS + ((0, 7),), "factors[0] must be an object"),
         (("rounds", 0, ("unitary", {**_DISPATCH, "branches": "ab"})), "field 'branches' must be a list"),
@@ -565,14 +566,16 @@ def test_classical_domain_error_exits_2(capsys):
         (["caps", "--n", "4", "--k", "1", "--samples", "5"], 2, "1e4 samples"),
         (["abc", "--n", "6"], 2, "k=2 outside [1, n/4]"),
         (["disc", "--matrix", "{tall}"], 3, "16x16"),
+        (["disc", "--matrix", "{empty}"], 2, "the file is empty"),
     ],
     ids=["knr-trials-0", "knr-trials-neg", "knr-n-neg", "knr-n-0", "abc-trials-0", "abc-trials-neg", "caps-samples",
-         "abc-n", "disc-17x3"],
+         "abc-n", "disc-17x3", "disc-empty"],
 )
 def test_classical_bad_inputs_exit_with_one_error_line(tmp_path, capsys, argv, code, named):
-    tall = tmp_path / "tall.csv"
+    tall, empty = tmp_path / "tall.csv", tmp_path / "empty.csv"
     tall.write_text("1,1,1\n" * 17)
-    assert run_cli("classical", *(a.format(tall=tall) for a in argv)) == code
+    empty.write_text("")
+    assert run_cli("classical", *(a.format(tall=tall, empty=empty) for a in argv)) == code
     err = capsys.readouterr().err
     errors = [l for l in err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and named in errors[0] and "Traceback" not in err
@@ -611,6 +614,7 @@ def test_run_abc_instance_takes_n_from_the_instance(tmp_path, capsys):
     assert body["records"][0]["input"] == "abc(label=-1)"
     assert body["records"][0]["acceptance"] == pytest.approx(0.0, abs=1e-9)
     assert body["cost"]["qubits"] == problems.abc_protocol(8).layout.total  # not n = 2's
+    assert body["config"]["n"] == 8 and body["config"]["label"] == -1  # the instance's, not the defaults
 
 
 @pytest.mark.parametrize(
@@ -675,6 +679,46 @@ def test_flags_that_nothing_reads_are_rejected(tmp_path, capsys, argv):
         cli.main([a.format(tmp=tmp_path) for a in argv])
     assert e.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_RAZBOROV = ["gen", "razborov", "--n", "14", "--which", "mu1"]
+_ENSEMBLE = ["run", "--protocol", "ip2-one-clean", "--n", "2", "--x", "10", "--y", "11", "--backend", "ensemble"]
+
+
+@pytest.mark.parametrize(
+    "env, argv, named",
+    [
+        ("abc", _RAZBOROV, "ONECLEAN_SEED must be a non-negative integer, got 'abc'"),
+        ("-3", _RAZBOROV, "ONECLEAN_SEED must be a non-negative integer, got '-3'"),
+        ("-3", ["classical", "abc", "--trials", "1"], "ONECLEAN_SEED must be a non-negative integer, got '-3'"),
+        (None, ["classical", "caps", "--n", "4", "--k", "1", "--seed", "-1"],
+         "--seed must be a non-negative integer, got -1"),
+        (None, [*_ENSEMBLE, "--samples", "2", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    ],
+    ids=["env-abc", "env-negative-gen", "env-negative-classical", "caps-negative", "run-ensemble-negative"],
+)
+def test_a_seed_that_is_not_a_non_negative_integer_exits_2(monkeypatch, capsys, env, argv, named):
+    if env is None:
+        monkeypatch.delenv("ONECLEAN_SEED", raising=False)
+    else:
+        monkeypatch.setenv("ONECLEAN_SEED", env)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    errors = [l for l in captured.err.splitlines() if l.startswith("error:")]
+    assert errors == [f"error: {named}"] and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--descriptor", "--inputs"])
+def test_run_on_a_directory_exits_2(tmp_path, capsys, flag):
+    desc = tmp_path / "p.json"
+    desc.write_text(protocol.serialize(problems.ip2_clocked(1)))
+    args = {"--descriptor": str(desc), "--inputs": '{"0": "1", "1": "1"}'}
+    args[flag] = str(tmp_path) if flag == "--descriptor" else f"@{tmp_path}"
+    assert run_cli("run", *(x for kv in args.items() for x in kv)) == 2
+    captured = capsys.readouterr()
+    errors = [l for l in captured.err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and str(tmp_path) in errors[0] and "Traceback" not in captured.err
 
 
 def test_env_seed_fallback(monkeypatch, capsys):

@@ -235,11 +235,10 @@ def test_ownership_schedule_single_owner_per_qubit():
 
 
 def test_cost_report_csv():
+    # the cost block of a run report: an exact bias and Q1 cost as rational strings
     report = protocol.cost_report(problems.ip2_one_clean(4))
-    assert report.CSV_HEADER == "communication,bias,q1_cost,pp_cost,qubits"
-    assert report.communication == 9
     assert report.q1_cost == 576
-    assert report.csv_row().startswith("9,1/8,576,")
+    assert report.to_obj() == {"communication": 9, "bias": "1/8", "q1_cost": "576", "pp_cost": 12, "qubits": 3}
 
 
 def test_validate_rejects_bad_bias():
