@@ -13,12 +13,17 @@ import functools
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, classical, problems, protocol, qstate, simulator, transforms
-from .errors import BackendLimitError, OneCleanError, ParseError
+from .errors import (
+    BackendLimitError,
+    OneCleanError,
+    ParseError,
+)
 from .protocol import ALICE, BOB
 
 ENV_SEED = "ONECLEAN_SEED"
@@ -304,13 +309,12 @@ def cmd_classical(args) -> int:
 
 
 def _load_csv(flag: str, path: str) -> np.ndarray:
-    text = Path(path).read_text()
-    try:
-        if not text.strip():
-            raise ValueError("the file is empty")
-        return np.loadtxt(text.splitlines(), delimiter=",", ndmin=2)
-    except ValueError as e:
-        raise ParseError(f"{flag} {path} is not a comma-separated numeric matrix: {e}") from e
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # numpy only warns on a file with no rows
+        try:
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+        except (ValueError, UserWarning) as e:
+            raise ParseError(f"{flag} {path} is not a comma-separated numeric matrix: {e}") from e
 
 
 def cmd_gen(args) -> int:

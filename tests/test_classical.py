@@ -420,3 +420,5 @@ def test_sign_matrix_validation():
         classical.SignMatrix.uniform([[1, 2], [1, -1]])
     with pytest.raises(DomainError):
         classical.SignMatrix(entries=[[1, -1]], weights=[[0.9, 0.2]])
+    with pytest.raises(DomainError):  # no cells to weigh: was a ZeroDivisionError
+        classical.SignMatrix.uniform(np.ones((0, 1)))

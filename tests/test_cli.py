@@ -77,7 +77,6 @@ _DISPATCH = {"kind": "dispatch", "width": 2, "selector": [0], "increment": 0}
         (_ENTRY + ((0, [1]),), "[re, im]"),
         (_ENTRY + ((0, ["1", 0]),), "[re, im]"),
         (("declared", ("p", "1/0")), "declared.p: bad rational '1/0'"),
-        (("declared", ("p", None)), "declared.p: expected number or rational string"),
         (_FACTORS[:-1] + (("factors", "ab"),), "field 'factors' must be a list"),
         (_FACTORS + ((0, 7),), "factors[0] must be an object"),
         (("rounds", 0, ("unitary", {**_DISPATCH, "branches": "ab"})), "field 'branches' must be a list"),
@@ -85,6 +84,7 @@ _DISPATCH = {"kind": "dispatch", "width": 2, "selector": [0], "increment": 0}
         (_FACTORS + (0, "ref", ("matrix", 1)), "field 'matrix' is 1, not an index into the 1 matrices"),
         (_FACTORS + (0, "ref", ("matrix", -1)), "field 'matrix' is -1, not an index"),
         (_FACTORS + (0, "ref", ("matrix", {"dim": 1, "entries": [[[1, 0]]]})), "'matrix' must be an integer"),
+        (("declared", ("p", None)), "declared.p: expected number or rational string"),
     ],
 )
 def test_run_descriptor_with_a_mistyped_field_exits_2(tmp_path, capsys, path, named):
@@ -566,19 +566,21 @@ def test_classical_domain_error_exits_2(capsys):
         (["caps", "--n", "4", "--k", "1", "--samples", "5"], 2, "1e4 samples"),
         (["abc", "--n", "6"], 2, "k=2 outside [1, n/4]"),
         (["disc", "--matrix", "{tall}"], 3, "16x16"),
-        (["disc", "--matrix", "{empty}"], 2, "the file is empty"),
+        (["disc", "--matrix", "{empty}"], 2, "not a comma-separated numeric matrix"),
+        (["disc", "--matrix", "{comments}"], 2, "not a comma-separated numeric matrix"),
     ],
     ids=["knr-trials-0", "knr-trials-neg", "knr-n-neg", "knr-n-0", "abc-trials-0", "abc-trials-neg", "caps-samples",
-         "abc-n", "disc-17x3", "disc-empty"],
+         "abc-n", "disc-17x3", "disc-empty", "disc-only-comments"],
 )
 def test_classical_bad_inputs_exit_with_one_error_line(tmp_path, capsys, argv, code, named):
-    tall, empty = tmp_path / "tall.csv", tmp_path / "empty.csv"
-    tall.write_text("1,1,1\n" * 17)
-    empty.write_text("")
-    assert run_cli("classical", *(a.format(tall=tall, empty=empty) for a in argv)) == code
+    files = {"tall": "1,1,1\n" * 17, "empty": "", "comments": "# no rows\n"}
+    for stem, text in files.items():
+        (tmp_path / f"{stem}.csv").write_text(text)
+    assert run_cli("classical", *(a.format(**{k: tmp_path / f"{k}.csv" for k in files}) for a in argv)) == code
     err = capsys.readouterr().err
     errors = [l for l in err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and named in errors[0] and "Traceback" not in err
+    assert err.count("\n") == 1  # no warning beside it
 
 
 @pytest.mark.parametrize("count", ["-2", "0"])
