@@ -14,15 +14,11 @@ control qubits read a value. No round is built as one dense matrix.
   trace-form protocol. Both are bounded by the planned largest
   intermediate in bytes (``TRACE_MAX_BYTES``), checked before any piece
   is resolved.
-* ``run_ensemble`` evolves the mixed register's basis states as pure
-  columns (<= 20 qubits), in blocks of about ``ENSEMBLE_BLOCK_BYTES``,
-  applying each piece only to the slice where its controls read its
-  value; exact with ``sample="all"``, and independent of the ring engine.
-  The columns are float64 when every resolved piece and the measurement
-  projector are real, which holds for every built-in family and chain,
-  and complex128 otherwise. Consecutive pieces with the same controls and
-  value run as one fused operator (``_fusion_groups``) when that saves
-  passes over the columns without adding multiply-adds.
+* ``run_ensemble`` averages pure runs over the mixed register's basis
+  states (<= 20 qubits), exact with ``sample="all"`` and independent of
+  the ring engine. Each branch is a sparse set of basis rows: a piece with
+  one nonzero per column only moves and scales rows, so it keeps their
+  count; any other piece on s qubits multiplies it by up to 2^s.
 
 ``amplify`` reads each binomial tail of the repetition harness as one
 regularized incomplete beta. It is the module's only use of scipy, which
@@ -45,7 +41,6 @@ from .errors import BackendLimitError, DimensionError, DomainError, ShapeError
 from .protocol import ProtocolSpec, lower, q1_cost, resolve_ref
 
 ENSEMBLE_QUBIT_LIMIT = 20
-ENSEMBLE_BLOCK_BYTES = 1 << 20  # one block of state columns: 64 real or 32 complex at 11 qubits
 TRACE_MAX_BYTES = 1 << 30
 
 
@@ -143,41 +138,67 @@ def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> Run
     return RunReport(acc, "density", elapsed=time.perf_counter() - t0)
 
 
-@functools.lru_cache(maxsize=64)
-def _fusion_groups(shape: tuple) -> tuple:
-    """Consecutive pieces that share ``(controls, value)``, as ``(union, indices)``.
-
-    ``shape`` lists each lowered piece's ``(qubits, controls, value)`` in
-    application order. A group takes the next piece with its controls and
-    value only while 2^|union of qubits| stays at most the sum of
-    2^|qubits| over its parts, so its product applied at once costs no
-    more multiply-adds per column entry than the parts do one after
-    another. ``union`` lists the qubits in order of first use. It depends
-    only on ``shape``, so it is cached.
-    """
-    groups, key, union, cost = [], None, (), 0
-    for i, (qubits, controls, value) in enumerate(shape):
-        size = 1 << len(qubits)
-        if key == (controls, value):
-            wider = union + tuple(q for q in qubits if q not in union)
-            if 1 << len(wider) <= cost + size:
-                union, cost = wider, cost + size
-                groups[-1] = (union, groups[-1][1] + (i,))
-                continue
-        key, union, cost = (controls, value), qubits, size
-        groups.append((union, (i,)))
-    return tuple(groups)
+def _bits(keys: np.ndarray, shifts: tuple) -> np.ndarray:
+    """The key bits at ``shifts`` as one index, the first most significant; one shift per distance moved."""
+    by = {}
+    for pos, sh in enumerate(reversed(shifts)):
+        by[sh - pos] = by.get(sh - pos, 0) | 1 << pos
+    return functools.reduce(np.bitwise_or, [(keys >> d if d >= 0 else keys << -d) & m for d, m in by.items()])
 
 
-def _fused_operator(union, parts) -> np.ndarray:
-    """The product of ``parts``, ``(qubits, matrix)`` in application order,
-    as one matrix on ``union``: the identity there, evolved by each part."""
-    w = len(union)
-    at = {q: i for i, q in enumerate(union)}
-    t = np.eye(1 << w, dtype=np.result_type(*(m for _, m in parts))).reshape((2,) * w + (1 << w,))
-    for qubits, m in parts:
-        t = qstate._contract(t, m, tuple(at[q] for q in qubits))
-    return t.reshape(1 << w, 1 << w)
+@functools.lru_cache(maxsize=256)
+def _offsets(shifts: tuple) -> np.ndarray:
+    """Each local index of ``shifts`` put on those key bits (the inverse of ``_bits``), cached."""
+    local, out = np.arange(1 << len(shifts)), np.zeros(1 << len(shifts), dtype=np.int64)
+    for pos, sh in enumerate(reversed(shifts)):
+        out |= ((local >> pos) & 1) << sh
+    out.flags.writeable = False
+    return out
+
+
+def _grouped(keys: np.ndarray, amps: np.ndarray, shifts: tuple) -> tuple:
+    """The distinct key rests off ``shifts``, and each one's amplitudes as a vector over those bits."""
+    rest, inv = np.unique(keys & ~sum(1 << sh for sh in shifts), return_inverse=True)
+    g = np.zeros((len(rest), 1 << len(shifts)), dtype=complex)
+    g[inv, _bits(keys, shifts)] = amps
+    return rest, g
+
+
+def _ensemble_step(shifts: tuple, m: np.ndarray) -> tuple:
+    """An operator on the key bits at ``shifts`` as a step on entries. A
+    permutation times phases moves them, as ``(shifts, flip, phase)``: an
+    entry whose bits there read L has its key XORed with ``flip[L]`` and its
+    amplitude scaled by ``phase[L]`` (None if all 1). Any other operator
+    spreads them, as ``(shifts, m)``, over the 2^w settings of those bits."""
+    nz = m != 0
+    if np.count_nonzero(nz) == len(m):
+        perm = nz.argmax(axis=0)
+        phase = m[perm, np.arange(len(m))]
+        # one nonzero in each column, each in a row of its own
+        if np.count_nonzero(phase) == len(m) == len(set(perm.tolist())):
+            offsets = _offsets(shifts)
+            return shifts, offsets[perm] ^ offsets, phase if np.count_nonzero(phase != 1) else None
+    return shifts, m
+
+
+def _evolve(keys: np.ndarray, steps) -> tuple:
+    """Entries of amplitude 1 at ``keys`` evolved through ``steps``, as (keys, amplitudes).
+    A spreading step sums the entries that meet and drops exact zeros."""
+    amps = np.ones(len(keys), dtype=complex)
+    for step in steps:
+        if len(step) == 3:
+            shifts, flip, phase = step
+            idx = _bits(keys, shifts)
+            keys, amps = keys ^ flip[idx], amps if phase is None else amps * phase[idx]
+            continue
+        shifts, m = step
+        rest, g = _grouped(keys, amps, shifts)
+        # not g @ m.T: BLAS fuses multiply-adds, which leaves ~1e-17 where equal
+        # and opposite terms meet, and those entries would never drop out
+        grown = np.einsum("gj,kj->gk", g, m).ravel()
+        keep = grown != 0
+        keys, amps = (rest[:, None] | _offsets(shifts)).ravel()[keep], grown[keep]
+    return keys, amps
 
 
 def run_ensemble(
@@ -191,12 +212,11 @@ def run_ensemble(
 
     ``sample="all"`` takes every branch (exact; agrees with run_density
     within 1e-9); an integer draws that many branches uniformly with
-    replacement from the root seed. ``pin`` follows ``_fixed_bits``.
-    Branches are evolved as the columns of one array, in blocks of about
-    ``ENSEMBLE_BLOCK_BYTES``: in float64 when every resolved piece and the
-    measurement projector are real, else in complex128. A group of
-    ``_fusion_groups`` runs as one fused operator when evolving the
-    columns through its parts would cost more than building its product.
+    replacement from the root seed. ``pin`` follows ``_fixed_bits``. A
+    branch is a set of entries, each a key ``branch << n | row`` and an
+    amplitude. Blocks of branches are sized so that min(2^n, 2^spread)
+    complex128 per branch fit in ``TRACE_MAX_BYTES``, with ``spread`` the
+    qubits and controls of every spreading piece and the measured qubits.
     """
     t0 = time.perf_counter()
     n = p.layout.total
@@ -216,44 +236,24 @@ def run_ensemble(
         place = 1 << np.arange(len(free) - 1, -1, -1)
         cols = np.array([rng.integers(0, 2, size=len(free)) @ place for _ in range(count)])
         used_seed = seed
-    # column c's branch puts c's bits on the free qubits, the first most significant
+    # branch c puts c's bits on the free qubits, the first most significant
     rows = np.full(len(cols), sum(bit << (n - 1 - q) for q, bit in fixed.items()))
     for j, q in enumerate(free):
         rows |= ((cols >> (len(free) - 1 - j)) & 1) << (n - 1 - q)
     pieces = [pc for r in p.rounds for pc in lower(r.unitary, r.targets)]
-    mats = [resolve_ref(pc, inputs) for pc in pieces]
+    mats = _piece_matrices(pieces, inputs)
+    steps = [_ensemble_step(tuple(n - 1 - q for q in pc[3] + pc[1]), m) for pc, m in zip(pieces, mats)]
     proj, support = p.measurement.operator()
-    dtype = complex
-    if not np.count_nonzero(np.concatenate([m.ravel() for m in [proj, *mats]]).imag):
-        dtype, proj = float, proj.real
-        mats = [np.ascontiguousarray(m.real) for m in mats]
-    ops = []
-    for union, group in _fusion_groups(tuple((pc[1], pc[3], pc[4]) for pc in pieces)):
-        controls, value = pieces[group[0]][3:]
-        parts = [(pieces[i][1], mats[i]) for i in group]
-        # fuse when the evolution it replaces, over every column, outweighs the build
-        if len(parts) > 1 and len(rows) << (n - len(controls)) > 1 << (2 * len(union)):
-            parts = [(union, _fused_operator(union, parts))]
-        if not controls:
-            ops.extend((None, qubits, u) for qubits, u in parts)
-            continue
-        # act on the slice where the controls read the value; later axes shift down
-        bits = dict(zip(controls, map(int, format(value, f"0{len(controls)}b"))))
-        at = tuple(bits.get(k, slice(None)) for k in range(n)) + (slice(None),)
-        ops.extend((at, tuple(q - sum(c < q for c in controls) for q in qubits), u) for qubits, u in parts)
-    block = max(1, ENSEMBLE_BLOCK_BYTES // (np.dtype(dtype).itemsize << n))
-    total = 0.0
-    for start in range(0, len(rows), block):
-        chunk = rows[start : start + block]
-        v = np.zeros((1 << n, len(chunk)), dtype=dtype)
-        v[chunk, np.arange(len(chunk))] = 1.0
-        v = v.reshape((2,) * n + (len(chunk),))
-        for at, axes, u in ops:
-            if at is None:
-                v = qstate._contract(v, u, axes)
-            else:
-                v[at] = qstate._contract(v[at], u, axes)
-        total += np.vdot(v, qstate._contract(v, proj, support))
+    spread = sum(len(step[0]) for step in steps if len(step) == 2) + len(support)
+    block = max(1, TRACE_MAX_BYTES // (16 << min(n, spread)))
+    pshifts, total = tuple(n - 1 - q for q in support), 0.0
+    for i in range(0, len(rows), block):
+        keys, amps = _evolve((np.arange(len(rows[i : i + block])) << n) | rows[i : i + block], steps)
+        if not np.count_nonzero(proj - np.diag(proj.diagonal())):
+            total += np.dot(np.abs(amps) ** 2, proj.diagonal()[_bits(keys, pshifts)])
+        else:
+            g = _grouped(keys, amps, pshifts)[1].T
+            total += np.vdot(g, proj @ g)
     acc = qstate.checked_acceptance(total / len(rows))
     return RunReport(acc, "ensemble", seed=used_seed, elapsed=time.perf_counter() - t0)
 

@@ -47,7 +47,7 @@ def _gen_toy_rotation(params, bit):
 def _two_sided_acceptance(p: protocol.ProtocolSpec, inputs=None, pin=None) -> float:
     """Tr(P rho) from the dense 2^n x 2^n density matrix, each round applied on
     both sides: the reference for ``simulator.run_density``'s ring and
-    ``simulator.run_ensemble``'s column blocks."""
+    ``simulator.run_ensemble``'s sparse branches."""
     rho = simulator.initial_density(p, pin)
     for r in p.rounds:
         pieces = protocol.lower(r.unitary, r.targets)

@@ -426,43 +426,47 @@ def ring_plan_oracle(d: int, piece_axes: tuple[tuple[int, ...], ...]):
     return tuple(traces), tuple(steps), free, largest
 
 
-def _embedded_oracle(m, positions, w: int) -> np.ndarray:
-    """``m`` on ``positions`` of a w-qubit register, by ``np.kron`` and an axis permutation."""
-    full = np.kron(m, np.eye(1 << (w - len(positions)))).reshape((2,) * (2 * w))
-    order = list(positions) + [q for q in range(w) if q not in positions]
-    perm = [order.index(q) for q in range(w)]
-    return full.transpose(perm + [w + i for i in perm]).reshape(1 << w, 1 << w)
+def is_monomial(m) -> bool:
+    """One nonzero in each column and in each row: a permutation times phases."""
+    return bool((np.count_nonzero(m, axis=0) == 1).all() and (np.count_nonzero(m, axis=1) == 1).all())
 
 
-def check_fusion(pieces, inputs) -> int:
-    """Assert what ``simulator._fusion_groups`` promises of lowered ``pieces``;
-    return the number of groups with more than one part.
+def step_matrix(steps, w: int) -> np.ndarray:
+    """The 2^w x 2^w matrix of ``simulator._evolve`` through ``steps`` on a w-qubit
+    register: column j evolves basis state j as a branch of its own."""
+    local = np.arange(1 << w)
+    keys, amps = simulator._evolve((local << w) | local, steps)
+    assert len(np.unique(keys)) == len(keys) and np.all(amps != 0)
+    out = np.zeros((1 << w, 1 << w), dtype=complex)
+    out[keys & ((1 << w) - 1), keys >> w] = amps
+    return out
 
-    The groups cover the pieces in order; each shares one (controls, value),
-    lists its qubits in order of first use and keeps 2^|union| at most the
-    sum of 2^|qubits| over its parts; a group ends before a piece with its
-    key only where taking that piece would break the bound; and each fused
-    operator equals the product of its parts, embedded without ``_contract``,
-    within 1e-12.
+
+def check_steps(pieces, inputs, want=None) -> int:
+    """Assert what ``simulator._ensemble_step`` promises of lowered ``pieces``;
+    return the number of pieces that run as moves.
+
+    Each piece is built here as one operator on its controls then its qubits,
+    by ``np.kron``: its leaf where the controls read its value, the identity
+    elsewhere. Its step moves entries exactly when that operator is a
+    permutation times phases, and evolving every basis state through the step
+    gives the operator within 1e-12, with distinct keys and no zero amplitude.
+    With ``want``, a 2^w x 2^w matrix, the steps of all the pieces on the
+    w-qubit register must also multiply to it within 1e-12.
     """
-    from oneclean import simulator
-
-    mats = [protocol.resolve_ref(pc, inputs) for pc in pieces]
-    groups = simulator._fusion_groups(tuple((pc[1], pc[3], pc[4]) for pc in pieces))
-    assert [i for _, group in groups for i in group] == list(range(len(pieces)))
-    for k, (union, group) in enumerate(groups):
-        key = pieces[group[0]][3:]
-        assert all(pieces[i][3:] == key for i in group)
-        assert union == tuple(dict.fromkeys(q for i in group for q in pieces[i][1]))
-        cost = sum(1 << len(pieces[i][1]) for i in group)
-        assert 1 << len(union) <= cost
-        if k + 1 < len(groups) and pieces[groups[k + 1][1][0]][3:] == key:
-            after = pieces[groups[k + 1][1][0]][1]
-            assert 1 << len(set(union) | set(after)) > cost + (1 << len(after))
-        w = len(union)
-        want = np.eye(1 << w, dtype=complex)
-        for i in group:
-            want = _embedded_oracle(mats[i], [union.index(q) for q in pieces[i][1]], w) @ want
-        got = simulator._fused_operator(union, [(pieces[i][1], mats[i]) for i in group])
-        assert np.max(np.abs(got - want)) < 1e-12
-    return sum(len(group) > 1 for _, group in groups)
+    ops, moves = [], 0
+    for pc in pieces:
+        m, axes = protocol.resolve_ref(pc, inputs), pc[3] + pc[1]
+        on = np.zeros((1 << len(pc[3]),) * 2)
+        on[pc[4], pc[4]] = 1
+        op = np.kron(on, m) + np.kron(np.eye(len(on)) - on, np.eye(len(m)))
+        step = simulator._ensemble_step(tuple(range(len(axes) - 1, -1, -1)), op)
+        assert (len(step) == 3) == is_monomial(op)
+        assert np.max(np.abs(step_matrix([step], len(axes)) - op)) < 1e-12
+        moves += len(step) == 3
+        ops.append((axes, op))
+    if want is not None:
+        w = qstate.num_qubits(len(want))
+        steps = [simulator._ensemble_step(tuple(w - 1 - q for q in axes), op) for axes, op in ops]
+        assert np.max(np.abs(step_matrix(steps, w) - want)) < 1e-12
+    return moves

@@ -27,7 +27,7 @@ from oneclean.protocol import (
 
 from helpers import (
     DATA,
-    check_fusion,
+    check_steps,
     dense_ref_oracle,
     inline_matrices,
     random_trace_form,
@@ -570,9 +570,13 @@ def test_lowered_pieces_multiply_to_the_dense_oracle(kind, seed):
 @_KINDS
 @pytest.mark.parametrize("seed", range(8))
 def test_fused_operators_multiply_to_their_parts(kind, seed):
-    ref, targets, _ = _seeded_ref(kind, seed)
+    # each lowered piece fused with its controls into one operator, run as an
+    # ensemble step, and the steps of every piece in turn make the reference
+    ref, targets, width = _seeded_ref(kind, seed)
     for bit in "01":
-        check_fusion(protocol.lower(ref, targets), {ALICE: bit})
+        inputs = {ALICE: bit}
+        want = qstate.embed_operator(dense_ref_oracle(ref, inputs, width), targets, width)
+        check_steps(protocol.lower(ref, targets), inputs, want)
 
 
 def test_lowered_dispatch_with_identity_branches_and_an_increment():

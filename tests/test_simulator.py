@@ -24,13 +24,15 @@ from oneclean.protocol import (
 )
 
 from helpers import (
-    check_fusion,
+    check_steps,
     density_oracle,
     exact_amplify,
+    is_monomial,
     random_protocol,
     random_trace_form,
     random_two_clean,
     ring_plan_oracle,
+    step_matrix,
     toy_rotation_base,
 )
 
@@ -97,25 +99,42 @@ def test_run_density_blocks_match_two_sided_evolution(seed, monkeypatch):
     inp = {ALICE: "01"[seed % 2], BOB: ""}
     want = density_oracle(p, inp, pin)
     assert abs(simulator.run_density(p, inp, pin=pin).acceptance - want) < TOL
-    # ensemble's column blocks, one column per block and three per block:
-    # 2^f columns always leave a partial last block
-    for cols in (1, 3):
-        monkeypatch.setattr(simulator, "ENSEMBLE_BLOCK_BYTES", cols * (16 << qubits))
+    # ensemble's blocks, one branch per block and three per block:
+    # 2^f branches always leave a partial last block
+    free = sum(q not in pin for q in range(clean, qubits))
+    for branches in (1, 3):
+        seen = _ensemble_blocks(monkeypatch, p, inp, branches)
         assert abs(simulator.run_ensemble(p, inp, pin=pin).acceptance - want) < TOL
+        assert seen == _blocks_of(1 << free, branches)
 
 
-def _block_arrays(monkeypatch, n: int) -> list:
-    """Records every whole column block (n qubit axes and a column axis)
-    that ``run_ensemble`` hands to ``qstate._contract``."""
-    seen, contract = [], qstate._contract
+def _branch_bytes(p, inputs) -> int:
+    """16 bytes a complex amplitude times the entries one branch may reach:
+    2^n, or 2^w if fewer, with w the measured qubits plus the qubits and
+    controls of every lowered piece that is not a permutation times phases."""
+    w = len(p.measurement.support())
+    for r in p.rounds:
+        for pc in protocol.lower(r.unitary, r.targets):
+            w += 0 if is_monomial(protocol.resolve_ref(pc, inputs)) else len(pc[1]) + len(pc[3])
+    return 16 << min(p.layout.total, w)
 
-    def recording(t, u, axes):
-        if t.ndim == n + 1:
-            seen.append((t.dtype, t.shape[-1]))
-        return contract(t, u, axes)
 
-    monkeypatch.setattr(qstate, "_contract", recording)
+def _ensemble_blocks(monkeypatch, p, inputs, branches: int) -> list:
+    """Sets ``TRACE_MAX_BYTES`` to ``branches`` worst-case branches and records
+    the branch count of every block that ``run_ensemble`` evolves."""
+    monkeypatch.setattr(simulator, "TRACE_MAX_BYTES", branches * _branch_bytes(p, inputs))
+    seen, evolve = [], simulator._evolve
+
+    def recording(keys, steps):
+        seen.append(len(keys))
+        return evolve(keys, steps)
+
+    monkeypatch.setattr(simulator, "_evolve", recording)
     return seen
+
+
+def _blocks_of(total: int, size: int) -> list:
+    return [size] * (total // size) + [total % size] * (total % size > 0)
 
 
 def _real_specs():
@@ -125,22 +144,21 @@ def _real_specs():
         (problems.ip2_one_clean(2), {ALICE: "11", BOB: "01"}),
         (k1, {ALICE: "10", BOB: "11"}),
         (transforms.projective_to_single_qubit(rot), {ALICE: "1", BOB: ""}),
+        # every piece a Haar unitary, so every piece spreads
+        (random_protocol(3, 5, 1, single_qubit=False), {ALICE: "1", BOB: ""}),
     ]
 
 
-@pytest.mark.parametrize("which", range(3), ids=["ip2-one-clean", "ip2-k1", "rotation-k1-sq"])
+@pytest.mark.parametrize("which", range(4), ids=["ip2-one-clean", "ip2-k1", "rotation-k1-sq", "dense-random"])
 def test_run_ensemble_real_blocks_match_two_sided_evolution(which, monkeypatch):
-    # real leaves and projector: float64 blocks hold 8 bytes a column entry,
-    # and 2^f columns leave a partial last block of 3
+    # the built-in families move most entries; the random protocol spreads them
+    # at every piece. 2^f branches leave a partial last block of 3
     p, inp = _real_specs()[which]
-    n, f = p.layout.total, p.layout.mixed
     want = density_oracle(p, inp)
-    for cols in (1, 3):
-        monkeypatch.setattr(simulator, "ENSEMBLE_BLOCK_BYTES", cols * (8 << n))
-        seen = _block_arrays(monkeypatch, n)
+    for branches in (1, 3):
+        seen = _ensemble_blocks(monkeypatch, p, inp, branches)
         assert abs(simulator.run_ensemble(p, inp).acceptance - want) < TOL
-        assert {dtype for dtype, _ in seen} == {np.dtype(float)}
-        assert {c for _, c in seen} == {cols, (1 << f) % cols or cols}
+        assert seen == _blocks_of(1 << p.layout.mixed, branches)
 
 
 @pytest.mark.parametrize("phase", [-1, 1j], ids=["real", "one-complex-leaf"])
@@ -157,15 +175,17 @@ def test_run_ensemble_keeps_complex_blocks_for_one_complex_leaf(phase, monkeypat
         measurement=Measurement(single_qubit=0),
     )
     want = density_oracle(p)
-    monkeypatch.setattr(simulator, "ENSEMBLE_BLOCK_BYTES", 3 * (16 << 3))
-    seen = _block_arrays(monkeypatch, 3)
+    seen = _ensemble_blocks(monkeypatch, p, None, 3)
     assert abs(simulator.run_ensemble(p).acceptance - want) < TOL
-    assert {dtype for dtype, _ in seen} == {np.dtype(float) if phase == -1 else np.dtype(complex)}
-    # the same bytes hold twice the float64 columns
-    assert {c for _, c in seen} == ({4} if phase == -1 else {3, 1})
+    assert seen == [3, 1]
 
 
 def test_fused_operators_of_the_wide_chains_multiply_to_their_parts():
+    # each lowered piece, fused with its controls into one operator, runs as
+    # its ensemble step; the ensemble then matches an independent backend on
+    # every chain, the 13-qubit IP2 trace form and its 16-qubit unclocked form
+    # (which density refuses) included: ensemble averages over every counter
+    # start, so it checks unclock's counter-start invariance
     ip2 = _trace_chain(problems.ip2_clocked(1))
     k1, _ = transforms.k_to_one_clean(problems.ip2_clocked(2))
     chains = [
@@ -175,13 +195,30 @@ def test_fused_operators_of_the_wide_chains_multiply_to_their_parts():
         (_trace_chain(toy_rotation_base(2 * math.pi / 3, math.pi / 5)), {ALICE: "1", BOB: ""}),
         (k1, {ALICE: "10", BOB: "11"}),
     ]
-    fused = []
+    assert [p.layout.total for p, _ in chains] == [13, 16, 12, 11, 4]
     for p, inp in chains:
-        fused.append(check_fusion([pc for r in p.rounds for pc in protocol.lower(r.unitary, r.targets)], inp))
-        if p.layout.total <= 12:
-            d = simulator.run_density(p, inp).acceptance
-            assert abs(simulator.run_ensemble(p, inp).acceptance - d) < TOL
-    assert min(fused[:4]) > 0  # each trace form runs some groups as fused operators
+        moves = check_steps([pc for r in p.rounds for pc in protocol.lower(r.unitary, r.targets)], inp)
+        assert moves > 0  # the couriers and swaps of every chain move entries
+        want = (simulator.run_trace if p.trace_plan else simulator.run_density)(p, inp).acceptance
+        assert abs(simulator.run_ensemble(p, inp).acceptance - want) < TOL
+
+
+@pytest.mark.parametrize(
+    "m, moves",
+    [
+        (np.array([[0, 1j], [-1, 0]]), True),
+        (qstate.CNOT, True),
+        (qstate.H, False),
+        (np.array([[1, 1], [0, 0]]), False),  # one nonzero a column, but not a permutation
+        (np.array([[1, 0], [0, 0]]), False),  # a zero column
+    ],
+    ids=["phased-swap", "cnot", "hadamard", "shared-row", "zero-column"],
+)
+def test_ensemble_steps_move_only_a_permutation_times_phases(m, moves):
+    w = qstate.num_qubits(len(m))
+    step = simulator._ensemble_step(tuple(range(w - 1, -1, -1)), np.asarray(m, dtype=complex))
+    assert (len(step) == 3) == moves
+    assert np.max(np.abs(step_matrix([step], w) - m)) < 1e-12
 
 
 def test_run_density_on_the_13_qubit_ip2_trace_form_equals_run_trace():
@@ -238,6 +275,21 @@ def test_run_density_on_the_11_qubit_chain_stays_within_one_block():
         assert abs(d - simulator.run_trace(tf, inp).acceptance) < TOL
 
 
+def test_run_ensemble_on_the_11_qubit_chain_stays_under_16_mib():
+    tf = _trace_chain(toy_rotation_base(2 * math.pi / 3, math.pi / 5))
+    assert tf.layout.total == 11
+    for bit in "01":
+        inp = {ALICE: bit, BOB: ""}
+        tracemalloc.start()
+        try:
+            e = simulator.run_ensemble(tf, inp).acceptance
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert abs(e - simulator.run_trace(tf, inp).acceptance) < TOL
+
+
 def test_ensemble_equals_density_without_mixed_qubits():
     p = problems.middle_protocol(2)  # m = 0: a single pure branch
     inp = {ALICE: "10", BOB: "11"}
@@ -270,7 +322,7 @@ def test_ensemble_sampled_records_seed():
     assert rep.seed == 9
     rep2 = simulator.run_ensemble(p, inp, sample=16, seed=9)
     assert rep.acceptance == rep2.acceptance
-    # the same 16 drawn branches as when every block was complex and unfused
+    # the same 16 drawn branches as when branches ran as dense state columns
     assert rep.acceptance == 0.53125
 
 
