@@ -181,22 +181,43 @@ def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...]):
     return tuple(traces), tuple(steps), free, largest
 
 
-def trace_ring(mats, plan) -> complex:
-    """Tr(M_last ... M_first) of local operators, contracted as ``ring_plan`` says."""
-    traces, steps, free, _ = plan
-    arrs = {}
-    for k, (m, pairs) in enumerate(zip(mats, traces)):
-        t = m.reshape((2,) * (2 * num_qubits(m.shape[0])))
-        for i, j in pairs:
-            t = np.trace(t, axis1=i, axis2=j)
-        arrs[k] = t
-    for n, (a, b, perm_a, perm_b, s) in enumerate(steps, start=len(traces)):
-        left = arrs.pop(a).transpose(perm_a).reshape(-1, 1 << s)
-        right = arrs.pop(b).transpose(perm_b).reshape(1 << s, -1)
-        arrs[n] = np.dot(left, right).reshape((2,) * (len(perm_a) + len(perm_b) - 2 * s))
+def ring_tensor(m: np.ndarray, pairs) -> np.ndarray:
+    """A local operator as a (2,)*2w tensor, with the axis ``pairs`` that ``ring_plan`` traces closed."""
+    t = m.reshape((2,) * (2 * num_qubits(m.shape[0])))
+    for i, j in pairs:
+        t = np.trace(t, axis1=i, axis2=j)
+    return np.asarray(t)
+
+
+def _ring_step(left, right, perm_a, perm_b, s) -> np.ndarray:
+    """One ``ring_plan`` step: an ``np.dot`` of two tensors over their s shared legs."""
+    left = left.transpose(perm_a).reshape(-1, 1 << s)
+    right = right.transpose(perm_b).reshape(1 << s, -1)
+    return np.dot(left, right).reshape((2,) * (len(perm_a) + len(perm_b) - 2 * s))
+
+
+def fold_ring(arrs: dict, steps) -> tuple:
+    """Run in order each ``(n, a, b, perm_a, perm_b, s)`` step (``ring_plan``'s
+    k-th has n = len(traces) + k) whose operands are both in ``arrs``, tensor
+    index -> ``ring_tensor``, its result put at n in their place; return the rest."""
+    left = []
+    for n, a, b, *step in steps:
+        if a in arrs and b in arrs:
+            arrs[n] = _ring_step(arrs.pop(a), arrs.pop(b), *step)
+        else:
+            left.append((n, a, b, *step))
+    return tuple(left)
+
+
+def trace_ring(arrs: dict, steps, free: int) -> complex:
+    """Tr(M_last ... M_first) of a ring whose tensors ``arrs`` (consumed) all
+    close to scalars once ``fold_ring`` runs ``steps``; those multiply in
+    tensor-index order, times 2 for each of the ``free`` qubits no operator touches."""
+    if fold_ring(arrs, steps):
+        raise DimensionError("a ring step's operand is missing")
     out = complex(1 << free)
-    for t in arrs.values():
-        out *= complex(t)
+    for k in sorted(arrs):
+        out *= complex(arrs[k])
     return out
 
 

@@ -20,6 +20,14 @@ control qubits read a value. No round is built as one dense matrix.
   one nonzero per column only moves and scales rows, so it keeps their
   count; any other piece on s qubits multiplies it by up to 2^s.
 
+What no input changes is done once per spec and kept while the spec
+object lives (``_entry``; a spec is frozen, compared by identity and
+read-only in every leaf): the lowering, the checked ring plan, the pieces
+with an ``ExplicitU`` leaf and, for a ring, every step over those alone,
+per fixed and pinned bits (density) and per counter start (trace). A call
+resolves only the generator pieces and runs only the steps left, the same
+``np.dot`` on the same operands as a ring contracted whole.
+
 ``amplify`` reads each binomial tail of the repetition harness as one
 regularized incomplete beta. It is the module's only use of scipy, which
 it imports on its first call, so importing the module loads only numpy.
@@ -30,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -38,7 +47,7 @@ import numpy as np
 
 from . import qstate
 from .errors import BackendLimitError, DimensionError, DomainError, ShapeError
-from .protocol import ProtocolSpec, lower, q1_cost, resolve_ref
+from .protocol import ExplicitU, ProtocolSpec, lower, q1_cost, resolve_ref
 
 ENSEMBLE_QUBIT_LIMIT = 20
 TRACE_MAX_BYTES = 1 << 30
@@ -101,6 +110,18 @@ def _checked_ring(backend: str, d: int, piece_axes):
     return ring
 
 
+_ENTRIES = weakref.WeakKeyDictionary()  # spec -> {key: entry}, as the module docstring says
+
+
+def _entry(p: ProtocolSpec, key: tuple, build):
+    """``build()``, kept for spec ``p`` under ``key`` while ``p`` lives. A build
+    that raises keeps nothing; racing callers may both build, with equal results."""
+    entry = _ENTRIES.get(p, {}).get(key)
+    if entry is None:
+        entry = _ENTRIES.setdefault(p, {})[key] = build()
+    return entry
+
+
 def _piece_matrices(pieces, inputs) -> list:
     """Each lowered piece as one operator on its controls then its qubits:
     the identity except the block where the controls read the piece's value."""
@@ -115,6 +136,33 @@ def _piece_matrices(pieces, inputs) -> list:
     return mats
 
 
+def _ring(backend: str, d: int, ops: list, local):
+    """A ring's trace as a function of the inputs. ``ops`` lists its operators
+    in application order, each a lowered piece and whether it enters as its
+    adjoint, on the ring qubits ``local`` maps its qubits to. Once the plan
+    passes ``_checked_ring``, the pieces with an ``ExplicitU`` leaf are
+    resolved and every step over those alone runs (``qstate.fold_ring``), its
+    result kept read-only; a call resolves the rest and runs the steps left."""
+    axes = tuple(tuple(local[q] for q in pc[3] + pc[1]) for pc, _ in ops)
+    traces, steps, free, _ = _checked_ring(backend, d, axes)
+    fixed, varying = [], []
+    for k, (pc, adjoint) in enumerate(ops):
+        (fixed if isinstance(pc[0], ExplicitU) else varying).append((k, pc, adjoint))
+    arrs = _ring_tensors(fixed, None, traces)
+    steps = qstate.fold_ring(arrs, [(n, *st) for n, st in enumerate(steps, start=len(traces))])
+    for t in arrs.values():
+        t.flags.writeable = False
+    return lambda inputs: qstate.trace_ring({**arrs, **_ring_tensors(varying, inputs, traces)}, steps, free)
+
+
+def _ring_tensors(ops, inputs, traces) -> dict:
+    """Tensor index -> ``qstate.ring_tensor`` of each ``(k, piece, adjoint)``; each piece resolved once."""
+    pieces = {id(pc): pc for _, pc, _ in ops}
+    mats = dict(zip(pieces, _piece_matrices(pieces.values(), inputs)))
+    return {k: qstate.ring_tensor(mats[id(pc)].conj().T if adj else mats[id(pc)], traces[k])
+            for k, pc, adj in ops}
+
+
 def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> RunReport:
     """Exact acceptance probability Tr(P U rho0 U^dagger) as a closed ring.
 
@@ -126,14 +174,17 @@ def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> Run
     """
     t0 = time.perf_counter()
     fixed = _fixed_bits(p, pin)
-    proj, support = p.measurement.operator()
-    pieces = [pc for r in p.rounds for pc in lower(r.unitary, r.targets)]
-    axes = [pc[3] + pc[1] for pc in pieces]
-    ring_axes = [(q,) for q in fixed] + axes + [support] + axes[::-1]
-    ring = _checked_ring("density", p.layout.total, tuple(ring_axes))
-    mats = _piece_matrices(pieces, inputs)
-    projectors = [qstate.basis_projector(bit) for bit in fixed.values()]
-    tr = qstate.trace_ring(projectors + mats + [proj] + [m.conj().T for m in reversed(mats)], ring)
+
+    def build():
+        proj, support = p.measurement.operator()
+        pieces = [pc for r in p.rounds for pc in lower(r.unitary, r.targets)]
+        rho0 = [(qstate.basis_projector(bit), (q,)) for q, bit in fixed.items()]
+        projectors = [((ExplicitU(m), qs, False, (), 0), False) for m, qs in rho0 + [(proj, support)]]
+        ops = projectors[:-1] + [(pc, False) for pc in pieces] + projectors[-1:]
+        ops += [(pc, True) for pc in reversed(pieces)]
+        return _ring("density", p.layout.total, ops, range(p.layout.total))
+
+    tr = _entry(p, ("density", *fixed.items()), build)(inputs)
     acc = qstate.checked_acceptance(tr / (1 << (p.layout.total - len(fixed))))
     return RunReport(acc, "density", elapsed=time.perf_counter() - t0)
 
@@ -240,9 +291,15 @@ def run_ensemble(
     rows = np.full(len(cols), sum(bit << (n - 1 - q) for q, bit in fixed.items()))
     for j, q in enumerate(free):
         rows |= ((cols >> (len(free) - 1 - j)) & 1) << (n - 1 - q)
-    pieces = [pc for r in p.rounds for pc in lower(r.unitary, r.targets)]
-    mats = _piece_matrices(pieces, inputs)
-    steps = [_ensemble_step(tuple(n - 1 - q for q in pc[3] + pc[1]), m) for pc, m in zip(pieces, mats)]
+
+    def build():  # each piece, its key shifts, and its step when its leaf is explicit
+        pieces = [pc for r in p.rounds for pc in lower(r.unitary, r.targets)]
+        shifts = [tuple(n - 1 - q for q in pc[3] + pc[1]) for pc in pieces]
+        return [(pc, sh, isinstance(pc[0], ExplicitU) and _ensemble_step(sh, _piece_matrices([pc], None)[0]))
+                for pc, sh in zip(pieces, shifts)]
+
+    entry = _entry(p, ("ensemble",), build)
+    steps = [step or _ensemble_step(sh, _piece_matrices([pc], inputs)[0]) for pc, sh, step in entry]
     proj, support = p.measurement.operator()
     spread = sum(len(step[0]) for step in steps if len(step) == 2) + len(support)
     block = max(1, TRACE_MAX_BYTES // (16 << min(n, spread)))
@@ -271,27 +328,19 @@ def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport
     plan = p.trace_plan
     if plan is None:
         raise ShapeError("protocol is not in trace form (no plan attached)")
-    core = [
-        q
-        for q in range(p.layout.total)
-        if q != plan.control and q not in plan.counter
-    ]
-    d = len(core)
-    local = {q: i for i, q in enumerate(core)}
-
-    order = list(range(len(plan.pieces)))
-    if plan.counter:
-        pairs = plan.pairs
-        if not 0 <= counter_start < pairs:
-            raise DomainError(f"counter start {counter_start} outside [0, {pairs})")
-        order = [(2 * counter_start + t) % (2 * pairs) for t in range(2 * pairs)]
-    elif counter_start:
+    if plan.counter and not 0 <= counter_start < plan.pairs:
+        raise DomainError(f"counter start {counter_start} outside [0, {plan.pairs})")
+    if counter_start and not plan.counter:
         raise DomainError("counter start given but the plan has no counter")
 
-    pieces = [pc for idx in order for pc in lower(*plan.pieces[idx])]
-    ring = _checked_ring("trace", d, tuple(tuple(local[q] for q in pc[3] + pc[1]) for pc in pieces))
-    tr = qstate.trace_ring(_piece_matrices(pieces, inputs), ring)
-    acc = qstate.checked_acceptance(0.5 + tr.real / (1 << (d + 1)))
+    def build():
+        core = [q for q in range(p.layout.total) if q != plan.control and q not in plan.counter]
+        width = len(plan.pieces)  # 2 * pairs with a counter
+        pieces = [pc for t in range(width) for pc in lower(*plan.pieces[(2 * counter_start + t) % width])]
+        ring = _ring("trace", len(core), [(pc, False) for pc in pieces], {q: i for i, q in enumerate(core)})
+        return lambda inputs: 0.5 + ring(inputs).real / (1 << (len(core) + 1))
+
+    acc = qstate.checked_acceptance(_entry(p, ("trace", counter_start), build)(inputs))
     return RunReport(acc, "trace", elapsed=time.perf_counter() - t0)
 
 

@@ -1,6 +1,10 @@
+import gc
 import math
+import sys
+import threading
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +37,7 @@ from helpers import (
     random_two_clean,
     ring_plan_oracle,
     step_matrix,
+    table_ref,
     toy_rotation_base,
 )
 
@@ -83,6 +88,7 @@ def test_density_backend_limit(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert uc not in simulator._ENTRIES  # a refused ring keeps nothing
     assert f"{simulator.TRACE_MAX_BYTES} bytes" in str(info.value)
     assert wall < 2.0
     assert peak < 16 << 20
@@ -400,29 +406,34 @@ def test_run_trace_middle_n32_chain_hits_the_byte_bound_before_allocating(monkey
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert tf not in simulator._ENTRIES  # a refused ring keeps nothing
     assert f"{simulator.TRACE_MAX_BYTES} bytes" in str(info.value)
     assert wall < 2.0
     assert peak < 16 << 20
 
 
-def _split_ring(seed: int):
+def _split_ring(seed: int, alice_input: bool = False):
     """Trace form whose ring has two disconnected piece groups, a lone piece,
     qubits touched by exactly one piece and core qubits no piece touches.
 
     Qubits: 0 control; Bob's 1, 3, 5; Alice's 2, 4, 6, 7; channel 8 (Bob's).
     Bob's pieces {1,3}, {1}, {3,5} form one group (5 touched once), Alice's
     {2}, {2,4} another (4 touched once), Alice's {6} is a lone piece, and
-    7 and the channel are untouched.
+    7 and the channel are untouched. With ``alice_input`` the {2} piece is
+    a generator of Alice's input bit, so only Alice's group reads an input.
     """
     rng = np.random.default_rng(seed)
     owners = (BOB, BOB, ALICE, BOB, ALICE, BOB, ALICE, ALICE, BOB)
     targets = [(1, 3), (2,), (1,), (2, 4), (3, 5), (6,)]
     pieces = []
     for tg in targets:
-        # small phases in a Haar basis: non-commuting pieces with large traces
-        v = qstate.haar_unitary(1 << len(tg), rng)
-        phases = np.exp(1j * rng.uniform(-0.3, 0.3, 1 << len(tg)))
-        pieces.append((explicit((v * phases) @ v.conj().T), tg))
+        mats = []
+        for _ in range(2 if alice_input and tg == (2,) else 1):
+            # small phases in a Haar basis: non-commuting pieces with large traces
+            v = qstate.haar_unitary(1 << len(tg), rng)
+            phases = np.exp(1j * rng.uniform(-0.3, 0.3, 1 << len(tg)))
+            mats.append((v * phases) @ v.conj().T)
+        pieces.append((table_ref(ALICE, dict(zip("01", mats))) if len(mats) == 2 else explicit(mats[0]), tg))
     return transforms.hadamard_test_protocol(pieces, owners, 8)
 
 
@@ -450,12 +461,172 @@ def test_run_trace_cached_order_is_reused_across_inputs_and_counter_starts():
     qstate.ring_plan.cache_clear()
     warm = [simulator.run_trace(uc, inp, counter_start=j).acceptance for inp, j in runs]
     info = qstate.ring_plan.cache_info()
-    assert info.misses <= uc.trace_plan.pairs and info.hits == len(runs) - info.misses
+    # one plan per counter start, built with its spec's entry and never asked for again
+    assert info.hits + info.misses == uc.trace_plan.pairs == len(simulator._ENTRIES[uc])
     for (inp, j), acc in zip(runs, warm):
         qstate.ring_plan.cache_clear()
-        assert simulator.run_trace(uc, inp, counter_start=j).acceptance == acc
+        assert simulator.run_trace(_fresh(uc), inp, counter_start=j).acceptance == acc
         ip = int(inp[ALICE]) & int(inp[BOB])
         assert abs(acc - (0.5 + (3 / 8 + ip / 4) / 8)) < TOL
+
+
+def _fresh(p):
+    """A copy of ``p`` that no backend has evaluated yet."""
+    return protocol.deserialize(protocol.serialize(p))
+
+
+def _rotation_chain():
+    return _trace_chain(toy_rotation_base(2 * math.pi / 3, math.pi / 5))
+
+
+def _whole(monkeypatch, run):
+    """``run``'s value with no piece held as input-independent, so that every
+    piece is resolved and the ring contracted whole, as one call did before
+    evaluations were kept per spec."""
+
+    class NoLeaf:  # builds explicit leaves, none of which is a NoLeaf
+        def __new__(cls, m):
+            return protocol.ExplicitU(m)
+
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "ExplicitU", NoLeaf)
+        return run()
+
+
+def _bit_identity_cases():
+    ip2 = _trace_chain(problems.ip2_clocked(1))
+    uc, _ = transforms.unclock(ip2)
+    bits = [{ALICE: "0", BOB: "1"}, {ALICE: "1", BOB: "1"}]
+    rot = [{ALICE: "0", BOB: ""}, {ALICE: "1", BOB: ""}]
+    cases = {
+        "trace-middle": (_trace_chain(problems.middle_protocol(2)), simulator.run_trace, {},
+                         [{ALICE: "01", BOB: "10"}, {ALICE: "11", BOB: "11"}]),
+        "trace-ip2": (ip2, simulator.run_trace, {}, bits),
+        "density-rotation": (_rotation_chain(), simulator.run_density, {}, rot),
+        "density-rotation-pinned": (_rotation_chain(), simulator.run_density, {"pin": {3: 1, 7: 0}}, rot),
+        "density-k1-pinned": (transforms.k_to_one_clean(problems.ip2_clocked(1))[0], simulator.run_density,
+                              {"pin": {2: 1}}, bits),
+        "ensemble-ip2": (problems.ip2_one_clean(2), simulator.run_ensemble, {},
+                         [{ALICE: "01", BOB: "11"}, {ALICE: "11", BOB: "10"}]),
+        "split-ring": (_split_ring(0), simulator.run_trace, {}, [{}, {}]),
+        "split-ring-alice": (_split_ring(0, alice_input=True), simulator.run_trace, {},
+                             [{ALICE: "0"}, {ALICE: "1"}]),
+    }
+    cases.update({
+        f"unclock-start-{j}": (uc, simulator.run_trace, {"counter_start": j}, bits)
+        for j in range(uc.trace_plan.pairs)
+    })
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_bit_identity_cases()))
+def test_a_warm_call_equals_a_first_call_and_a_whole_ring_bit_for_bit(case, monkeypatch):
+    p, run, kw, (x0, x1) = _bit_identity_cases()[case]
+    run(p, x1)  # with no pin or counter start: another entry, when the case has one
+    # x0, x1, x0: the second x0 runs on an entry that x1 used, so no input leaks through it
+    for inputs in (x0, x1, x0):
+        warm = run(p, inputs, **kw).acceptance
+        assert warm == run(_fresh(p), inputs, **kw).acceptance
+        assert warm == _whole(monkeypatch, lambda: run(_fresh(p), inputs, **kw).acceptance)
+
+
+def test_the_split_ring_folds_to_three_scalars_that_multiply_in_index_order(monkeypatch):
+    p = _fresh(_split_ring(1))
+    seen = []
+    real = qstate.trace_ring
+    monkeypatch.setattr(qstate, "trace_ring", lambda arrs, steps, free: seen.append((dict(arrs), steps))
+                        or real(arrs, steps, free))
+    acc = simulator.run_trace(p).acceptance
+    simulator.run_trace(p)
+    # every piece is explicit, so each call gets the two components and the
+    # lone piece as scalars folded once, with no step left to run
+    arrs, steps = seen[1]
+    assert steps == () and [t.shape for t in arrs.values()] == [()] * 3
+    assert all(t is seen[0][0][k] for k, t in arrs.items())
+    want = complex(1 << 2)  # the two core qubits no piece touches
+    for k in sorted(arrs):
+        want *= complex(arrs[k])
+    assert acc == qstate.checked_acceptance(0.5 + want.real / (1 << 9))
+
+
+def test_an_evaluated_spec_is_freed_with_its_entries():
+    p = _fresh(transforms.k_to_one_clean(problems.ip2_clocked(1))[0])
+    inputs = {ALICE: "1", BOB: "0"}
+    for backend in ("density", "ensemble"):
+        simulator.run(p, inputs, backend=backend)
+    tf = _fresh(_trace_chain(problems.ip2_clocked(1)))
+    simulator.run_trace(tf, inputs)
+    assert len(simulator._ENTRIES[p]) == 2 and len(simulator._ENTRIES[tf]) == 1
+    refs = [weakref.ref(p), weakref.ref(tf)]
+    del p, tf
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_the_arrays_a_spec_keeps_are_read_only(monkeypatch):
+    p = _fresh(_trace_chain(problems.middle_protocol(2)))
+    seen = []
+    real = qstate.trace_ring
+    monkeypatch.setattr(qstate, "trace_ring", lambda arrs, *r: seen.append(dict(arrs)) or real(arrs, *r))
+    simulator.run_trace(p, {ALICE: "01", BOB: "10"})
+    simulator.run_trace(p, {ALICE: "11", BOB: "00"})
+    kept = [t for k, t in seen[1].items() if seen[0].get(k) is t]
+    fresh = [t for k, t in seen[1].items() if seen[0].get(k) is not t]
+    assert kept and fresh
+    for t in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            t[...] = 0
+
+
+def test_threads_that_share_a_fresh_spec_get_the_values_of_one_thread():
+    p = _split_ring(2, alice_input=True)
+    runs = [(backend, {ALICE: x}) for backend in ("trace", "density", "ensemble") for x in "01"]
+    want = [simulator.run(_fresh(p), inp, backend=b).acceptance for b, inp in runs]
+    for _ in range(3):
+        shared, got, errors = _fresh(p), {}, []
+
+        def work(i):
+            try:
+                for j in range(len(runs)):  # each thread starts at another run
+                    k = (i + j) % len(runs)
+                    got.setdefault(k, set()).add(simulator.run(shared, runs[k][1], backend=runs[k][0]).acceptance)
+            except Exception as e:  # reported below, as a thread's exception is not raised in the test
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert [got[k] for k in range(len(runs))] == [{w} for w in want]
+
+
+@pytest.mark.parametrize("backend, chain, inputs, first, warm", [
+    ("trace", lambda: _trace_chain(problems.middle_protocol(2)), {ALICE: "01", BOB: "10"}, 34, 23),
+    ("density", _rotation_chain, {ALICE: "1", BOB: ""}, 39, 16),
+])
+def test_a_warm_call_runs_only_the_ring_steps_that_read_an_input(backend, chain, inputs, first, warm,
+                                                                  monkeypatch):
+    p = chain()
+    steps = []
+    real = qstate._ring_step
+    monkeypatch.setattr(qstate, "_ring_step", lambda *args: steps.append(1) or real(*args))
+    counts = []
+    for _ in range(3):
+        steps.clear()
+        simulator.run(p, inputs, backend=backend)
+        counts.append(len(steps))
+    assert counts == [first, warm, warm]
+    for _ in range(2):  # the reference of the bit-identity test contracts every step on every call
+        steps.clear()
+        _whole(monkeypatch, lambda: simulator.run(_fresh(p), inputs, backend=backend))
+        assert len(steps) == first
 
 
 def _density_ring_axes(p):
@@ -604,6 +775,7 @@ def test_built_specs_are_not_validated_again_and_lower_each_round_once(monkeypat
             return fn(*args, **kwargs)
         return wrapper
 
+    k1_copy = _fresh(k1)
     monkeypatch.setattr(protocol, "validate", counted("validate", protocol.validate))
     monkeypatch.setattr(simulator, "lower", counted("lower", simulator.lower))
     inputs = {ALICE: "1", BOB: "1"}
@@ -611,11 +783,14 @@ def test_built_specs_are_not_validated_again_and_lower_each_round_once(monkeypat
         (lambda: simulator.run_density(k1, inputs), len(k1.rounds)),
         (lambda: simulator.run_ensemble(k1, inputs), len(k1.rounds)),
         (lambda: simulator.run_trace(tf, inputs), len(tf.trace_plan.pieces)),
-        (lambda: simulator.measure_bias(k1, problems.ip2_inputs(1), k1.declared_p), 4 * len(k1.rounds)),
+        # four inputs on one spec: lowered by the first only
+        (lambda: simulator.measure_bias(k1_copy, problems.ip2_inputs(1), k1.declared_p), len(k1.rounds)),
         (lambda: protocol.cost_report(k1), 0),
     ]:
         calls["lower"] = 0
         call()
+        assert calls == {"validate": 0, "lower": lowered}
+        call()  # a repeated call on the same spec lowers nothing
         assert calls == {"validate": 0, "lower": lowered}
 
 
