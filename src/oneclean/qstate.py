@@ -182,7 +182,8 @@ def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...]):
 
 
 def ring_tensor(m: np.ndarray, pairs) -> np.ndarray:
-    """A local operator as a (2,)*2w tensor, with the axis ``pairs`` that ``ring_plan`` traces closed."""
+    """A local operator as a (2,)*2w tensor, with the axis ``pairs`` that ``ring_plan`` traces
+    closed; an array even when every axis closes, so that it can be made read-only."""
     t = m.reshape((2,) * (2 * num_qubits(m.shape[0])))
     for i, j in pairs:
         t = np.trace(t, axis1=i, axis2=j)
