@@ -198,15 +198,17 @@ def _ring_step(left, right, perm_a, perm_b, s) -> np.ndarray:
 
 
 def fold_ring(arrs: dict, steps) -> tuple:
-    """Run in order each ``(n, a, b, perm_a, perm_b, s)`` step (``ring_plan``'s
-    k-th has n = len(traces) + k) whose operands are both in ``arrs``, tensor
-    index -> ``ring_tensor``, its result put at n in their place; return the rest."""
+    """Run in order each ``(n, step)`` whose ``ring_plan`` step ``(a, b, perm_a,
+    perm_b, s)`` has both operands in ``arrs`` (tensor index -> ``ring_tensor``),
+    its result put at n (len(traces) + k for the plan's k-th step) in their
+    place; return the ``(n, step)`` left."""
     left = []
-    for n, a, b, *step in steps:
+    for n, step in steps:
+        a, b, perm_a, perm_b, s = step
         if a in arrs and b in arrs:
-            arrs[n] = _ring_step(arrs.pop(a), arrs.pop(b), *step)
+            arrs[n] = _ring_step(arrs.pop(a), arrs.pop(b), perm_a, perm_b, s)
         else:
-            left.append((n, a, b, *step))
+            left.append((n, step))
     return tuple(left)
 
 

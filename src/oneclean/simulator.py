@@ -136,20 +136,19 @@ def _piece_matrices(pieces, inputs) -> list:
     return mats
 
 
-def _ring(backend: str, d: int, ops: list, local):
+def _ring(backend: str, d: int, ops: list, axes: list):
     """A ring's trace as a function of the inputs. ``ops`` lists its operators
     in application order, each a lowered piece and whether it enters as its
-    adjoint, on the ring qubits ``local`` maps its qubits to. Once the plan
+    adjoint, and ``axes`` the ring qubits each acts on. Once the plan
     passes ``_checked_ring``, the pieces with an ``ExplicitU`` leaf are
     resolved and every step over those alone runs (``qstate.fold_ring``), its
     result kept read-only; a call resolves the rest and runs the steps left."""
-    axes = tuple(tuple(local[q] for q in pc[3] + pc[1]) for pc, _ in ops)
-    traces, steps, free, _ = _checked_ring(backend, d, axes)
+    traces, steps, free, _ = _checked_ring(backend, d, tuple(axes))
     fixed, varying = [], []
     for k, (pc, adjoint) in enumerate(ops):
         (fixed if isinstance(pc[0], ExplicitU) else varying).append((k, pc, adjoint))
     arrs = _ring_tensors(fixed, None, traces)
-    steps = qstate.fold_ring(arrs, [(n, *st) for n, st in enumerate(steps, start=len(traces))])
+    steps = qstate.fold_ring(arrs, enumerate(steps, start=len(traces)))
     for t in arrs.values():
         t.flags.writeable = False
     return lambda inputs: qstate.trace_ring({**arrs, **_ring_tensors(varying, inputs, traces)}, steps, free)
@@ -182,7 +181,7 @@ def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> Run
         projectors = [((ExplicitU(m), qs, False, (), 0), False) for m, qs in rho0 + [(proj, support)]]
         ops = projectors[:-1] + [(pc, False) for pc in pieces] + projectors[-1:]
         ops += [(pc, True) for pc in reversed(pieces)]
-        return _ring("density", p.layout.total, ops, range(p.layout.total))
+        return _ring("density", p.layout.total, ops, [pc[3] + pc[1] for pc, _ in ops])
 
     tr = _entry(p, ("density", *fixed.items()), build)(inputs)
     acc = qstate.checked_acceptance(tr / (1 << (p.layout.total - len(fixed))))
@@ -337,7 +336,9 @@ def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport
         core = [q for q in range(p.layout.total) if q != plan.control and q not in plan.counter]
         width = len(plan.pieces)  # 2 * pairs with a counter
         pieces = [pc for t in range(width) for pc in lower(*plan.pieces[(2 * counter_start + t) % width])]
-        ring = _ring("trace", len(core), [(pc, False) for pc in pieces], {q: i for i, q in enumerate(core)})
+        local = {q: i for i, q in enumerate(core)}
+        axes = [tuple(local[q] for q in pc[3] + pc[1]) for pc in pieces]
+        ring = _ring("trace", len(core), [(pc, False) for pc in pieces], axes)
         return lambda inputs: 0.5 + ring(inputs).real / (1 << (len(core) + 1))
 
     acc = qstate.checked_acceptance(_entry(p, ("trace", counter_start), build)(inputs))
