@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -364,8 +365,25 @@ def ownership_schedule(p: ProtocolSpec) -> list:
     return out
 
 
+_ENTRIES = weakref.WeakKeyDictionary()  # spec -> {key: entry}: its "lowered", then each backend's
+
+
+def kept(p: ProtocolSpec, key, build):
+    """``build()``, kept for spec ``p`` under ``key`` while ``p`` lives. A build
+    that raises keeps nothing; racing callers may both build, with equal results."""
+    entries = _ENTRIES[p]  # made by ``validate`` when ``p`` was built
+    return entries[key] if key in entries else entries.setdefault(key, build())
+
+
+def lowered(p: ProtocolSpec) -> tuple:
+    """``p``'s rounds' pieces in time order, and a piece tuple per trace-plan piece (None
+    without a plan), as ``validate`` lowered them; rounds with one key share pieces."""
+    return _ENTRIES[p]["lowered"]
+
+
 def validate(p: ProtocolSpec) -> list:
-    """Check every ProtocolSpec invariant; return the list of violations."""
+    """Check every ProtocolSpec invariant; return the list of violations. A valid
+    ``p`` keeps the pieces its rounds and plan lower to, for ``lowered``."""
     v: list[str] = []
     if p.players not in (2, 3):
         v.append(f"players must be 2 or 3, got {p.players}")
@@ -386,7 +404,7 @@ def validate(p: ProtocolSpec) -> list:
         v.append(f"declared reference point {p.declared_p} outside (0, 1)")
 
     owners = list(p.initial_owner)
-    lowered: dict = {}  # (unitary, targets) -> its violations; unclock shares one ref per player
+    memo: dict = {}  # (unitary, targets) -> (pieces, violations); unclock shares one ref per player
     bad: dict = {}  # violation -> the rounds that have it, so a repeated one reads once
     for i, r in enumerate(p.rounds):
         if not 0 <= r.player < p.players:
@@ -413,10 +431,7 @@ def validate(p: ProtocolSpec) -> list:
                 for q in r.message:
                     if 0 <= q < total:
                         owners[q] = r.to
-        key = (r.unitary, r.targets)
-        if key not in lowered:
-            lowered[key] = _lowering_violations(r.unitary, r.targets)
-        for msg in dict.fromkeys(msgs + lowered[key]):
+        for msg in dict.fromkeys(msgs + _lowering(memo, r.unitary, r.targets)[1]):
             bad.setdefault(msg, []).append(i)
     for msg, rounds in bad.items():
         v.append(f"round{'s' * (len(rounds) > 1)} {', '.join(map(str, rounds))}: {msg}")
@@ -436,31 +451,40 @@ def validate(p: ProtocolSpec) -> list:
             v.append("measurement matrix is not a projector within 1e-9")
 
     if p.trace_plan is not None:
-        v.extend(_validate_trace_plan(p.trace_plan, total))
+        v.extend(_validate_trace_plan(p.trace_plan, total, memo))
     if p.mode == SEMI_UNCLOCKED:
         v.extend(_validate_semi_unclocked(p))
     if p.channel == FIXED:
         msgs = [r.message for r in p.rounds if r.message]
         if msgs and any(m != msgs[0] for m in msgs[1:]):
             v.append("fixed channel but message sets differ across rounds")
+    if not v:
+        rounds = tuple(pc for r in p.rounds for pc in _lowering(memo, r.unitary, r.targets)[0])
+        plan = p.trace_plan and tuple(_lowering(memo, *piece)[0] for piece in p.trace_plan.pieces)
+        _ENTRIES.setdefault(p, {})["lowered"] = rounds, plan
     return v
 
 
-def _lowering_violations(ref, targets: tuple) -> list:
-    """Why ``ref`` cannot act on ``targets``: a ``lower`` failure, or an
-    explicit leaf of the wrong dimension or not unitary within 1e-9."""
-    try:
-        leaves = {(pc[0], len(pc[1])): pc for pc in lower(ref, targets) if isinstance(pc[0], ExplicitU)}
-        for pc in leaves.values():
-            resolve_ref(pc, None)  # the shape check
-    except DomainError as e:
-        return [str(e)]
-    return [] if all(u.is_unitary for u, _ in leaves) else ["explicit matrix is not unitary within 1e-9"]
+def _lowering(memo: dict, ref, targets) -> tuple:
+    """``lower(ref, targets)``, once per key of ``memo``, and why ``ref`` cannot act on ``targets``:
+    a ``lower`` failure, or an explicit leaf of the wrong dimension or not unitary within 1e-9."""
+    key = (ref, tuple(targets))
+    if key not in memo:
+        try:
+            pieces = lower(ref, targets)
+            leaves = {(pc[0], len(pc[1])): pc for pc in pieces if isinstance(pc[0], ExplicitU)}
+            for pc in leaves.values():
+                resolve_ref(pc, None)  # the shape check
+            unitary = all(u.is_unitary for u, _ in leaves)
+            memo[key] = pieces, [] if unitary else ["explicit matrix is not unitary within 1e-9"]
+        except DomainError as e:
+            memo[key] = (), [str(e)]
+    return memo[key]
 
 
-def _validate_trace_plan(tp: TracePlan, total: int) -> list:
+def _validate_trace_plan(tp: TracePlan, total: int, memo: dict) -> list:
     """Why ``run_trace`` cannot contract the plan: its qubits, each piece's
-    targets and lowering, and the piece count of a counter plan."""
+    targets and lowering (``_lowering`` in ``memo``), and the piece count of a counter plan."""
     named = [("control", tp.control), ("channel", tp.channel)]
     named += [("counter qubit", c) for c in tp.counter]
     v = [f"trace_plan: {what} {q} out of range" for what, q in named if not 0 <= q < total]
@@ -476,7 +500,7 @@ def _validate_trace_plan(tp: TracePlan, total: int) -> list:
                 v.append(f"{where}: repeated target {t}")
             elif t in reserved:
                 v.append(f"{where}: target {t} is {reserved[t]}")
-        v.extend(f"{where}: {msg}" for msg in _lowering_violations(ref, targets))
+        v.extend(f"{where}: {msg}" for msg in _lowering(memo, ref, targets)[1])
     if tp.counter or tp.pairs:
         if 1 << len(tp.counter) != tp.pairs:
             v.append(f"trace_plan: {tp.pairs} counter pairs, not 2^{len(tp.counter)}")
@@ -845,10 +869,11 @@ def _layout_from_obj(obj: dict, matrices) -> dict:
     """The fields ``_layout_obj`` writes, parsed from a descriptor."""
     where = "descriptor"
     layout = _read(_require(obj, "layout", where, dict), _LAYOUT, "layout", matrices)
-    rounds = [
-        RoundAction(**_read(_expect(r, dict, f"rounds[{i}]"), _ROUND, f"rounds[{i}]", matrices))
-        for i, r in enumerate(_require(obj, "rounds", where, list))
-    ]
+    rounds, refs = [], {}  # equal unitary JSON reads as one object, as a semi-unclocked spec needs
+    for i, r in enumerate(_require(obj, "rounds", where, list)):
+        vals = _read(_expect(r, dict, f"rounds[{i}]"), _ROUND, f"rounds[{i}]", matrices)
+        vals["unitary"] = refs.setdefault(json.dumps(r["unitary"], sort_keys=True), vals["unitary"])
+        rounds.append(RoundAction(**vals))
     mobj = _require(obj, "measurement", where, dict)
     if "single_qubit" in mobj:
         meas = Measurement(single_qubit=_require(mobj, "single_qubit", "measurement", int))
@@ -901,7 +926,7 @@ def from_descriptor(obj: dict) -> ProtocolSpec:
         raise ParseError(f"{where}: field {stray[0]!r} is not stored in a version-{version} trace form")
     if plan is None:
         return ProtocolSpec(initial_owner=owners, **head, **fields)
-    if violations := _validate_trace_plan(plan, len(owners)):
+    if violations := _validate_trace_plan(plan, len(owners), {}):
         raise ValidationError(violations)
     try:
         spec = trace_form_spec(plan, owners, **head)

@@ -1,9 +1,9 @@
 """Exact acceptance-probability backends and the amplification harness.
 
 Three backends compute the same number on two engines. All of them run
-each round (or trace-form piece) as its lowered pieces from
-``protocol.lower``: a leaf matrix on a few qubits, applied where its
-control qubits read a value. No round is built as one dense matrix.
+each round (or trace-form piece) as the pieces it was lowered to when the
+spec was built (``protocol.lowered``): a leaf matrix on a few qubits,
+applied where its control qubits read a value. No round is built dense.
 
 * ``run_density`` and ``run_trace`` contract a closed ring of those
   pieces pairwise (``qstate.ring_plan``), never building a 2^n x 2^n
@@ -20,13 +20,14 @@ control qubits read a value. No round is built as one dense matrix.
   one nonzero per column only moves and scales rows, so it keeps their
   count; any other piece on s qubits multiplies it by up to 2^s.
 
-What no input changes is done once per spec and kept while the spec
-object lives (``_entry``; a spec is frozen, compared by identity and
-read-only in every leaf): the lowering, the checked ring plan, the pieces
-with an ``ExplicitU`` leaf and, for a ring, every step over those alone,
-per fixed and pinned bits (density) and per counter start (trace). A call
-resolves only the generator pieces and runs only the steps left, the same
-``np.dot`` on the same operands as a ring contracted whole.
+What no input changes is done once per spec and kept in its store while
+it lives (``protocol.kept``; a spec is frozen, compared by identity and
+read-only in every leaf): the checked ring plan, the pieces with an
+``ExplicitU`` leaf and, for a ring, every step over those alone, per fixed
+and pinned bits (density) and per counter start (trace, which rotates the
+kept plan pieces). A call resolves only the generator pieces and runs only
+the steps left, the same ``np.dot`` on the same operands as a ring
+contracted whole.
 
 ``amplify`` reads each binomial tail of the repetition harness as one
 regularized incomplete beta. It is the module's only use of scipy, which
@@ -37,8 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -47,7 +46,7 @@ import numpy as np
 
 from . import qstate
 from .errors import BackendLimitError, DimensionError, DomainError, ShapeError
-from .protocol import ExplicitU, ProtocolSpec, lower, q1_cost, resolve_ref
+from .protocol import ExplicitU, ProtocolSpec, kept, lowered, q1_cost, resolve_ref
 
 ENSEMBLE_QUBIT_LIMIT = 20
 TRACE_MAX_BYTES = 1 << 30
@@ -60,7 +59,6 @@ class RunReport:
     acceptance: float
     backend: str
     seed: Optional[int] = None
-    elapsed: float = 0.0
 
     CSV_HEADER = "input,acceptance,backend,seed,elapsed"
 
@@ -97,31 +95,6 @@ def _fixed_bits(p: ProtocolSpec, pin: Optional[dict]) -> dict:
     return fixed
 
 
-def _checked_ring(backend: str, d: int, piece_axes):
-    """``qstate.ring_plan`` for the pieces, refused with ``BackendLimitError``
-    when its largest intermediate would exceed ``TRACE_MAX_BYTES``."""
-    ring = qstate.ring_plan(d, piece_axes)
-    need = ring[-1] * np.dtype(complex).itemsize
-    if need > TRACE_MAX_BYTES:
-        raise BackendLimitError(
-            f"{backend} contraction over {d} qubits needs a {need}-byte intermediate, "
-            f"over the ring bound TRACE_MAX_BYTES = {TRACE_MAX_BYTES} bytes"
-        )
-    return ring
-
-
-_ENTRIES = weakref.WeakKeyDictionary()  # spec -> {key: entry}, as the module docstring says
-
-
-def _entry(p: ProtocolSpec, key: tuple, build):
-    """``build()``, kept for spec ``p`` under ``key`` while ``p`` lives. A build
-    that raises keeps nothing; racing callers may both build, with equal results."""
-    entry = _ENTRIES.get(p, {}).get(key)
-    if entry is None:
-        entry = _ENTRIES.setdefault(p, {})[key] = build()
-    return entry
-
-
 def _piece_matrices(pieces, inputs) -> list:
     """Each lowered piece as one operator on its controls then its qubits:
     the identity except the block where the controls read the piece's value."""
@@ -139,11 +112,17 @@ def _piece_matrices(pieces, inputs) -> list:
 def _ring(backend: str, d: int, ops: list, axes: list):
     """A ring's trace as a function of the inputs. ``ops`` lists its operators
     in application order, each a lowered piece and whether it enters as its
-    adjoint, and ``axes`` the ring qubits each acts on. Once the plan
-    passes ``_checked_ring``, the pieces with an ``ExplicitU`` leaf are
-    resolved and every step over those alone runs (``qstate.fold_ring``), its
-    result kept read-only; a call resolves the rest and runs the steps left."""
-    traces, steps, free, _ = _checked_ring(backend, d, tuple(axes))
+    adjoint, and ``axes`` the ring qubits each acts on. A plan whose largest
+    intermediate exceeds ``TRACE_MAX_BYTES`` raises ``BackendLimitError``;
+    otherwise the pieces with an ``ExplicitU`` leaf are resolved and every
+    step over those alone runs (``qstate.fold_ring``), its result kept
+    read-only, and a call resolves the rest and runs the steps left."""
+    traces, steps, free, peak = qstate.ring_plan(d, tuple(axes))
+    if (need := peak * np.dtype(complex).itemsize) > TRACE_MAX_BYTES:
+        raise BackendLimitError(
+            f"{backend} contraction over {d} qubits needs a {need}-byte intermediate, "
+            f"over the ring bound TRACE_MAX_BYTES = {TRACE_MAX_BYTES} bytes"
+        )
     fixed, varying = [], []
     for k, (pc, adjoint) in enumerate(ops):
         (fixed if isinstance(pc[0], ExplicitU) else varying).append((k, pc, adjoint))
@@ -171,21 +150,19 @@ def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> Run
     P and the adjoint pieces of U_r ... U_1, over 2^f. The ring is planned
     and checked against ``TRACE_MAX_BYTES`` before any piece is resolved.
     """
-    t0 = time.perf_counter()
     fixed = _fixed_bits(p, pin)
 
     def build():
         proj, support = p.measurement.operator()
-        pieces = [pc for r in p.rounds for pc in lower(r.unitary, r.targets)]
+        pieces = lowered(p)[0]
         rho0 = [(qstate.basis_projector(bit), (q,)) for q, bit in fixed.items()]
         projectors = [((ExplicitU(m), qs, False, (), 0), False) for m, qs in rho0 + [(proj, support)]]
         ops = projectors[:-1] + [(pc, False) for pc in pieces] + projectors[-1:]
         ops += [(pc, True) for pc in reversed(pieces)]
         return _ring("density", p.layout.total, ops, [pc[3] + pc[1] for pc, _ in ops])
 
-    tr = _entry(p, ("density", *fixed.items()), build)(inputs)
-    acc = qstate.checked_acceptance(tr / (1 << (p.layout.total - len(fixed))))
-    return RunReport(acc, "density", elapsed=time.perf_counter() - t0)
+    tr = kept(p, ("density", *fixed.items()), build)(inputs)
+    return RunReport(qstate.checked_acceptance(tr / (1 << (p.layout.total - len(fixed)))), "density")
 
 
 def _bits(keys: np.ndarray, shifts: tuple) -> np.ndarray:
@@ -268,7 +245,6 @@ def run_ensemble(
     complex128 per branch fit in ``TRACE_MAX_BYTES``, with ``spread`` the
     qubits and controls of every spreading piece and the measured qubits.
     """
-    t0 = time.perf_counter()
     n = p.layout.total
     if n > ENSEMBLE_QUBIT_LIMIT:
         raise BackendLimitError(
@@ -292,12 +268,12 @@ def run_ensemble(
         rows |= ((cols >> (len(free) - 1 - j)) & 1) << (n - 1 - q)
 
     def build():  # each piece, its key shifts, and its step when its leaf is explicit
-        pieces = [pc for r in p.rounds for pc in lower(r.unitary, r.targets)]
+        pieces = lowered(p)[0]
         shifts = [tuple(n - 1 - q for q in pc[3] + pc[1]) for pc in pieces]
         return [(pc, sh, isinstance(pc[0], ExplicitU) and _ensemble_step(sh, _piece_matrices([pc], None)[0]))
                 for pc, sh in zip(pieces, shifts)]
 
-    entry = _entry(p, ("ensemble",), build)
+    entry = kept(p, ("ensemble",), build)
     steps = [step or _ensemble_step(sh, _piece_matrices([pc], inputs)[0]) for pc, sh, step in entry]
     proj, support = p.measurement.operator()
     spread = sum(len(step[0]) for step in steps if len(step) == 2) + len(support)
@@ -310,8 +286,7 @@ def run_ensemble(
         else:
             g = _grouped(keys, amps, pshifts)[1].T
             total += np.vdot(g, proj @ g)
-    acc = qstate.checked_acceptance(total / len(rows))
-    return RunReport(acc, "ensemble", seed=used_seed, elapsed=time.perf_counter() - t0)
+    return RunReport(qstate.checked_acceptance(total / len(rows)), "ensemble", seed=used_seed)
 
 
 def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport:
@@ -323,7 +298,6 @@ def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport
     ``BackendLimitError`` before resolving any piece when the contraction's
     largest intermediate would exceed ``TRACE_MAX_BYTES``.
     """
-    t0 = time.perf_counter()
     plan = p.trace_plan
     if plan is None:
         raise ShapeError("protocol is not in trace form (no plan attached)")
@@ -334,15 +308,14 @@ def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport
 
     def build():
         core = [q for q in range(p.layout.total) if q != plan.control and q not in plan.counter]
-        width = len(plan.pieces)  # 2 * pairs with a counter
-        pieces = [pc for t in range(width) for pc in lower(*plan.pieces[(2 * counter_start + t) % width])]
+        width, kept_pieces = len(plan.pieces), lowered(p)[1]  # width 2 * pairs with a counter
+        pieces = [pc for t in range(width) for pc in kept_pieces[(2 * counter_start + t) % width]]
         local = {q: i for i, q in enumerate(core)}
         axes = [tuple(local[q] for q in pc[3] + pc[1]) for pc in pieces]
         ring = _ring("trace", len(core), [(pc, False) for pc in pieces], axes)
         return lambda inputs: 0.5 + ring(inputs).real / (1 << (len(core) + 1))
 
-    acc = qstate.checked_acceptance(_entry(p, ("trace", counter_start), build)(inputs))
-    return RunReport(acc, "trace", elapsed=time.perf_counter() - t0)
+    return RunReport(qstate.checked_acceptance(kept(p, ("trace", counter_start), build)(inputs)), "trace")
 
 
 BACKENDS = {

@@ -49,10 +49,9 @@ def _two_sided_acceptance(p: protocol.ProtocolSpec, inputs=None, pin=None) -> fl
     both sides: the reference for ``simulator.run_density``'s ring and
     ``simulator.run_ensemble``'s sparse branches."""
     rho = simulator.initial_density(p, pin)
-    for r in p.rounds:
-        pieces = protocol.lower(r.unitary, r.targets)
-        for pc, m in zip(pieces, simulator._piece_matrices(pieces, inputs)):
-            rho = qstate.apply_on_subset(rho, m, pc[3] + pc[1])
+    pieces = protocol.lowered(p)[0]
+    for pc, m in zip(pieces, simulator._piece_matrices(pieces, inputs)):
+        rho = qstate.apply_on_subset(rho, m, pc[3] + pc[1])
     proj, support = p.measurement.operator()
     return qstate.accept_probability(rho, qstate.embed_operator(proj, support, p.layout.total))
 

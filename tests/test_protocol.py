@@ -390,7 +390,7 @@ def test_version_3_descriptor_names_each_explicit_matrix_once(monkeypatch, base,
     q = protocol.deserialize(text)
     assert len(checked) == entries  # once per entry, none for the leaves the program builds
     # after reading, equal matrices are one leaf object
-    leaves = {id(pc[0]): pc[0] for ref, tg in q.trace_plan.pieces for pc in protocol.lower(ref, tg)
+    leaves = {id(pc[0]): pc[0] for pieces in protocol.lowered(q)[1] for pc in pieces
               if isinstance(pc[0], ExplicitU)}
     assert len(leaves) == len({leaf.matrix.tobytes() for leaf in leaves.values()}) == entries
 
@@ -420,6 +420,15 @@ def test_deserialized_unclocked_spec_validates_and_flags_a_changed_round():
     with pytest.raises(ValidationError) as e:
         protocol.from_descriptor(obj)
     assert e.value.violations == [V1_MISMATCH]
+
+
+def test_a_semi_unclocked_spec_without_a_plan_reads_back_from_its_descriptor():
+    # stored with its rounds, whose equal unitaries must read as one reference per player
+    q = dataclasses.replace(_unclocked(), trace_plan=None)
+    back = protocol.deserialize(protocol.serialize(q))
+    assert protocol.protocol_equal(q, back)
+    assert back.rounds[0].unitary is back.rounds[2].unitary
+    assert simulator.run_ensemble(back).acceptance == simulator.run_ensemble(q).acceptance
 
 
 @pytest.mark.parametrize("unclocked", [False, True], ids=["trace-form", "unclocked"])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oneclean import problems, protocol, qstate, simulator, transforms
+from oneclean import problems, protocol, qstate, simulator, transforms, verify
 from oneclean.errors import BackendLimitError, DomainError, NumericalIntegrityError, ShapeError
 from oneclean.protocol import (
     ALICE,
@@ -88,7 +88,7 @@ def test_density_backend_limit(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert uc not in simulator._ENTRIES  # a refused ring keeps nothing
+    assert _backend_keys(uc) == []  # a refused ring keeps nothing
     assert f"{simulator.TRACE_MAX_BYTES} bytes" in str(info.value)
     assert wall < 2.0
     assert peak < 16 << 20
@@ -119,9 +119,8 @@ def _branch_bytes(p, inputs) -> int:
     2^n, or 2^w if fewer, with w the measured qubits plus the qubits and
     controls of every lowered piece that is not a permutation times phases."""
     w = len(p.measurement.support())
-    for r in p.rounds:
-        for pc in protocol.lower(r.unitary, r.targets):
-            w += 0 if is_monomial(protocol.resolve_ref(pc, inputs)) else len(pc[1]) + len(pc[3])
+    for pc in protocol.lowered(p)[0]:
+        w += 0 if is_monomial(protocol.resolve_ref(pc, inputs)) else len(pc[1]) + len(pc[3])
     return 16 << min(p.layout.total, w)
 
 
@@ -203,7 +202,7 @@ def test_fused_operators_of_the_wide_chains_multiply_to_their_parts():
     ]
     assert [p.layout.total for p, _ in chains] == [13, 16, 12, 11, 4]
     for p, inp in chains:
-        moves = check_steps([pc for r in p.rounds for pc in protocol.lower(r.unitary, r.targets)], inp)
+        moves = check_steps(protocol.lowered(p)[0], inp)
         assert moves > 0  # the couriers and swaps of every chain move entries
         want = (simulator.run_trace if p.trace_plan else simulator.run_density)(p, inp).acceptance
         assert abs(simulator.run_ensemble(p, inp).acceptance - want) < TOL
@@ -406,7 +405,7 @@ def test_run_trace_middle_n32_chain_hits_the_byte_bound_before_allocating(monkey
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tf not in simulator._ENTRIES  # a refused ring keeps nothing
+    assert _backend_keys(tf) == []  # a refused ring keeps nothing
     assert f"{simulator.TRACE_MAX_BYTES} bytes" in str(info.value)
     assert wall < 2.0
     assert peak < 16 << 20
@@ -462,7 +461,7 @@ def test_run_trace_cached_order_is_reused_across_inputs_and_counter_starts():
     warm = [simulator.run_trace(uc, inp, counter_start=j).acceptance for inp, j in runs]
     info = qstate.ring_plan.cache_info()
     # one plan per counter start, built with its spec's entry and never asked for again
-    assert info.hits + info.misses == uc.trace_plan.pairs == len(simulator._ENTRIES[uc])
+    assert info.hits + info.misses == uc.trace_plan.pairs == len(_backend_keys(uc))
     for (inp, j), acc in zip(runs, warm):
         qstate.ring_plan.cache_clear()
         assert simulator.run_trace(_fresh(uc), inp, counter_start=j).acceptance == acc
@@ -473,6 +472,13 @@ def test_run_trace_cached_order_is_reused_across_inputs_and_counter_starts():
 def _fresh(p):
     """A copy of ``p`` that no backend has evaluated yet."""
     return protocol.deserialize(protocol.serialize(p))
+
+
+def _backend_keys(p) -> list:
+    """The keys that backends put in ``p``'s store: all but the lowering that ``validate`` kept first."""
+    keys = list(protocol._ENTRIES[p])
+    assert keys[0] == "lowered"
+    return keys[1:]
 
 
 def _rotation_chain():
@@ -556,7 +562,7 @@ def test_an_evaluated_spec_is_freed_with_its_entries():
         simulator.run(p, inputs, backend=backend)
     tf = _fresh(_trace_chain(problems.ip2_clocked(1)))
     simulator.run_trace(tf, inputs)
-    assert len(simulator._ENTRIES[p]) == 2 and len(simulator._ENTRIES[tf]) == 1
+    assert len(_backend_keys(p)) == 2 and len(_backend_keys(tf)) == 1
     refs = [weakref.ref(p), weakref.ref(tf)]
     del p, tf
     gc.collect()
@@ -631,7 +637,7 @@ def test_a_warm_call_runs_only_the_ring_steps_that_read_an_input(backend, chain,
 
 def _density_ring_axes(p):
     """The axes of run_density's ring on ``p`` with no pins."""
-    axes = [pc[3] + pc[1] for r in p.rounds for pc in protocol.lower(r.unitary, r.targets)]
+    axes = [pc[3] + pc[1] for pc in protocol.lowered(p)[0]]
     return tuple([(q,) for q in range(p.layout.clean)] + axes + [p.measurement.support()] + axes[::-1])
 
 
@@ -648,7 +654,7 @@ def test_ring_plan_equals_the_rebuilding_planner():
     rings.append((uc.layout.total, _density_ring_axes(uc)))
     rings.append((uc.layout.total - 4, tuple(
         tuple(q - 1 for q in pc[3] + pc[1])
-        for ref, tg in uc.trace_plan.pieces for pc in protocol.lower(ref, tg)
+        for pieces in protocol.lowered(uc)[1] for pc in pieces
     )))
     for d, axes in rings:
         assert qstate.ring_plan.__wrapped__(d, axes) == ring_plan_oracle(d, axes)
@@ -656,11 +662,10 @@ def test_ring_plan_equals_the_rebuilding_planner():
 
 def test_resolving_a_width_12_unclocked_round_stays_small():
     uc, _ = transforms.unclock(_trace_chain(problems.ip2_clocked(1)))
-    r = uc.rounds[0]
-    assert len(r.targets) == 12
+    assert max(len(r.targets) for r in uc.rounds) == 12
     tracemalloc.start()
     try:
-        pieces = protocol.lower(r.unitary, r.targets)
+        pieces = protocol.lowered(uc)[0]
         for pc in pieces:
             simulator._piece_matrices([pc], {ALICE: "1", BOB: "1"})
         peak = tracemalloc.get_traced_memory()[1]
@@ -767,31 +772,42 @@ def test_measure_bias_perfect_and_coin():
 def test_built_specs_are_not_validated_again_and_lower_each_round_once(monkeypatch):
     k1, _ = transforms.k_to_one_clean(problems.ip2_clocked(1))
     tf = _trace_chain(problems.ip2_clocked(1))
-    calls = {"validate": 0, "lower": 0}
+    calls, depth = {"validate": 0, "lower": 0}, []
+    real_validate, real_lower = protocol.validate, protocol.lower
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def validate(p):
+        calls["validate"] += 1
+        return real_validate(p)
 
-    k1_copy = _fresh(k1)
-    monkeypatch.setattr(protocol, "validate", counted("validate", protocol.validate))
-    monkeypatch.setattr(simulator, "lower", counted("lower", simulator.lower))
+    def lower(ref, targets):  # counts the outermost call; lower recurses through this name
+        calls["lower"] += not depth
+        depth.append(ref)
+        try:
+            return real_lower(ref, targets)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(protocol, "validate", validate)
+    monkeypatch.setattr(protocol, "lower", lower)
+    uc, _ = transforms.unclock(tf)
+    # built once: each distinct round key and each plan piece lowered once
+    keys = {(r.unitary, r.targets) for r in uc.rounds}
+    assert len(keys) + len(uc.trace_plan.pieces) == 18
+    assert calls == {"validate": 1, "lower": 18}
+    calls["validate"] = calls["lower"] = 0
     inputs = {ALICE: "1", BOB: "1"}
-    for call, lowered in [
-        (lambda: simulator.run_density(k1, inputs), len(k1.rounds)),
-        (lambda: simulator.run_ensemble(k1, inputs), len(k1.rounds)),
-        (lambda: simulator.run_trace(tf, inputs), len(tf.trace_plan.pieces)),
-        # four inputs on one spec: lowered by the first only
-        (lambda: simulator.measure_bias(k1_copy, problems.ip2_inputs(1), k1.declared_p), len(k1.rounds)),
-        (lambda: protocol.cost_report(k1), 0),
+    for call in [
+        lambda: simulator.run_density(tf, inputs),
+        lambda: simulator.run_density(tf, inputs, pin={1: 1, 2: 0}),
+        lambda: simulator.run_ensemble(uc, inputs, sample=4, seed=1),
+        lambda: [simulator.run_trace(uc, inputs, counter_start=j) for j in range(uc.trace_plan.pairs)],
+        lambda: simulator.run_trace(tf, inputs),
+        lambda: simulator.measure_bias(k1, problems.ip2_inputs(1), k1.declared_p),
+        lambda: verify._two_sided_acceptance(k1, inputs),
+        lambda: protocol.cost_report(k1),
     ]:
-        calls["lower"] = 0
         call()
-        assert calls == {"validate": 0, "lower": lowered}
-        call()  # a repeated call on the same spec lowers nothing
-        assert calls == {"validate": 0, "lower": lowered}
+        assert calls == {"validate": 0, "lower": 0}
 
 
 def test_measure_bias_empty_inputs():

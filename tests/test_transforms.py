@@ -214,7 +214,7 @@ def test_trace_form_runs_a_players_consecutive_rounds_in_one_slot():
     assert len(tf.rounds) == 16
     # Alice's k1 flag round and her first load share courier slot 1, ahead of
     # the SWAP that moves her first message qubit into the courier
-    pieces = protocol.lower(*tf.trace_plan.pieces[1])
+    pieces = protocol.lowered(tf)[1][1]
     leaves = [pc[0] for pc in pieces]
     assert [getattr(leaf, "name", None) for leaf in leaves] == [None, "ip2_alice", None]
     assert np.array_equal(leaves[0].matrix, qstate.flip_if_zero(2))
@@ -273,20 +273,24 @@ def test_lemma1_middle_values():
     assert acc0 == pytest.approx(0.0, abs=TOL)
 
 
-def _random_two_round(seed):
+def _random_two_round(seed, k: int = 2, single: bool = False):
+    """Lemma 1's shape on k clean qubits: Alice's input-indexed unitary and
+    message, Bob's reply, Alice's last unitary and her measurement."""
     rng = np.random.default_rng(seed)
-    u1 = {b: qstate.haar_unitary(4, rng) for b in ("0", "1")}
+    qubits, d = tuple(range(k)), 1 << k
+    u1 = {b: qstate.haar_unitary(d, rng) for b in ("0", "1")}
     return ProtocolSpec(
         name=f"tworound({seed})",
         players=2,
-        layout=RegisterLayout(clean=2, mixed=0),
-        initial_owner=(ALICE, ALICE),
+        layout=RegisterLayout(clean=k, mixed=0),
+        initial_owner=(ALICE,) * k,
         rounds=(
-            RoundAction(ALICE, table_ref(ALICE, u1), (0, 1), frozenset({0, 1}), BOB),
-            RoundAction(BOB, explicit(qstate.haar_unitary(4, rng)), (0, 1), frozenset({0, 1}), ALICE),
-            RoundAction(ALICE, explicit(qstate.haar_unitary(4, rng)), (0, 1), frozenset(), None),
+            RoundAction(ALICE, table_ref(ALICE, u1), qubits, frozenset(qubits), BOB),
+            RoundAction(BOB, explicit(qstate.haar_unitary(d, rng)), qubits, frozenset(qubits), ALICE),
+            RoundAction(ALICE, explicit(qstate.haar_unitary(d, rng)), qubits, frozenset(), None),
         ),
-        measurement=Measurement(qubits=(0, 1), projector=qstate.random_projector(2, 2, rng)),
+        measurement=Measurement(single_qubit=0) if single else
+        Measurement(qubits=qubits, projector=qstate.random_projector(k, k, rng)),
     )
 
 
@@ -445,8 +449,13 @@ def _legal_passes(p: ProtocolSpec) -> dict:
 @given(st.integers(0, 10**6), st.integers(1, 2), st.booleans(), st.data())
 @settings(max_examples=30, deadline=None)
 def test_random_pass_sequences_agree_across_backends_and_certs(seed, qubits, single, data):
-    base = random_protocol(seed, qubits, clean=1 + seed % qubits, single_qubit=single)
-    p, stages = base, []
+    if data.draw(st.booleans()):  # through lemma1 first: a random protocol seldom has its shape
+        base = _random_two_round(seed, qubits, single)
+        p, cert = transforms.two_round_one_clean(base)
+        stages = [(p, cert)]
+    else:
+        base = random_protocol(seed, qubits, clean=1 + seed % qubits, single_qubit=single)
+        p, stages = base, []
     for _ in range(data.draw(st.integers(1, 4))):
         legal = _legal_passes(p)
         if not legal:
