@@ -1,12 +1,14 @@
 """Classical baselines and exact lower-bound quantities.
 
 Sign-sketch inner-product estimation, the randomized ABC protocol built
-on spherical-cap codebooks, the exact cap probability and its sampled
-estimate, and exact rectangle discrepancy on small sign matrices.
+on spherical-cap codebooks (only the best-aligned codebook vector is
+drawn, from its exact law; no codebook is materialized), the exact cap
+probability and its sampled estimate, and exact rectangle discrepancy on
+small sign matrices.
 
-``cap_probability`` is the module's only use of scipy (the incomplete
-beta), which it imports on its first call, so importing the module loads
-only numpy.
+scipy (the incomplete beta and its inverse) is used by ``cap_probability``
+and by the best-aligned draw of ``abc_classical``; each imports it on its
+first call, so importing the module loads only numpy.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .problems import AbcInstance
 # law, so s sets the transcript size and the spread, not the work.
 KNR_CONSTANT = 8.0
 
+# disc_bruteforce sums the masks of the shorter side in blocks of this many
+# sums (8 MiB of float64), so a long other side costs time, not memory.
+DISC_BLOCK_SUMS = 1 << 20
+
 
 @dataclass(frozen=True)
 class Transcript:
@@ -36,24 +42,6 @@ class Transcript:
     @property
     def total(self) -> int:
         return sum(self.bits_sent.values())
-
-
-@dataclass(frozen=True)
-class CapCodebook:
-    """Shared random unit vectors T with |T| = ceil(32 sqrt(k) e^(2k))."""
-
-    n: int
-    k: int
-    vectors: np.ndarray
-    seed: object = None
-
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def index_bits(self) -> int:
-        return math.ceil(math.log2(self.size))
 
 
 @dataclass(frozen=True)
@@ -85,17 +73,6 @@ class SignMatrix:
 
 def codebook_size(k: int) -> int:
     return math.ceil(32.0 * math.sqrt(k) * math.exp(2.0 * k))
-
-
-def cap_codebook(n: int, k: int, seed=None) -> CapCodebook:
-    """Draw the prescribed number of Haar unit vectors in S^(n-1)."""
-    if not 1 <= k <= n / 4:
-        raise DomainError(f"cap parameter k={k} outside [1, n/4] at n={n}")
-    rng = np.random.default_rng(seed)
-    size = codebook_size(k)
-    vecs = rng.standard_normal((size, n))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return CapCodebook(n=n, k=k, vectors=vecs, seed=seed)
 
 
 def cap_probability(n: int, k: int) -> float:
@@ -162,15 +139,38 @@ def knr_estimate(a, b, eps: float, seed=None) -> tuple[float, Transcript]:
     return estimate, Transcript(bits_sent={0: s, 1: 0})
 
 
+def best_aligned(c, size: int, rng) -> np.ndarray:
+    """The vector of a Haar codebook of ``size`` unit vectors best aligned
+    with the unit vector ``c``, drawn from its exact law in O(n).
+
+    Each score <w_j, c> has the law of W_1 for Haar W in S^(n-1), so their
+    maximum t has Pr(max >= t) = 1 - V^(1/size) for one uniform V; t inverts
+    Pr(W_1 >= t) = I_{1-t^2}((n-1)/2, 1/2) / 2 (negated for a tail over 1/2).
+    Given t, the maximizer is uniform on its circle about c:
+    w = t c + sqrt(1 - t^2) u with u Haar on c's orthogonal complement.
+    """
+    # imported here so that importing oneclean loads no scipy
+    from scipy.special import betaincinv
+
+    n = len(c)
+    tail = -math.expm1(math.log1p(-rng.random()) / size)
+    x = float(betaincinv((n - 1) / 2, 0.5, 2.0 * min(tail, 1.0 - tail)))  # 1 - t^2
+    t = math.copysign(math.sqrt(1.0 - x), 0.5 - tail)
+    u = rng.standard_normal(n)
+    u -= (u @ c) * c
+    return t * c + math.sqrt(1.0 - t * t) * (u / np.linalg.norm(u))
+
+
 def abc_classical(inst: AbcInstance, i: int = 0, k: int = 2, seed=None) -> tuple[int, Transcript]:
     """Randomized ABC protocol: cap codebook + sign-sketch estimation.
 
-    Charlie picks the codebook vector w best aligned with his column C_i
-    (ties to the lowest index) and names its index to Bob; Alice and Bob
-    then estimate <A_i, B w> to accuracy sqrt(k/n)/100. Since
-    <A_i, B w> = label * <C_i, w>, the sign of the estimate is the answer.
-    Transcript: index bits plus one bit per sketch round, a deterministic
-    function of (n, k).
+    Charlie names to Bob the vector w of a shared Haar codebook of
+    ``codebook_size(k)`` unit vectors best aligned with his column C_i;
+    only w is drawn, from its exact law (``best_aligned``), so the work is
+    O(n) for any k. Alice and Bob then estimate <A_i, B w> to accuracy
+    sqrt(k/n)/100. Since <A_i, B w> = label * <C_i, w>, the sign of the
+    estimate is the answer. Transcript: ceil(log2 codebook_size(k)) index
+    bits plus one bit per sketch round, a deterministic function of (n, k).
     """
     n = inst.n
     if not 1 <= k <= n / 4:
@@ -178,31 +178,13 @@ def abc_classical(inst: AbcInstance, i: int = 0, k: int = 2, seed=None) -> tuple
     if not 0 <= i < n:
         raise DomainError(f"row index {i} outside [0, {n})")
     rng = np.random.default_rng(seed)
-    book = cap_codebook(n, k, seed=rng)
-    c_col = inst.c[:, i]
-    scores = book.vectors @ c_col
-    best_vec = book.vectors[int(np.argmax(scores))]  # argmax takes the first maximizer
-    bw = inst.b @ best_vec
+    size = codebook_size(k)
+    bw = inst.b @ best_aligned(inst.c[:, i], size, rng)
     bw = bw / np.linalg.norm(bw)
     eps = math.sqrt(k / n) / 100.0
     estimate, sketch = knr_estimate(inst.a[i, :], bw, eps, seed=rng)
     answer = 1 if estimate > 0 else 0
-    bits = {
-        0: sketch.bits_sent[0],
-        1: 0,
-        2: book.index_bits,
-    }
-    return answer, Transcript(bits_sent=bits)
-
-
-def true_alignment(inst: AbcInstance, i: int, book: CapCodebook) -> float:
-    """Exact <A_i, B w> for the best-aligned codebook vector w.
-
-    Equals label times the codebook's maximal inner product with C_i.
-    """
-    c_col = inst.c[:, i]
-    best_vec = book.vectors[int(np.argmax(book.vectors @ c_col))]
-    return float(inst.a[i, :] @ (inst.b @ best_vec))
+    return answer, Transcript(bits_sent={0: sketch.bits_sent[0], 1: 0, 2: math.ceil(math.log2(size))})
 
 
 def disc_bruteforce(m: SignMatrix) -> tuple[float, tuple, tuple]:
@@ -210,25 +192,33 @@ def disc_bruteforce(m: SignMatrix) -> tuple[float, tuple, tuple]:
 
     For a row set with column sums r, the best column set takes every
     positive r_j or every negative r_j, so the value is max(sum r+, sum r-).
-    Every row set's r comes from one product over all 2^rows row masks
-    (mask bit i selects row i). The witness is the first maximizer in
-    (row mask, col mask) binary-counter order: zero sums are left out, and
-    when the two sides tie the one whose column mask counts first wins.
+    Every mask of the shorter side (bit i selects row i) gets its sums from
+    one product per block of ``DISC_BLOCK_SUMS``, so the 16 limit binds only
+    min(rows, cols). The witness is the first maximizer in (row mask, col
+    mask) binary-counter order: zero sums are left out, and when the two
+    sides tie the one whose column mask counts first wins. A tall matrix
+    (rows > cols) is enumerated as its transpose, so rows and columns swap
+    in that rule: the first maximizer in (col mask, row mask) order wins.
     Under non-dyadic weights the float sums of an exact tie can break it
-    differently from a cell-by-cell sum. Limited to 16 x 16.
+    differently from a cell-by-cell sum.
     """
     rows, cols = m.entries.shape
-    if rows > 16 or cols > 16:
-        raise BackendLimitError(f"{rows}x{cols} exceeds the 16x16 enumeration limit")
-    masks = ((np.arange(1 << rows)[:, None] >> np.arange(rows)) & 1).astype(float)
-    sums = masks @ (m.entries * m.weights)
-    pos = np.where(sums > 0, sums, 0.0).sum(axis=1)
-    neg = np.where(sums < 0, -sums, 0.0).sum(axis=1)
-    rm = int(np.argmax(np.maximum(pos, neg)))  # argmax takes the first maximizer
-    value = max(pos[rm], neg[rm])
-    sides = (np.flatnonzero(sums[rm] > 0), np.flatnonzero(sums[rm] < 0))
-    best = min(
-        (side for side, v in zip(sides, (pos[rm], neg[rm])) if v == value),
-        key=lambda side: sum(1 << int(j) for j in side),
-    )
-    return float(value), tuple(np.flatnonzero(masks[rm]).tolist()), tuple(best.tolist())
+    if min(rows, cols) > 16:
+        raise BackendLimitError(f"{rows}x{cols} exceeds the 16x16 enumeration limit on both sides")
+    tall = rows > cols
+    signed = (m.entries * m.weights).T if tall else m.entries * m.weights
+    rows, cols = signed.shape
+    best, block = (-1.0,), max(1, DISC_BLOCK_SUMS // cols)
+    for start in range(0, 1 << rows, block):
+        masks = np.arange(start, min(start + block, 1 << rows))
+        sums = ((masks[:, None] >> np.arange(rows)) & 1).astype(float) @ signed
+        pos = np.where(sums > 0, sums, 0.0).sum(axis=1)
+        neg = np.where(sums < 0, -sums, 0.0).sum(axis=1)
+        j = int(np.argmax(np.maximum(pos, neg)))  # argmax takes the first maximizer
+        if max(pos[j], neg[j]) > best[0]:
+            best = (max(pos[j], neg[j]), pos[j], neg[j], sums[j], int(masks[j]))
+    value, pos, neg, r, mask = best
+    sides = [np.flatnonzero(side) for side, v in ((r > 0, pos), (r < 0, neg)) if v == value]
+    side = min(sides, key=lambda side: side[::-1].tolist())  # the smaller mask: its top bits first
+    witness = (tuple(i for i in range(rows) if mask >> i & 1), tuple(side.tolist()))
+    return (float(value), *(witness[::-1] if tall else witness))

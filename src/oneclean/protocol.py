@@ -451,7 +451,9 @@ def validate(p: ProtocolSpec) -> list:
             v.append("measurement matrix is not a projector within 1e-9")
 
     if p.trace_plan is not None:
-        v.extend(_validate_trace_plan(p.trace_plan, total, memo))
+        v.extend(_validate_trace_plan(p.trace_plan, total))
+        for j, piece in enumerate(p.trace_plan.pieces):
+            v.extend(f"trace_plan piece {j}: {msg}" for msg in _lowering(memo, *piece)[1])
     if p.mode == SEMI_UNCLOCKED:
         v.extend(_validate_semi_unclocked(p))
     if p.channel == FIXED:
@@ -482,16 +484,17 @@ def _lowering(memo: dict, ref, targets) -> tuple:
     return memo[key]
 
 
-def _validate_trace_plan(tp: TracePlan, total: int, memo: dict) -> list:
-    """Why ``run_trace`` cannot contract the plan: its qubits, each piece's
-    targets and lowering (``_lowering`` in ``memo``), and the piece count of a counter plan."""
+def _validate_trace_plan(tp: TracePlan, total: int) -> list:
+    """Why ``trace_form_spec`` cannot build the plan's rounds: its qubits, each
+    piece's targets, and the piece count of a counter plan. ``validate`` also
+    lowers each piece."""
     named = [("control", tp.control), ("channel", tp.channel)]
     named += [("counter qubit", c) for c in tp.counter]
     v = [f"trace_plan: {what} {q} out of range" for what, q in named if not 0 <= q < total]
     if 0 < tp.control < total:
         v.append(f"trace_plan: control {tp.control} is not the clean qubit 0")
     reserved = {tp.control: "the control", **{c: "a counter qubit" for c in tp.counter}}
-    for j, (ref, targets) in enumerate(tp.pieces):
+    for j, (_, targets) in enumerate(tp.pieces):
         where = f"trace_plan piece {j}"
         for k, t in enumerate(targets):
             if not 0 <= t < total:
@@ -500,7 +503,6 @@ def _validate_trace_plan(tp: TracePlan, total: int, memo: dict) -> list:
                 v.append(f"{where}: repeated target {t}")
             elif t in reserved:
                 v.append(f"{where}: target {t} is {reserved[t]}")
-        v.extend(f"{where}: {msg}" for msg in _lowering(memo, ref, targets)[1])
     if tp.counter or tp.pairs:
         if 1 << len(tp.counter) != tp.pairs:
             v.append(f"trace_plan: {tp.pairs} counter pairs, not 2^{len(tp.counter)}")
@@ -926,12 +928,13 @@ def from_descriptor(obj: dict) -> ProtocolSpec:
         raise ParseError(f"{where}: field {stray[0]!r} is not stored in a version-{version} trace form")
     if plan is None:
         return ProtocolSpec(initial_owner=owners, **head, **fields)
-    if violations := _validate_trace_plan(plan, len(owners), {}):
+    if violations := _validate_trace_plan(plan, len(owners)):
         raise ValidationError(violations)
     try:
         spec = trace_form_spec(plan, owners, **head)
-    except ValidationError as e:  # rounds the plan's owners cannot run
-        raise ValidationError([f"trace_plan: {v}" for v in e.violations]) from None
+    except ValidationError as e:  # plan pieces that do not lower, or rounds the owners cannot run
+        own = [v for v in e.violations if v.startswith("trace_plan")]
+        raise ValidationError(own or [f"trace_plan: {v}" for v in e.violations]) from None
     written: dict = {}  # one matrix table, so equal indices are equal matrices
     if version == 1 and _layout_obj(fields, written) != _layout_obj(vars(spec), written):
         raise ValidationError(["trace_plan: the rounds or layout differ from the ones the plan builds"])

@@ -208,10 +208,10 @@ def _ensemble_step(shifts: tuple, m: np.ndarray) -> tuple:
     return shifts, m
 
 
-def _evolve(keys: np.ndarray, steps) -> tuple:
-    """Entries of amplitude 1 at ``keys`` evolved through ``steps``, as (keys, amplitudes).
-    A spreading step sums the entries that meet and drops exact zeros."""
-    amps = np.ones(len(keys), dtype=complex)
+def _evolve(keys: np.ndarray, steps, amps=None) -> tuple:
+    """Entries at ``keys``, of amplitudes ``amps`` (all 1 if None), evolved through ``steps``,
+    as (keys, amplitudes). A spreading step sums the entries that meet and drops exact zeros."""
+    amps = np.ones(len(keys), dtype=complex) if amps is None else amps
     for step in steps:
         if len(step) == 3:
             shifts, flip, phase = step
@@ -273,8 +273,11 @@ def run_ensemble(
         return [(pc, sh, isinstance(pc[0], ExplicitU) and _ensemble_step(sh, _piece_matrices([pc], None)[0]))
                 for pc, sh in zip(pieces, shifts)]
 
-    entry = kept(p, ("ensemble",), build)
-    steps = [step or _ensemble_step(sh, _piece_matrices([pc], inputs)[0]) for pc, sh, step in entry]
+    steps, made = [], {}  # id(piece) -> its step: a piece that rounds share is resolved once
+    for pc, sh, step in kept(p, ("ensemble",), build):
+        if not step and id(pc) not in made:
+            made[id(pc)] = _ensemble_step(sh, _piece_matrices([pc], inputs)[0])
+        steps.append(step or made[id(pc)])
     proj, support = p.measurement.operator()
     spread = sum(len(step[0]) for step in steps if len(step) == 2) + len(support)
     block = max(1, TRACE_MAX_BYTES // (16 << min(n, spread)))

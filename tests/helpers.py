@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from oneclean import protocol, qstate, simulator
+from oneclean.classical import codebook_size
 from oneclean.errors import DomainError
+from oneclean.problems import AbcInstance
 from oneclean.protocol import (
     ALICE,
     BOB,
@@ -94,6 +97,71 @@ def cap_probability_gaussian(n: int, k: int, samples: int, seed=None) -> float:
         hits += int(np.count_nonzero(first_sq >= k / n))
         left -= m
     return hits / samples
+
+
+# The spherical-cap codebook that ``classical.best_aligned``'s exact-law draw
+# replaced in ``abc_classical``, kept as that draw's oracle.
+@dataclass(frozen=True)
+class CapCodebook:
+    """Shared random unit vectors T with |T| = ceil(32 sqrt(k) e^(2k))."""
+
+    n: int
+    k: int
+    vectors: np.ndarray
+    seed: object = None
+
+    @property
+    def size(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def index_bits(self) -> int:
+        return math.ceil(math.log2(self.size))
+
+
+def cap_codebook(n: int, k: int, seed=None) -> CapCodebook:
+    """Draw the prescribed number of Haar unit vectors in S^(n-1)."""
+    if not 1 <= k <= n / 4:
+        raise DomainError(f"cap parameter k={k} outside [1, n/4] at n={n}")
+    rng = np.random.default_rng(seed)
+    size = codebook_size(k)
+    vecs = rng.standard_normal((size, n))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return CapCodebook(n=n, k=k, vectors=vecs, seed=seed)
+
+
+def true_alignment(inst: AbcInstance, i: int, book: CapCodebook) -> float:
+    """Exact <A_i, B w> for the best-aligned codebook vector w.
+
+    Equals label times the codebook's maximal inner product with C_i.
+    """
+    c_col = inst.c[:, i]
+    best_vec = book.vectors[int(np.argmax(book.vectors @ c_col))]
+    return float(inst.a[i, :] @ (inst.b @ best_vec))
+
+
+def recursive_disc_oracle(entries, weights):
+    """Discrepancy by a recursive walk over every row subset, each scored by
+    the best column set of its column sums."""
+    rows, cols = entries.shape
+    signed = entries * weights
+    best = 0.0
+
+    def rec(i, chosen):
+        nonlocal best
+        if i == rows:
+            if not chosen:
+                return
+            colsum = signed[list(chosen)].sum(axis=0)
+            pos = colsum[colsum > 0].sum()
+            neg = -colsum[colsum < 0].sum()
+            best = max(best, pos, neg)
+            return
+        rec(i + 1, chosen)
+        rec(i + 1, chosen + (i,))
+
+    rec(0, ())
+    return best
 
 
 def exact_amplify(acc0, acc1, ref, eps) -> Fraction:

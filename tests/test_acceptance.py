@@ -18,6 +18,7 @@ from helpers import (
     bit_inputs,
     oneway_protocol,
     random_sq_base,
+    recursive_disc_oracle,
     random_trace_form,
     random_two_clean,
     toy_rotation_base,
@@ -282,28 +283,6 @@ def test_criterion_10_classical_abc():
     report(10, f"success >= 0.9 both labels; transcript {index_bits}+{sketch} bits, seed-independent")
 
 
-def _recursive_disc_oracle(entries, weights):
-    rows, cols = entries.shape
-    signed = entries * weights
-    best = 0.0
-
-    def rec(i, chosen):
-        nonlocal best
-        if i == rows:
-            if not chosen:
-                return
-            colsum = signed[list(chosen)].sum(axis=0)
-            pos = colsum[colsum > 0].sum()
-            neg = -colsum[colsum < 0].sum()
-            best = max(best, pos, neg)
-            return
-        rec(i + 1, chosen)
-        rec(i + 1, chosen + (i,))
-
-    rec(0, ())
-    return best
-
-
 def test_criterion_11_discrepancy():
     m = classical.SignMatrix.uniform([[1, -1], [-1, 1]])
     val, rows, cols = classical.disc_bruteforce(m)
@@ -313,7 +292,7 @@ def test_criterion_11_discrepancy():
         entries = rng.choice([-1.0, 1.0], size=(6, 6))
         mm = classical.SignMatrix.uniform(entries)
         got, _, _ = classical.disc_bruteforce(mm)
-        want = _recursive_disc_oracle(mm.entries, mm.weights)
+        want = recursive_disc_oracle(mm.entries, mm.weights)
         assert abs(got - want) < 1e-12
     report(11, "equality matrix = 1/4 exactly; 20 random 6x6 match the independent oracle")
 

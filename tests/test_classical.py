@@ -3,9 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, ks_2samp
 
-from helpers import cap_probability_gaussian, sign_sketch_agreements
+from helpers import (
+    cap_codebook,
+    cap_probability_gaussian,
+    recursive_disc_oracle,
+    sign_sketch_agreements,
+    true_alignment,
+)
 from oneclean import classical, problems, qstate
 from oneclean.errors import BackendLimitError, DomainError
 
@@ -163,7 +169,7 @@ def test_knr_at_abc_accuracy_allocates_nothing_per_round():
 def test_cap_codebook_sizes_and_norms():
     assert classical.codebook_size(2) == 2471  # ceil(32 sqrt2 e^4)
     assert classical.codebook_size(1) == 237  # ceil(32 e^2)
-    book = classical.cap_codebook(4, 1, seed=0)
+    book = cap_codebook(4, 1, seed=0)
     assert book.size == 237
     assert np.max(np.abs(np.linalg.norm(book.vectors, axis=1) - 1.0)) < 1e-9
 
@@ -171,14 +177,14 @@ def test_cap_codebook_sizes_and_norms():
 def test_cap_codebook_hits_the_cap():
     rng = np.random.default_rng(4)
     for seed in range(5):
-        book = classical.cap_codebook(8, 1, seed=seed)
+        book = cap_codebook(8, 1, seed=seed)
         v = qstate.haar_unit_vector(8, rng)
         assert np.max(book.vectors @ v) >= math.sqrt(1 / 8)
 
 
 def test_cap_codebook_domain():
     with pytest.raises(DomainError):
-        classical.cap_codebook(4, 2, seed=0)  # k > n/4
+        cap_codebook(4, 2, seed=0)  # k > n/4
 
 
 def test_cap_probability_closed_form():
@@ -269,12 +275,49 @@ def test_abc_classical_separation_invariant():
     # |<A_i, B W_max>| >= sqrt(k/n) whenever the codebook hits the cap
     for seed in range(5):
         inst = problems.abc_instance(16, -1, seed=seed)
-        book = classical.cap_codebook(16, 2, seed=seed)
-        alignment = classical.true_alignment(inst, 0, book)
+        book = cap_codebook(16, 2, seed=seed)
+        alignment = true_alignment(inst, 0, book)
         cap = float(np.max(book.vectors @ inst.c[:, 0]))
         if cap >= math.sqrt(2 / 16):
             assert abs(alignment) >= math.sqrt(2 / 16)
         assert alignment == pytest.approx(inst.label * cap, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (16, 2)])
+def test_best_aligned_draw_matches_the_codebook_argmax_law(n, k):
+    # the exact-law draw against the argmax of a whole codebook, drawn vector by vector
+    draws = 2000
+    rng = np.random.default_rng(40 + n)
+    c = qstate.haar_unit_vector(n, rng)
+    e = np.eye(n)[0] - c[0] * c
+    e /= np.linalg.norm(e)  # a fixed unit vector orthogonal to c
+    size = classical.codebook_size(k)
+    drawn = np.array([classical.best_aligned(c, size, rng) for _ in range(draws)])
+    assert np.max(np.abs(np.linalg.norm(drawn, axis=1) - 1.0)) < 1e-12
+    books = (cap_codebook(n, k, seed=rng).vectors for _ in range(draws))
+    oracle = np.array([book[int(np.argmax(book @ c))] for book in books])
+    for along in (c, e):
+        assert ks_2samp(drawn @ along, oracle @ along).pvalue > 0.001
+
+
+def test_abc_classical_at_n64_k8_materializes_no_codebook():
+    # |T| = 804,278,913 vectors of 64 doubles: the codebook alone would take 412 GB
+    assert classical.codebook_size(8) == 804_278_913
+    classical.abc_classical(problems.abc_instance(64, 1, seed=0), k=8, seed=0)  # imports scipy.special
+    for label in (1, -1):
+        ok = 0
+        for seed in range(10):
+            inst = problems.abc_instance(64, label, seed=seed)
+            tracemalloc.start()
+            try:
+                ans, tr = classical.abc_classical(inst, k=8, seed=seed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024
+            assert tr.bits_sent == {0: 640_000, 1: 0, 2: 30}
+            ok += int(ans == (1 if label == 1 else 0))
+        assert ok >= 9
 
 
 def test_abc_classical_domain_checks():
@@ -409,8 +452,41 @@ def test_disc_invariant_under_joint_permutations():
     assert val2 == pytest.approx(val, abs=1e-12)
 
 
+def test_disc_of_a_tall_matrix_enumerates_its_columns():
+    # 17 x 3: the 2^3 column masks are enumerated, so the 16 limit does not bind;
+    # the recursive oracle walks the 2^3 row subsets of the transpose
+    rng = np.random.default_rng(19)
+    for weights in (None, rng.dirichlet(np.ones(51)).reshape(17, 3)):
+        m = classical.SignMatrix(entries=rng.choice([-1.0, 1.0], size=(17, 3)), weights=weights)
+        val, rows, cols = classical.disc_bruteforce(m)
+        assert abs(val - recursive_disc_oracle(m.entries.T, m.weights.T)) < 1e-12
+        assert abs(abs((m.entries * m.weights)[np.ix_(rows, cols)].sum()) - val) < 1e-12
+        # the witness is the transpose's, swapped
+        t_val, t_rows, t_cols = classical.disc_bruteforce(
+            classical.SignMatrix(entries=m.entries.T, weights=m.weights.T))
+        assert (t_val, t_cols, t_rows) == (val, rows, cols)
+
+
+def test_disc_takes_the_first_maximizer_across_blocks(monkeypatch):
+    # blocks of one row mask up to the whole enumeration give the counter
+    # oracle's witness; weights in sixteenths make every sum exact, so ties are real
+    rng = np.random.default_rng(29)
+    cases = [(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.full((2, 2), 0.25))]
+    for shape in [(3, 4), (2, 6), (4, 4)]:
+        size = shape[0] * shape[1]
+        weights = rng.multinomial(16, np.full(size, 1 / size)).reshape(shape) / 16
+        cases.append((rng.choice([-1.0, 1.0], size=shape), weights))
+    for block_sums in (1, 5, 1 << 20):
+        monkeypatch.setattr(classical, "DISC_BLOCK_SUMS", block_sums)
+        for entries, weights in cases:
+            m = classical.SignMatrix(entries=entries, weights=weights)
+            val, rows, cols = classical.disc_bruteforce(m)
+            oval, witness = _counter_oracle(m)
+            assert val == pytest.approx(oval, abs=1e-12) and (rows, cols) == witness
+
+
 def test_disc_size_limit():
-    m = classical.SignMatrix.uniform(np.ones((17, 3)))
+    m = classical.SignMatrix.uniform(np.ones((17, 17)))
     with pytest.raises(BackendLimitError):
         classical.disc_bruteforce(m)
 

@@ -565,15 +565,15 @@ def test_classical_domain_error_exits_2(capsys):
         (["abc", "--trials", "-1"], 2, "--trials"),
         (["caps", "--n", "4", "--k", "1", "--samples", "5"], 2, "1e4 samples"),
         (["abc", "--n", "6"], 2, "k=2 outside [1, n/4]"),
-        (["disc", "--matrix", "{tall}"], 3, "16x16"),
+        (["disc", "--matrix", "{big}"], 3, "16x16"),
         (["disc", "--matrix", "{empty}"], 2, "not a comma-separated numeric matrix"),
         (["disc", "--matrix", "{comments}"], 2, "not a comma-separated numeric matrix"),
     ],
     ids=["knr-trials-0", "knr-trials-neg", "knr-n-neg", "knr-n-0", "abc-trials-0", "abc-trials-neg", "caps-samples",
-         "abc-n", "disc-17x3", "disc-empty", "disc-only-comments"],
+         "abc-n", "disc-17x17", "disc-empty", "disc-only-comments"],
 )
 def test_classical_bad_inputs_exit_with_one_error_line(tmp_path, capsys, argv, code, named):
-    files = {"tall": "1,1,1\n" * 17, "empty": "", "comments": "# no rows\n"}
+    files = {"big": (",".join("1" * 17) + "\n") * 17, "empty": "", "comments": "# no rows\n"}
     for stem, text in files.items():
         (tmp_path / f"{stem}.csv").write_text(text)
     assert run_cli("classical", *(a.format(**{k: tmp_path / f"{k}.csv" for k in files}) for a in argv)) == code
@@ -800,7 +800,8 @@ print(json.dumps({"codes": codes, "scipy": loaded, "cap": cap, "amplify": amp}))
 
 
 def test_importing_and_running_oneclean_loads_no_scipy(tmp_path):
-    # scipy costs about 1 s of start-up; only cap_probability and amplify import it, on first call
+    # scipy costs about 1 s of start-up; only cap_probability, best_aligned (so abc_classical) and
+    # amplify import it, on first call
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,

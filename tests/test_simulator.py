@@ -208,6 +208,43 @@ def test_fused_operators_of_the_wide_chains_multiply_to_their_parts():
         assert abs(simulator.run_ensemble(p, inp).acceptance - want) < TOL
 
 
+def test_ensemble_resolves_each_shared_generator_piece_once_per_call(monkeypatch):
+    # the 16-qubit unclocked IP2 chain's 16 rounds share two references, whose
+    # 32 generator-piece occurrences are 4 distinct pieces
+    uc, _ = transforms.unclock(_trace_chain(problems.ip2_clocked(1)))
+    inputs = {ALICE: "1", BOB: "0"}
+    simulator.run_ensemble(uc, inputs, sample=4, seed=1)  # keeps the spec's ensemble entry
+    real, resolved = simulator.resolve_ref, []
+    monkeypatch.setattr(simulator, "resolve_ref", lambda pc, inp: resolved.append(pc) or real(pc, inp))
+    simulator.run_ensemble(uc, inputs, sample=4, seed=1)
+    generated = [pc for pc in protocol.lowered(uc)[0] if isinstance(pc[0], GenU)]
+    assert (len(generated), len({id(pc) for pc in generated})) == (32, 4)
+    assert len(resolved) == len({id(pc) for pc in resolved}) == 4
+
+
+def test_ensemble_cancels_exactly_on_the_unclocked_chain(monkeypatch):
+    # a spreading step sums with einsum, so equal and opposite terms meet as
+    # exact zeros and drop out: no branch of the 16-qubit unclocked IP2 chain
+    # holds more than 4 entries after any step (with g @ m.T, BLAS's fused
+    # multiply-adds leave ~1e-17 residues and a branch here grows to 2,040 entries)
+    uc, _ = transforms.unclock(_trace_chain(problems.ip2_clocked(1)))
+    inputs, n = {ALICE: "1", BOB: "1"}, uc.layout.total
+    real, peaks = simulator._evolve, []
+
+    def replay(keys, steps):  # the same steps, one at a time, counting each branch's entries
+        amps = None
+        for step in steps:
+            keys, amps = real(keys, [step], amps)
+            peaks.append(int(np.bincount(keys >> n).max()))
+        return keys, amps
+
+    monkeypatch.setattr(simulator, "_evolve", replay)
+    got = simulator.run_ensemble(uc, inputs).acceptance
+    assert peaks and len(peaks) % len(protocol.lowered(uc)[0]) == 0  # every step of every block
+    assert max(peaks) <= 4
+    assert abs(got - simulator.run_trace(uc, inputs).acceptance) < TOL
+
+
 @pytest.mark.parametrize(
     "m, moves",
     [
@@ -808,6 +845,11 @@ def test_built_specs_are_not_validated_again_and_lower_each_round_once(monkeypat
     ]:
         call()
         assert calls == {"validate": 0, "lower": 0}
+    text = protocol.serialize(uc)
+    calls["validate"] = calls["lower"] = 0
+    protocol.deserialize(text)
+    # read back, the plan is lowered once too, by validate: the pre-check checks its qubits only
+    assert calls == {"validate": 1, "lower": 18}
 
 
 def test_measure_bias_empty_inputs():
