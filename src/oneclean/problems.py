@@ -357,19 +357,13 @@ def razborov_sample(n: int, which: str, seed=None) -> tuple[str, str]:
         raise DomainError(f"which must be 'mu0' or 'mu1', got {which!r}")
     # one uniform permutation: x takes its first w places and y the next w,
     # except that under mu0 y trades the last of those for x's first place
-    perm = np.random.default_rng(seed).permutation(length)
-    xs = perm[:weight]
-    if which == "mu1":
-        ys = perm[weight : 2 * weight]
-    else:
-        ys = np.concatenate((perm[:1], perm[weight : 2 * weight - 1]))
-    x = ["0"] * length
-    y = ["0"] * length
-    for i in xs:
-        x[i] = "1"
-    for i in ys:
-        y[i] = "1"
-    return "".join(x), "".join(y)
+    perm = np.random.default_rng(seed).permutation(length).tolist()
+    ys = perm[weight : 2 * weight] if which == "mu1" else perm[:1] + perm[weight : 2 * weight - 1]
+    x, y = bytearray(b"0" * length), bytearray(b"0" * length)
+    for s, ones in ((x, perm[:weight]), (y, ys)):
+        for i in ones:
+            s[i] = ord("1")
+    return x.decode(), y.decode()
 
 
 def middle_pad(xt: str, yt: str, n: int) -> tuple[str, str]:

@@ -110,8 +110,14 @@ def _contract(tensor_arr: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> n
     return np.moveaxis(out, tuple(range(s)), axes)
 
 
+# A ring step's own cost in multiply-adds. On one core of a 2-vCPU Xeon host
+# (OpenBLAS, one thread) a step on 2 x 2 operands takes about 2.4 us, and a large
+# one about 0.15 ns a multiply-add (0.12-0.17 ns at 2^17-2^20): 2.4 us / 0.15 ns.
+RING_STEP_MACS = 16_000
+
+
 @functools.lru_cache(maxsize=64)
-def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...]):
+def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...], fixed: tuple[int, ...] = ()):
     """Greedy pairwise contraction order for Tr(M_last ... M_first) on d qubits.
 
     ``piece_axes`` lists each operator's target qubits in application
@@ -124,6 +130,11 @@ def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...]):
     order fixed here, appending its result as the next tensor, the count
     of untouched qubits (a factor 2 each), and the largest tensor in
     elements. It depends only on the arguments, so it is cached.
+
+    Pairs go smallest result first. With ``fixed``, the operators no input
+    changes, a fold-first order first contracts pairs of those, each within
+    the size-only order's largest, so that they fold once; it is kept if it
+    peaks no higher and a call runs no more steps and costs less, at ``RING_STEP_MACS`` a step.
     """
     cur = list(range(d))
     nxt = d
@@ -147,38 +158,48 @@ def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...]):
             pairs.append((i, j))
             del ls[j], ls[i]
         traces.append(tuple(pairs))
-    live = dict(enumerate(labels))
-    where: dict = {}  # label -> the two live tensors holding it, older first
-    for k, ls in live.items():
-        for lab in ls:
-            where.setdefault(lab, []).append(k)
 
-    def score(a, b, shared):  # smallest result first; on a tie, the larger inputs
-        width = len(live[a]) + len(live[b])
-        return width - 2 * shared, -width, a, b
+    def order(cap: int) -> tuple:  # the plan that folds pairs within ``cap`` first, a call's steps and cost
+        live, held, steps, peak, calls, cost = dict(enumerate(labels)), set(fixed), [], largest, 0, 0
+        where: dict = {}  # label -> the two live tensors holding it, older first
+        for k, ls in live.items():
+            for lab in ls:
+                where.setdefault(lab, []).append(k)
 
-    # a live pair's score never changes, so a heap that skips contracted
-    # pairs pops them in the order a fresh search over all pairs would
-    heap = [score(a, b, s) for (a, b), s in Counter(map(tuple, where.values())).items()]
-    heapq.heapify(heap)
-    steps = []
-    while heap:
-        size, _, a, b = heapq.heappop(heap)
-        if a not in live or b not in live:
-            continue
-        la, lb = live.pop(a), live.pop(b)
-        shared = [lab for lab in la if lab in lb]
-        keep_a, keep_b = ([i for i, lab in enumerate(ls) if lab not in shared] for ls in (la, lb))
-        perm_a, perm_b = (*keep_a, *map(la.index, shared)), (*map(lb.index, shared), *keep_b)
-        steps.append((a, b, perm_a, perm_b, len(shared)))
-        n = len(labels) + len(steps) - 1
-        live[n] = [lab for lab in la + lb if lab not in shared]
-        for lab in live[n]:
-            where[lab] = [k for k in where[lab] if k not in (a, b)] + [n]
-        for o, s in Counter(where[lab][0] for lab in live[n]).items():
-            heapq.heappush(heap, score(o, n, s))
-        largest = max(largest, 1 << size)
-    return tuple(traces), tuple(steps), free, largest
+        def score(a, b, shared):  # folding pairs, then the smallest result; on a tie, the larger inputs
+            width = len(live[a]) + len(live[b])
+            size = width - 2 * shared
+            return not (a in held and b in held and 1 << size <= cap), size, -width, a, b
+
+        # a live pair's score never changes, so a heap that skips contracted
+        # pairs pops them in the order a fresh search over all pairs would
+        heap = [score(a, b, s) for (a, b), s in Counter(map(tuple, where.values())).items()]
+        heapq.heapify(heap)
+        while heap:
+            _, size, _, a, b = heapq.heappop(heap)
+            if a not in live or b not in live:
+                continue
+            la, lb = live.pop(a), live.pop(b)
+            shared = [lab for lab in la if lab in lb]
+            keep_a, keep_b = ([i for i, lab in enumerate(ls) if lab not in shared] for ls in (la, lb))
+            perm_a, perm_b = (*keep_a, *map(la.index, shared)), (*map(lb.index, shared), *keep_b)
+            steps.append((a, b, perm_a, perm_b, len(shared)))
+            n = len(labels) + len(steps) - 1
+            if a in held and b in held:
+                held.add(n)
+            else:
+                calls, cost = calls + 1, cost + RING_STEP_MACS + (1 << size + len(shared))
+            live[n] = [lab for lab in la + lb if lab not in shared]
+            for lab in live[n]:
+                where[lab] = [k for k in where[lab] if k not in (a, b)] + [n]
+            for o, s in Counter(where[lab][0] for lab in live[n]).items():
+                heapq.heappush(heap, score(o, n, s))
+            peak = max(peak, 1 << size)
+        return (tuple(traces), tuple(steps), free, peak), calls, cost
+
+    size_only, calls, cost = order(0)
+    plan, fold_calls, fold_cost = order(size_only[3]) if fixed else (size_only, calls, cost)
+    return plan if plan[3] <= size_only[3] and fold_calls <= calls and fold_cost < cost else size_only
 
 
 def ring_tensor(m: np.ndarray, pairs) -> np.ndarray:
@@ -191,24 +212,30 @@ def ring_tensor(m: np.ndarray, pairs) -> np.ndarray:
 
 
 def _ring_step(left, right, perm_a, perm_b, s) -> np.ndarray:
-    """One ``ring_plan`` step: an ``np.dot`` of two tensors over their s shared legs."""
-    left = left.transpose(perm_a).reshape(-1, 1 << s)
-    right = right.transpose(perm_b).reshape(1 << s, -1)
-    return np.dot(left, right).reshape((2,) * (len(perm_a) + len(perm_b) - 2 * s))
+    """One ``ring_plan`` step: an ``np.dot`` of two tensors over their s shared legs. A side
+    whose perm is None is already the matrix it multiplies (``fold_ring`` laid it out)."""
+    left = left if perm_a is None else left.transpose(perm_a).reshape(-1, 1 << s)
+    right = right if perm_b is None else right.transpose(perm_b).reshape(1 << s, -1)
+    out = np.dot(left, right)
+    return out.reshape((2,) * (out.size.bit_length() - 1))
 
 
 def fold_ring(arrs: dict, steps) -> tuple:
     """Run in order each ``(n, step)`` whose ``ring_plan`` step ``(a, b, perm_a,
     perm_b, s)`` has both operands in ``arrs`` (tensor index -> ``ring_tensor``),
     its result put at n (len(traces) + k for the plan's k-th step) in their
-    place; return the ``(n, step)`` left."""
+    place; return the ``(n, step)`` left. An operand of those that ``arrs`` holds
+    is put there as the matrix its step multiplies, and that side's perm as None."""
     left = []
-    for n, step in steps:
-        a, b, perm_a, perm_b, s = step
+    for n, (a, b, perm_a, perm_b, s) in steps:
         if a in arrs and b in arrs:
             arrs[n] = _ring_step(arrs.pop(a), arrs.pop(b), perm_a, perm_b, s)
-        else:
-            left.append((n, step))
+            continue
+        if a in arrs:  # the very array _ring_step would pass to np.dot, so results keep their bits
+            arrs[a], perm_a = arrs[a].transpose(perm_a).reshape(-1, 1 << s), None
+        if b in arrs:
+            arrs[b], perm_b = arrs[b].transpose(perm_b).reshape(1 << s, -1), None
+        left.append((n, (a, b, perm_a, perm_b, s)))
     return tuple(left)
 
 

@@ -20,14 +20,14 @@ applied where its control qubits read a value. No round is built dense.
   one nonzero per column only moves and scales rows, so it keeps their
   count; any other piece on s qubits multiplies it by up to 2^s.
 
-What no input changes is done once per spec and kept in its store while
-it lives (``protocol.kept``; a spec is frozen, compared by identity and
-read-only in every leaf): the checked ring plan, the pieces with an
-``ExplicitU`` leaf and, for a ring, every step over those alone, per fixed
-and pinned bits (density) and per counter start (trace, which rotates the
-kept plan pieces). A call resolves only the generator pieces and runs only
-the steps left, the same ``np.dot`` on the same operands as a ring
-contracted whole.
+A ring's plan contracts the ``ExplicitU`` pieces together first where that
+makes a warm call cheaper. What no input changes is kept in the spec's store
+(``protocol.kept``; a spec is frozen and read-only in every leaf), per fixed
+and pinned bits (density) and per counter start (trace): the checked plan
+and, from a spec's second call on, every step over those pieces alone, each
+result laid out for the step that reads it. A warm call resolves each
+generator leaf once and runs the steps left: the same ``np.dot`` on the same
+operands as the plan contracted whole, as the spec's first call does.
 
 ``amplify`` reads each binomial tail of the repetition harness as one
 regularized incomplete beta. It is the module's only use of scipy, which
@@ -37,6 +37,7 @@ it imports on its first call, so importing the module loads only numpy.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,10 +98,14 @@ def _fixed_bits(p: ProtocolSpec, pin: Optional[dict]) -> dict:
 
 def _piece_matrices(pieces, inputs) -> list:
     """Each lowered piece as one operator on its controls then its qubits:
-    the identity except the block where the controls read the piece's value."""
-    mats = []
+    the identity except the block where the controls read the piece's value.
+    Each leaf is resolved once, and each piece's adjoint taken of that."""
+    leaves, mats = {}, []
     for pc in pieces:
-        m, c, d = resolve_ref(pc, inputs), 1 << len(pc[3]), 1 << len(pc[1])
+        key = id(pc[0]), len(pc[1])
+        if key not in leaves:
+            leaves[key] = resolve_ref((pc[0], pc[1], False), inputs)
+        m, c, d = leaves[key].conj().T if pc[2] else leaves[key], 1 << len(pc[3]), 1 << len(pc[1])
         if c > 1:
             block = np.eye(c * d, dtype=complex).reshape(c, d, c, d)
             block[pc[4], :, pc[4], :] = m
@@ -112,33 +117,47 @@ def _piece_matrices(pieces, inputs) -> list:
 def _ring(backend: str, d: int, ops: list, axes: list):
     """A ring's trace as a function of the inputs. ``ops`` lists its operators
     in application order, each a lowered piece and whether it enters as its
-    adjoint, and ``axes`` the ring qubits each acts on. A plan whose largest
-    intermediate exceeds ``TRACE_MAX_BYTES`` raises ``BackendLimitError``;
-    otherwise the pieces with an ``ExplicitU`` leaf are resolved and every
-    step over those alone runs (``qstate.fold_ring``), its result kept
-    read-only, and a call resolves the rest and runs the steps left."""
-    traces, steps, free, peak = qstate.ring_plan(d, tuple(axes))
+    adjoint, and ``axes`` the ring qubits each acts on. Its plan folds those with
+    an ``ExplicitU`` leaf first if that is cheaper (``qstate.ring_plan``); one whose largest
+    intermediate exceeds ``TRACE_MAX_BYTES`` raises ``BackendLimitError``. The first call
+    contracts it whole; the second keeps ``_fold``, so that it and every later call resolve
+    only the generator pieces and run the steps left."""
+    fixed = tuple(k for k, (pc, _) in enumerate(ops) if isinstance(pc[0], ExplicitU))
+    traces, steps, free, peak = qstate.ring_plan(d, tuple(axes), fixed)
     if (need := peak * np.dtype(complex).itemsize) > TRACE_MAX_BYTES:
         raise BackendLimitError(
             f"{backend} contraction over {d} qubits needs a {need}-byte intermediate, "
             f"over the ring bound TRACE_MAX_BYTES = {TRACE_MAX_BYTES} bytes"
         )
-    fixed, varying = [], []
-    for k, (pc, adjoint) in enumerate(ops):
-        (fixed if isinstance(pc[0], ExplicitU) else varying).append((k, pc, adjoint))
-    arrs = _ring_tensors(fixed, None, traces)
-    steps = qstate.fold_ring(arrs, enumerate(steps, start=len(traces)))
+    ops, steps = list(enumerate(ops)), tuple(enumerate(steps, start=len(traces)))
+    calls, folded = itertools.count(), []
+
+    def ring(inputs):
+        if not folded and next(calls):  # a spec's first call keeps nothing
+            folded.append(_fold(ops, set(fixed), traces, steps))
+        arrs, rest, left = folded[0] if folded else ({}, ops, steps)
+        return qstate.trace_ring({**arrs, **_ring_tensors(rest, inputs, traces)}, left, free)
+
+    return ring
+
+
+def _fold(ops, fixed, traces, steps) -> tuple:
+    """What a ring's warm calls reuse: the tensors left when the ``fixed`` operators are
+    resolved and every step over those alone runs (``qstate.fold_ring``), made read-only;
+    the other operators; and the steps left."""
+    arrs = _ring_tensors([op for op in ops if op[0] in fixed], None, traces)
+    left = qstate.fold_ring(arrs, steps)
     for t in arrs.values():
         t.flags.writeable = False
-    return lambda inputs: qstate.trace_ring({**arrs, **_ring_tensors(varying, inputs, traces)}, steps, free)
+    return arrs, [op for op in ops if op[0] not in fixed], left
 
 
 def _ring_tensors(ops, inputs, traces) -> dict:
-    """Tensor index -> ``qstate.ring_tensor`` of each ``(k, piece, adjoint)``; each piece resolved once."""
-    pieces = {id(pc): pc for _, pc, _ in ops}
+    """Tensor index -> ``qstate.ring_tensor`` of each ``(k, (piece, adjoint))``; each piece resolved once."""
+    pieces = {id(pc): pc for _, (pc, _) in ops}
     mats = dict(zip(pieces, _piece_matrices(pieces.values(), inputs)))
     return {k: qstate.ring_tensor(mats[id(pc)].conj().T if adj else mats[id(pc)], traces[k])
-            for k, pc, adj in ops}
+            for k, (pc, adj) in ops}
 
 
 def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> RunReport:

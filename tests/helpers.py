@@ -538,3 +538,24 @@ def check_steps(pieces, inputs, want=None) -> int:
         steps = [simulator._ensemble_step(tuple(w - 1 - q for q in axes), op) for axes, op in ops]
         assert np.max(np.abs(step_matrix(steps, w) - want)) < 1e-12
     return moves
+
+
+# ``problems.razborov_sample`` as it was before it built its strings from Python
+# lists, kept as the oracle for an identical seeded stream.
+def razborov_sample_oracle(n: int, which: str, seed=None) -> tuple[str, str]:
+    """Draw a hard input pair of length n/2+1 from mu0 or mu1 (parameters checked by the caller)."""
+    length = n // 2 + 1
+    weight = length // 4
+    perm = np.random.default_rng(seed).permutation(length)
+    xs = perm[:weight]
+    if which == "mu1":
+        ys = perm[weight : 2 * weight]
+    else:
+        ys = np.concatenate((perm[:1], perm[weight : 2 * weight - 1]))
+    x = ["0"] * length
+    y = ["0"] * length
+    for i in xs:
+        x[i] = "1"
+    for i in ys:
+        y[i] = "1"
+    return "".join(x), "".join(y)

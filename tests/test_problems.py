@@ -11,6 +11,8 @@ from oneclean import problems, protocol, simulator
 from oneclean.errors import DomainError
 from oneclean.protocol import ALICE, BOB
 
+from helpers import razborov_sample_oracle
+
 TOL = 1e-9
 
 
@@ -133,6 +135,15 @@ def test_razborov_constraints_every_draw():
             x, y = problems.razborov_sample(n, which, seed=rng)
             assert x.count("1") == weight and y.count("1") == weight
             assert sum(int(a) & int(b) for a, b in zip(x, y)) == inter
+
+
+@pytest.mark.parametrize("n", [14, 30, 62])
+def test_razborov_draws_equal_the_numpy_index_oracle(n):
+    for which in ("mu0", "mu1"):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(1000):
+            assert problems.razborov_sample(n, which, seed=rng) == razborov_sample_oracle(n, which, seed=ref)
+    assert problems.razborov_sample(n, "mu0", seed=9) == razborov_sample_oracle(n, "mu0", seed=9)
 
 
 def test_razborov_disjoint_supports_example():

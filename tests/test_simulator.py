@@ -523,16 +523,10 @@ def _rotation_chain():
 
 
 def _whole(monkeypatch, run):
-    """``run``'s value with no piece held as input-independent, so that every
-    piece is resolved and the ring contracted whole, as one call did before
-    evaluations were kept per spec."""
-
-    class NoLeaf:  # builds explicit leaves, none of which is a NoLeaf
-        def __new__(cls, m):
-            return protocol.ExplicitU(m)
-
+    """``run``'s value with no ring ever folded, so that every call resolves every
+    piece and contracts the same plan whole, as a spec's first call does."""
     with monkeypatch.context() as m:
-        m.setattr(simulator, "ExplicitU", NoLeaf)
+        m.setattr(simulator, "_fold", lambda ops, fixed, traces, steps: ({}, ops, steps))
         return run()
 
 
@@ -566,11 +560,12 @@ def _bit_identity_cases():
 def test_a_warm_call_equals_a_first_call_and_a_whole_ring_bit_for_bit(case, monkeypatch):
     p, run, kw, (x0, x1) = _bit_identity_cases()[case]
     run(p, x1)  # with no pin or counter start: another entry, when the case has one
+    whole = _fresh(p)
     # x0, x1, x0: the second x0 runs on an entry that x1 used, so no input leaks through it
     for inputs in (x0, x1, x0):
         warm = run(p, inputs, **kw).acceptance
         assert warm == run(_fresh(p), inputs, **kw).acceptance
-        assert warm == _whole(monkeypatch, lambda: run(_fresh(p), inputs, **kw).acceptance)
+        assert warm == _whole(monkeypatch, lambda: run(whole, inputs, **kw).acceptance)
 
 
 def test_the_split_ring_folds_to_three_scalars_that_multiply_in_index_order(monkeypatch):
@@ -580,12 +575,14 @@ def test_the_split_ring_folds_to_three_scalars_that_multiply_in_index_order(monk
     monkeypatch.setattr(qstate, "trace_ring", lambda arrs, steps, free: seen.append((dict(arrs), steps))
                         or real(arrs, steps, free))
     acc = simulator.run_trace(p).acceptance
-    simulator.run_trace(p)
-    # every piece is explicit, so each call gets the two components and the
-    # lone piece as scalars folded once, with no step left to run
-    arrs, steps = seen[1]
+    for _ in range(2):
+        assert simulator.run_trace(p).acceptance == acc
+    # every piece is explicit, so each call from the second on gets the two
+    # components and the lone piece as scalars folded once, with no step left to run
+    assert len(seen[0][1]) == 3 and not any(t is seen[1][0].get(k) for k, t in seen[0][0].items())
+    arrs, steps = seen[2]
     assert steps == () and [t.shape for t in arrs.values()] == [()] * 3
-    assert all(t is seen[0][0][k] for k, t in arrs.items())
+    assert all(t is seen[1][0][k] for k, t in arrs.items())
     want = complex(1 << 2)  # the two core qubits no piece touches
     for k in sorted(arrs):
         want *= complex(arrs[k])
@@ -611,10 +608,12 @@ def test_the_arrays_a_spec_keeps_are_read_only(monkeypatch):
     seen = []
     real = qstate.trace_ring
     monkeypatch.setattr(qstate, "trace_ring", lambda arrs, *r: seen.append(dict(arrs)) or real(arrs, *r))
-    simulator.run_trace(p, {ALICE: "01", BOB: "10"})
-    simulator.run_trace(p, {ALICE: "11", BOB: "00"})
-    kept = [t for k, t in seen[1].items() if seen[0].get(k) is t]
-    fresh = [t for k, t in seen[1].items() if seen[0].get(k) is not t]
+    for x, y in (("01", "10"), ("11", "00"), ("10", "01")):
+        simulator.run_trace(p, {ALICE: x, BOB: y})
+    # the first call keeps nothing; the second folds what the third reuses
+    assert not any(seen[1].get(k) is t for k, t in seen[0].items())
+    kept = [t for k, t in seen[2].items() if seen[1].get(k) is t]
+    fresh = [t for k, t in seen[2].items() if seen[1].get(k) is not t]
     assert kept and fresh
     for t in kept:
         with pytest.raises(ValueError, match="read-only"):
@@ -651,7 +650,7 @@ def test_threads_that_share_a_fresh_spec_get_the_values_of_one_thread():
 
 
 @pytest.mark.parametrize("backend, chain, inputs, first, warm", [
-    ("trace", lambda: _trace_chain(problems.middle_protocol(2)), {ALICE: "01", BOB: "10"}, 34, 23),
+    ("trace", lambda: _trace_chain(problems.middle_protocol(2)), {ALICE: "01", BOB: "10"}, 34, 10),
     ("density", _rotation_chain, {ALICE: "1", BOB: ""}, 39, 16),
 ])
 def test_a_warm_call_runs_only_the_ring_steps_that_read_an_input(backend, chain, inputs, first, warm,
@@ -661,15 +660,35 @@ def test_a_warm_call_runs_only_the_ring_steps_that_read_an_input(backend, chain,
     real = qstate._ring_step
     monkeypatch.setattr(qstate, "_ring_step", lambda *args: steps.append(1) or real(*args))
     counts = []
-    for _ in range(3):
+    for _ in range(4):
         steps.clear()
         simulator.run(p, inputs, backend=backend)
         counts.append(len(steps))
-    assert counts == [first, warm, warm]
-    for _ in range(2):  # the reference of the bit-identity test contracts every step on every call
+    # the first call contracts whole and the second folds, then runs the steps left
+    assert counts == [first, first, warm, warm]
+    whole = _fresh(p)
+    for _ in range(3):  # the reference of the bit-identity test contracts every step on every call
         steps.clear()
-        _whole(monkeypatch, lambda: simulator.run(_fresh(p), inputs, backend=backend))
+        _whole(monkeypatch, lambda: simulator.run(whole, inputs, backend=backend))
         assert len(steps) == first
+
+
+def test_a_warm_middle_trace_call_resolves_each_generator_leaf_once(monkeypatch):
+    p = _trace_chain(problems.middle_protocol(2))
+    inputs = {ALICE: "01", BOB: "10"}
+    pieces = [pc for pcs in protocol.lowered(p)[1] for pc in pcs if isinstance(pc[0], protocol.GenU)]
+    # each leaf enters the ring as U and as its adjoint
+    assert len(pieces) == 6 and len({id(pc[0]) for pc in pieces}) == 2
+    acc = [simulator.run_trace(p, inputs).acceptance for _ in range(2)]
+    calls = []
+    for name in {pc[0].name for pc in pieces}:
+        real = protocol.generator(name)
+        monkeypatch.setitem(protocol._GENERATORS, name,
+                            lambda params, x, real=real: calls.append(1) or real(params, x))
+    for _ in range(2):
+        calls.clear()
+        assert simulator.run_trace(p, inputs).acceptance == acc[0] == acc[1]
+        assert len(calls) == 2
 
 
 def _density_ring_axes(p):
@@ -678,8 +697,8 @@ def _density_ring_axes(p):
     return tuple([(q,) for q in range(p.layout.clean)] + axes + [p.measurement.support()] + axes[::-1])
 
 
-def test_ring_plan_equals_the_rebuilding_planner():
-    rng = np.random.default_rng(5)
+def _random_rings(rng) -> list:
+    """300 rings of 1-12 operators on 1-8 qubits, each on 0-4 of them."""
     rings = []
     for _ in range(300):
         d = int(rng.integers(1, 9))
@@ -687,6 +706,62 @@ def test_ring_plan_equals_the_rebuilding_planner():
             tuple(int(q) for q in rng.permutation(d)[: rng.integers(0, min(d, 4) + 1)])
             for _ in range(rng.integers(1, 13))
         )))
+    return rings
+
+
+def _ring_einsum(d: int, axes, mats) -> complex:
+    """Tr(M_last ... M_first) by one ``np.einsum`` over the ring's wires: operator
+    k's row legs are new wires and its column legs its targets' current wires,
+    and each qubit's last wire is its first; an untouched qubit is a factor 2."""
+    cur, nxt, operands = list(range(d)), d, []
+    for m, ax in zip(mats, axes):
+        legs = list(range(nxt, nxt + len(ax))) + [cur[q] for q in ax]
+        for q, leg in zip(ax, legs):
+            cur[q] = leg
+        nxt += len(ax)
+        operands.append((m.reshape((2,) * (2 * len(ax))), legs))
+    close = {c: q for q, c in enumerate(cur)}
+    names = {}  # np.einsum takes fewer than 52 distinct labels, so number them densely
+    args = [a for t, legs in operands for a in (t, [names.setdefault(close.get(g, g), len(names)) for g in legs])]
+    untouched = sum(c == q for q, c in enumerate(cur))
+    return complex(np.einsum(*args, [], optimize="greedy")) * (1 << untouched)
+
+
+def _folded_trace(plan, fixed, mats) -> tuple:
+    """The ring trace of ``mats`` by ``plan`` contracted whole, the same with the ``fixed``
+    tensors folded first, and the number of steps that the folded call runs."""
+    traces, steps, free, _ = plan
+    steps = tuple(enumerate(steps, start=len(traces)))
+    arrs = {k: qstate.ring_tensor(m, traces[k]) for k, m in enumerate(mats)}
+    # trace_ring raises unless every step finds its operands, and what is left
+    # multiplies as scalars only when every label is closed
+    whole = qstate.trace_ring(dict(arrs), steps, free)
+    kept = {k: arrs[k] for k in fixed}
+    left = qstate.fold_ring(kept, steps)
+    rest = {k: t for k, t in arrs.items() if k not in fixed}
+    return whole, qstate.trace_ring({**kept, **rest}, left, free), len(left)
+
+
+def test_the_fold_first_plan_peaks_and_calls_no_more_than_the_size_only_plan():
+    rng = np.random.default_rng(7)  # masks and tensors, on the planner test's rings
+    chosen = 0
+    for d, axes in _random_rings(np.random.default_rng(5)):
+        mats = [qstate.haar_unitary(1 << len(ax), rng) for ax in axes]
+        want = _ring_einsum(d, axes, mats)
+        size_only = qstate.ring_plan(d, axes)
+        for share in (0.3, 0.6):  # of the operators that no input changes
+            fixed = tuple(k for k in range(len(axes)) if rng.random() < share)
+            plan = qstate.ring_plan(d, axes, fixed)
+            chosen += plan != size_only
+            assert plan[3] <= size_only[3]
+            whole, folded, calls = _folded_trace(plan, fixed, mats)
+            assert abs(whole - want) < 1e-12 * max(1.0, abs(want)) and folded == whole
+            assert calls <= _folded_trace(size_only, fixed, mats)[2]
+    assert chosen > 100  # the fold-first order is kept on many of these rings
+
+
+def test_ring_plan_equals_the_rebuilding_planner():
+    rings = _random_rings(np.random.default_rng(5))
     uc, _ = transforms.unclock(_trace_chain(problems.ip2_clocked(1)))
     rings.append((uc.layout.total, _density_ring_axes(uc)))
     rings.append((uc.layout.total - 4, tuple(
