@@ -373,7 +373,7 @@ def middle_pad(xt: str, yt: str, n: int) -> tuple[str, str]:
     samples become MIDDLE 1-inputs at t = -1 and mu0 samples 0-inputs.
     """
     length = n // 2 + 1
-    if len(xt) != length or len(yt) != length:
-        raise DomainError(f"padded strings must have length n/2+1 = {length}")
+    if n < 2 or n % 2 or len(xt) != length or len(yt) != length or xt.strip("01") or yt.strip("01"):
+        raise DomainError(f"MIDDLE padding needs an even n >= 2 and bit strings of length n/2+1, got n = {n}")
     pad = "1" * (n // 2 - 1)
     return pad + xt, pad + yt

@@ -16,6 +16,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -437,9 +438,11 @@ def validate(p: ProtocolSpec) -> list:
         v.append(f"round{'s' * (len(rounds) > 1)} {', '.join(map(str, rounds))}: {msg}")
 
     support = p.measurement.support()
-    for q in support:
+    for k, q in enumerate(support):
         if not 0 <= q < total:
             v.append(f"measurement qubit {q} out of range")
+        elif q in support[:k]:
+            v.append(f"repeated measurement qubit {q}")
     in_range = [q for q in support if 0 <= q < total]
     if in_range and len({owners[q] for q in in_range}) > 1:
         v.append("measurement qubits not all owned by one player at the end")
@@ -807,6 +810,39 @@ def _ref_from_obj(obj, key: str, where: str, matrices):
     return vals["matrix"] if cls is ExplicitU else cls(**vals)
 
 
+def _object(cls, fields):
+    """A JSON object of ``fields``, read as ``cls``."""
+
+    def read(obj, key, where, matrices):
+        return cls(**_read(_require(obj, key, where, dict), fields, key, matrices))
+
+    return (lambda val, matrices: _write(val, fields, matrices)), read
+
+
+def _write_rounds(rounds, matrices) -> list:
+    return [_write(r, _ROUND, matrices) for r in rounds]
+
+
+def _read_rounds(obj, key, where, matrices) -> tuple:
+    """A list of ``_ROUND`` objects; equal unitary JSON reads as one object, as a
+    semi-unclocked spec needs."""
+    out, refs = [], {}
+    for i, r in enumerate(_require(obj, key, where, list)):
+        vals = _read(_expect(r, dict, f"{key}[{i}]"), _ROUND, f"{key}[{i}]", matrices)
+        vals["unitary"] = refs.setdefault(json.dumps(r["unitary"], sort_keys=True), vals["unitary"])
+        out.append(RoundAction(**vals))
+    return tuple(out)
+
+
+def _write_measurement(m: Measurement, matrices) -> dict:
+    return _write(m, _MEASUREMENT[m.single_qubit is None], matrices)
+
+
+def _read_measurement(obj, key, where, matrices) -> Measurement:
+    m = _require(obj, key, where, dict)
+    return Measurement(**_read(m, _MEASUREMENT["single_qubit" not in m], key, matrices))
+
+
 _INT, _INTS, _REF = _field(int), _ints(), (_ref_to_obj, _ref_from_obj)
 # kind -> (class, ((field, codec), ...)), the fields in descriptor order
 _REF_KINDS = {
@@ -825,24 +861,14 @@ _ROUND = (("player", _INT), ("unitary", _REF), ("targets", _INTS), ("message", _
           ("to", _field(int, lambda: None)))
 _PLAN = (("control", _INT), ("channel", _INT), ("pieces", _placed(False, "targets")),
          ("counter", _ints(optional=True)), ("pairs", _field(int, int)))
-
-
-def _layout_obj(f: dict, matrices: dict) -> dict:
-    """The descriptor fields that a trace form rebuilds from its plan, from
-    ``f``: a spec's ``vars`` or the fields parsed from a descriptor."""
-    meas = f["measurement"]
-    if meas.single_qubit is not None:
-        mobj = {"single_qubit": meas.single_qubit}
-    else:
-        mobj = {"qubits": list(meas.qubits), "projector": qstate.matrix_to_obj(meas.projector)}
-    return {
-        "players": f["players"],
-        "layout": _write(f["layout"], _LAYOUT, matrices),
-        "mode": f["mode"],
-        "channel": f["channel"],
-        "rounds": [_write(r, _ROUND, matrices) for r in f["rounds"]],
-        "measurement": mobj,
-    }
+_INLINE = (lambda m, _: qstate.matrix_to_obj(m),
+           lambda obj, key, where, _: _matrix(_require(obj, key, where), f"{where}.{key}"))
+# accept on |0> of one qubit, or on a projector over a qubit list, written inline
+_MEASUREMENT = ((("single_qubit", _INT),), (("qubits", _INTS), ("projector", _INLINE)))
+# the body of a spec stored with its rounds, which a trace form rebuilds from its plan
+_BODY = (("players", _INT), ("layout", _object(RegisterLayout, _LAYOUT)), ("mode", _field(str)),
+         ("channel", _field(str)), ("rounds", (_write_rounds, _read_rounds)),
+         ("measurement", (_write_measurement, _read_measurement)))
 
 
 def to_descriptor(p: ProtocolSpec) -> dict:
@@ -856,7 +882,7 @@ def to_descriptor(p: ProtocolSpec) -> dict:
         "declared": {"p": _num_to_obj(p.declared_p), "eps": _num_to_obj(p.declared_eps)},
     }
     if p.trace_plan is None:
-        obj.update(_layout_obj(vars(p), matrices))
+        obj.update(_write(p, _BODY, matrices))
     else:
         obj["trace_plan"] = _write(p.trace_plan, _PLAN, matrices)
     obj["matrices"] = [qstate.matrix_to_obj(m) for _, m in matrices.values()]
@@ -865,33 +891,6 @@ def to_descriptor(p: ProtocolSpec) -> dict:
 
 def serialize(p: ProtocolSpec) -> str:
     return json.dumps(to_descriptor(p), separators=(",", ":"))
-
-
-def _layout_from_obj(obj: dict, matrices) -> dict:
-    """The fields ``_layout_obj`` writes, parsed from a descriptor."""
-    where = "descriptor"
-    layout = _read(_require(obj, "layout", where, dict), _LAYOUT, "layout", matrices)
-    rounds, refs = [], {}  # equal unitary JSON reads as one object, as a semi-unclocked spec needs
-    for i, r in enumerate(_require(obj, "rounds", where, list)):
-        vals = _read(_expect(r, dict, f"rounds[{i}]"), _ROUND, f"rounds[{i}]", matrices)
-        vals["unitary"] = refs.setdefault(json.dumps(r["unitary"], sort_keys=True), vals["unitary"])
-        rounds.append(RoundAction(**vals))
-    mobj = _require(obj, "measurement", where, dict)
-    if "single_qubit" in mobj:
-        meas = Measurement(single_qubit=_require(mobj, "single_qubit", "measurement", int))
-    else:
-        meas = Measurement(
-            qubits=_int_list(mobj, "qubits", "measurement"),
-            projector=_matrix(_require(mobj, "projector", "measurement"), "measurement.projector"),
-        )
-    return {
-        "players": _require(obj, "players", where, int),
-        "layout": RegisterLayout(**layout),
-        "mode": _require(obj, "mode", where, str),
-        "channel": _require(obj, "channel", where, str),
-        "rounds": tuple(rounds),
-        "measurement": meas,
-    }
 
 
 def from_descriptor(obj: dict) -> ProtocolSpec:
@@ -922,9 +921,8 @@ def from_descriptor(obj: dict) -> ProtocolSpec:
     tp = _optional(obj, "trace_plan", where, dict)
     plan = None if tp is None else TracePlan(**_read(tp, _PLAN, "trace_plan", matrices))
     if plan is None or version == 1:
-        fields = _layout_from_obj(obj, matrices)
-    elif stray := [k for k in ("players", "layout", "mode", "channel", "rounds", "measurement")
-                   if k in obj]:
+        fields = _read(obj, _BODY, where, matrices)
+    elif stray := [k for k, _ in _BODY if k in obj]:
         raise ParseError(f"{where}: field {stray[0]!r} is not stored in a version-{version} trace form")
     if plan is None:
         return ProtocolSpec(initial_owner=owners, **head, **fields)
@@ -936,17 +934,18 @@ def from_descriptor(obj: dict) -> ProtocolSpec:
         own = [v for v in e.violations if v.startswith("trace_plan")]
         raise ValidationError(own or [f"trace_plan: {v}" for v in e.violations]) from None
     written: dict = {}  # one matrix table, so equal indices are equal matrices
-    if version == 1 and _layout_obj(fields, written) != _layout_obj(vars(spec), written):
+    if version == 1 and _write(SimpleNamespace(**fields), _BODY, written) != _write(spec, _BODY, written):
         raise ValidationError(["trace_plan: the rounds or layout differ from the ones the plan builds"])
     return spec
 
 
 def deserialize(text: str) -> ProtocolSpec:
     try:
-        obj = json.loads(text)
+        return from_descriptor(json.loads(text))
     except json.JSONDecodeError as e:
         raise ParseError(f"descriptor is not valid JSON at line {e.lineno}, column {e.colno}") from e
-    return from_descriptor(obj)
+    except RecursionError:  # in json.loads or in the recursive reference reader
+        raise ParseError("descriptor: its references nest too deeply") from None
 
 
 def protocol_equal(a: ProtocolSpec, b: ProtocolSpec) -> bool:

@@ -666,6 +666,14 @@ def test_gen_middle_pad(capsys):
     assert x.startswith("1" * 6)
 
 
+def test_gen_middle_pad_of_an_odd_length_exits_2(capsys):
+    # it printed two 12-character strings, which are no MIDDLE instance of length 13
+    assert run_cli("gen", "middle-pad", "--n", "13", "--x", "0000011", "--y", "0010001") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: MIDDLE padding needs an even n >= 2 and bit strings of length n/2+1, got n = 13\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -204,5 +204,9 @@ def test_middle_pad_all_zero_strings():
 
 
 def test_middle_pad_length_check():
-    with pytest.raises(DomainError):
-        problems.middle_pad("01", "01", 14)
+    # a short string, odd n, n below 2, and strings that are not all 0s and 1s:
+    # no padded pair would be a MIDDLE instance of length n
+    for xt, yt, n in [("01", "01", 14), ("0000011", "0010001", 13), ("0", "1", 0), ("01", "10", 1),
+                      ("00000a2", "0010001", 12), ("0000011", "001 001", 12)]:
+        with pytest.raises(DomainError):
+            problems.middle_pad(xt, yt, n)

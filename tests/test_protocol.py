@@ -492,6 +492,49 @@ def test_descriptor_version_outside_1_to_3_is_a_parse_error(tmp_path, capsys, ve
     assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", [250, 400, 2000])
+def test_deeply_nested_references_are_a_parse_error(tmp_path, capsys, depth):
+    """Round 0's unitary under ``depth`` adjoints, an even number, so the same
+    unitary: 250 levels read and run, 400 overflow the reference reader and
+    2,000 ``json.loads`` itself."""
+    p = problems.ip2_clocked(1)
+    obj = protocol.to_descriptor(p)
+    inner = json.dumps(obj["rounds"][0]["unitary"])
+    obj["rounds"][0]["unitary"] = "@"
+    text = json.dumps(obj).replace('"@"', '{"kind":"adjoint","inner":' * depth + inner + "}" * depth)
+    desc = tmp_path / "deep.json"
+    desc.write_text(text)
+    argv = ["run", "--descriptor", str(desc), "--inputs", '{"0": "1", "1": "1"}', "--csv"]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if depth == 250:
+        want = simulator.run_density(p, {ALICE: "1", BOB: "1"}).acceptance
+        assert code == 0 and f",{want!r},density," in captured.out
+        return
+    with pytest.raises(ParseError, match="references nest too deeply"):
+        protocol.deserialize(text)
+    assert code == 2 and captured.err == "error: descriptor: its references nest too deeply\n"
+
+
+def test_a_measurement_that_names_a_qubit_twice_is_a_violation(tmp_path, capsys):
+    # a projector on qubits (1, 1) failed on density and read acceptance 1.0 on ensemble
+    p = problems.ip2_clocked(1)
+    proj = np.diag([0, 0, 0, 1])  # |11><11|
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(p, measurement=Measurement(qubits=(1, 1), projector=proj))
+    assert e.value.violations == ["repeated measurement qubit 1"]
+    obj = protocol.to_descriptor(p)
+    obj["measurement"] = {"qubits": [1, 1], "projector": qstate.matrix_to_obj(proj)}
+    desc = tmp_path / "twice.json"
+    desc.write_text(json.dumps(obj))
+    for backend in ("density", "ensemble"):
+        argv = ["run", "--descriptor", str(desc), "--inputs", '{"0": "1", "1": "1"}', "--backend", backend]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: repeated measurement qubit 1\n"
+
+
 def test_version_2_trace_form_stores_no_rounds():
     obj = json.loads((DATA / "trace_form_v1.json").read_text())
     obj["version"] = 2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oneclean import problems, protocol, qstate, simulator, transforms, verify
+from oneclean import cli, problems, protocol, qstate, simulator, transforms, verify
 from oneclean.errors import BackendLimitError, DomainError, NumericalIntegrityError, ShapeError
 from oneclean.protocol import (
     ALICE,
@@ -92,6 +92,29 @@ def test_density_backend_limit(monkeypatch):
     assert f"{simulator.TRACE_MAX_BYTES} bytes" in str(info.value)
     assert wall < 2.0
     assert peak < 16 << 20
+
+
+def test_ensemble_refuses_21_qubits_before_resolving_anything(tmp_path, capsys, monkeypatch):
+    wide = ProtocolSpec(
+        name="wide",
+        players=2,
+        layout=RegisterLayout(clean=1, mixed=20),
+        initial_owner=(ALICE,) * 21,
+        rounds=(RoundAction(ALICE, explicit(qstate.H), (0,), frozenset()),),
+        measurement=Measurement(single_qubit=0),
+    )
+    desc = tmp_path / "wide.json"
+    desc.write_text(protocol.serialize(wide))
+
+    def no_resolve(*args):
+        raise AssertionError("a piece was resolved before the qubit limit was checked")
+
+    monkeypatch.setattr(simulator, "resolve_ref", no_resolve)
+    with pytest.raises(BackendLimitError, match=r"^21 qubits exceed the ensemble backend limit \(20\)$"):
+        simulator.run_ensemble(wide)
+    assert _backend_keys(wide) == []
+    assert cli.main(["run", "--descriptor", str(desc), "--backend", "ensemble"]) == 3
+    assert capsys.readouterr().err == "error: 21 qubits exceed the ensemble backend limit (20)\n"
 
 
 @pytest.mark.parametrize("seed", range(30))
