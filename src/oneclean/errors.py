@@ -9,10 +9,6 @@ class DimensionError(OneCleanError, ValueError):
     """Operands have incompatible or non-power-of-two dimensions."""
 
 
-class QubitIndexError(OneCleanError, IndexError):
-    """Qubit index out of range or repeated."""
-
-
 class DomainError(OneCleanError, ValueError):
     """Parameter outside its allowed domain."""
 

@@ -901,6 +901,13 @@ def from_descriptor(obj: dict) -> ProtocolSpec:
     and layout that its plan builds. Version 3 reads each explicit leaf from
     ``matrices`` by index, one object per entry; earlier ones write it inline.
     """
+    try:
+        return _from_descriptor(obj)
+    except RecursionError:  # the reference reader recurses once per nesting level
+        raise ParseError("descriptor: its references nest too deeply") from None
+
+
+def _from_descriptor(obj) -> ProtocolSpec:
     where = "descriptor"
     _expect(obj, dict, where)
     version = _expect(obj.get("version", 1), int, f"{where}: field 'version'")
@@ -944,7 +951,7 @@ def deserialize(text: str) -> ProtocolSpec:
         return from_descriptor(json.loads(text))
     except json.JSONDecodeError as e:
         raise ParseError(f"descriptor is not valid JSON at line {e.lineno}, column {e.colno}") from e
-    except RecursionError:  # in json.loads or in the recursive reference reader
+    except RecursionError:  # in json.loads
         raise ParseError("descriptor: its references nest too deeply") from None
 
 

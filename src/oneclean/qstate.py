@@ -1,4 +1,6 @@
-"""Dense complex linear algebra kernel for qubit registers.
+"""Qubit-register linear algebra: fixed gates, Kronecker products, Haar
+samplers, the matrix exchange format, and the greedy pairwise ring
+contraction behind the density and trace backends.
 
 Conventions used throughout the package:
 
@@ -16,13 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    DomainError,
-    NumericalIntegrityError,
-    ParseError,
-    QubitIndexError,
-)
+from .errors import DimensionError, DomainError, NumericalIntegrityError, ParseError
 
 TOL = 1e-9
 
@@ -90,24 +86,6 @@ def tensor_all(mats) -> np.ndarray:
     if out is None:
         return np.eye(1, dtype=complex)
     return out
-
-
-def _check_targets(targets, q: int) -> tuple[int, ...]:
-    ts = tuple(int(t) for t in targets)
-    if len(set(ts)) != len(ts):
-        raise QubitIndexError(f"repeated target in {ts}")
-    for t in ts:
-        if not 0 <= t < q:
-            raise QubitIndexError(f"qubit index {t} out of range for {q} qubits")
-    return ts
-
-
-def _contract(tensor_arr: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Contract u (2^s x 2^s) into the given row axes of a (2,)* tensor."""
-    s = len(axes)
-    ut = u.reshape((2,) * (2 * s))
-    out = np.tensordot(ut, tensor_arr, axes=(tuple(range(s, 2 * s)), axes))
-    return np.moveaxis(out, tuple(range(s)), axes)
 
 
 # A ring step's own cost in multiply-adds. On one core of a 2-vCPU Xeon host
@@ -251,43 +229,6 @@ def trace_ring(arrs: dict, steps, free: int) -> complex:
     return out
 
 
-def apply_on_subset(rho, u, targets) -> np.ndarray:
-    """Return (U_embedded) rho (U_embedded)^dagger.
-
-    ``targets`` is an ordered qubit list; the unitary's tensor factors
-    follow that order, so e.g. targets (2, 0) puts the unitary's most
-    significant factor on qubit 2.
-    """
-    rm, um = _as_matrix(rho), _as_matrix(u)
-    q = num_qubits(rm.shape[0])
-    ts = _check_targets(targets, q)
-    if um.shape[0] != 1 << len(ts):
-        raise DimensionError(f"unitary dim {um.shape[0]} != 2^{len(ts)}")
-    t = rm.reshape((2,) * (2 * q))
-    t = _contract(t, um, ts)
-    t = _contract(t, um.conj(), tuple(q + i for i in ts))
-    return t.reshape(rm.shape)
-
-
-def embed_operator(m, targets, q: int) -> np.ndarray:
-    """Dense 2^q x 2^q embedding of a local operator (identity elsewhere)."""
-    um = _as_matrix(m)
-    ts = _check_targets(targets, q)
-    if um.shape[0] != 1 << len(ts):
-        raise DimensionError(f"operator dim {um.shape[0]} != 2^{len(ts)}")
-    eye = np.eye(1 << q, dtype=complex).reshape((2,) * q + (1 << q,))
-    out = _contract(eye, um, ts)
-    return out.reshape(1 << q, 1 << q)
-
-
-def accept_probability(rho, p) -> float:
-    """Tr(P rho), checked by :func:`checked_acceptance`."""
-    rm, pm = _as_matrix(rho), _as_matrix(p)
-    if rm.shape != pm.shape:
-        raise DimensionError(f"projector dim {pm.shape[0]} != state dim {rm.shape[0]}")
-    return checked_acceptance(np.einsum("ij,ji->", pm, rm))
-
-
 def checked_acceptance(val) -> float:
     """An acceptance probability checked real and in [0, 1] within 1e-6, then clamped there.
 
@@ -341,17 +282,6 @@ def haar_unitary(n: int, seed=None) -> np.ndarray:
 def haar_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(n)
     return v / np.linalg.norm(v)
-
-
-def random_projector(q: int, rank: int, seed=None) -> np.ndarray:
-    """Random rank-r projector on q qubits (Haar-rotated diagonal)."""
-    d = 1 << q
-    if not 0 <= rank <= d:
-        raise DomainError(f"rank {rank} outside [0, {d}]")
-    u = haar_unitary(d, seed)
-    diag = np.zeros(d)
-    diag[:rank] = 1.0
-    return (u * diag) @ u.conj().T
 
 
 # Matrix exchange format: {"dim": n, "entries": [[[re, im], ...], ...]},

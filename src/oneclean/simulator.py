@@ -72,14 +72,6 @@ class RepetitionPlan:
     threshold: int
 
 
-def initial_density(p: ProtocolSpec, pin: Optional[dict] = None) -> np.ndarray:
-    """|0><0|^k (x) I/2^m, with the qubits that ``_fixed_bits`` fixes in their basis states."""
-    fixed = _fixed_bits(p, pin)
-    return qstate.tensor_all(
-        [qstate.basis_projector(fixed[q]) if q in fixed else qstate.I2 / 2.0 for q in range(p.layout.total)]
-    )
-
-
 def _fixed_bits(p: ProtocolSpec, pin: Optional[dict]) -> dict:
     """Qubit -> basis bit for every qubit that is not totally mixed.
 

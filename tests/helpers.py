@@ -12,7 +12,7 @@ import numpy as np
 
 from oneclean import protocol, qstate, simulator
 from oneclean.classical import codebook_size
-from oneclean.errors import DomainError
+from oneclean.errors import DimensionError, DomainError
 from oneclean.problems import AbcInstance
 from oneclean.protocol import (
     ALICE,
@@ -33,11 +33,93 @@ from oneclean.protocol import (
 )
 from oneclean.transforms import hadamard_test_protocol
 from oneclean.verify import _toy_rotation_base as toy_rotation_base  # noqa: F401
-# the dense two-sided density evolution, independent of both the ring and the column blocks
-from oneclean.verify import _two_sided_acceptance as density_oracle  # noqa: F401
 
 # descriptors written by earlier format versions, named <spec>_v<version>.json
 DATA = Path(__file__).parent / "data"
+
+
+# The dense kernel that the ring and ensemble engines replaced, kept as their
+# oracle: a 2^n x 2^n density matrix with each round applied on both sides.
+def _check_targets(targets, q: int) -> tuple[int, ...]:
+    ts = tuple(int(t) for t in targets)
+    if len(set(ts)) != len(ts):
+        raise IndexError(f"repeated target in {ts}")
+    for t in ts:
+        if not 0 <= t < q:
+            raise IndexError(f"qubit index {t} out of range for {q} qubits")
+    return ts
+
+
+def _contract(tensor_arr: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Contract u (2^s x 2^s) into the given row axes of a (2,)* tensor."""
+    s = len(axes)
+    ut = u.reshape((2,) * (2 * s))
+    out = np.tensordot(ut, tensor_arr, axes=(tuple(range(s, 2 * s)), axes))
+    return np.moveaxis(out, tuple(range(s)), axes)
+
+
+def apply_on_subset(rho, u, targets) -> np.ndarray:
+    """Return (U_embedded) rho (U_embedded)^dagger.
+
+    ``targets`` is an ordered qubit list; the unitary's tensor factors
+    follow that order, so e.g. targets (2, 0) puts the unitary's most
+    significant factor on qubit 2.
+    """
+    rm, um = qstate._as_matrix(rho), qstate._as_matrix(u)
+    q = qstate.num_qubits(rm.shape[0])
+    ts = _check_targets(targets, q)
+    if um.shape[0] != 1 << len(ts):
+        raise DimensionError(f"unitary dim {um.shape[0]} != 2^{len(ts)}")
+    t = rm.reshape((2,) * (2 * q))
+    t = _contract(t, um, ts)
+    t = _contract(t, um.conj(), tuple(q + i for i in ts))
+    return t.reshape(rm.shape)
+
+
+def embed_operator(m, targets, q: int) -> np.ndarray:
+    """Dense 2^q x 2^q embedding of a local operator (identity elsewhere)."""
+    um = qstate._as_matrix(m)
+    ts = _check_targets(targets, q)
+    if um.shape[0] != 1 << len(ts):
+        raise DimensionError(f"operator dim {um.shape[0]} != 2^{len(ts)}")
+    eye = np.eye(1 << q, dtype=complex).reshape((2,) * q + (1 << q,))
+    out = _contract(eye, um, ts)
+    return out.reshape(1 << q, 1 << q)
+
+
+def accept_probability(rho, p) -> float:
+    """Tr(P rho), checked by :func:`qstate.checked_acceptance`."""
+    rm, pm = qstate._as_matrix(rho), qstate._as_matrix(p)
+    if rm.shape != pm.shape:
+        raise DimensionError(f"projector dim {pm.shape[0]} != state dim {rm.shape[0]}")
+    return qstate.checked_acceptance(np.einsum("ij,ji->", pm, rm))
+
+
+def random_projector(q: int, rank: int, seed=None) -> np.ndarray:
+    """Random rank-r projector on q qubits (Haar-rotated diagonal)."""
+    d = 1 << q
+    if not 0 <= rank <= d:
+        raise DomainError(f"rank {rank} outside [0, {d}]")
+    u = qstate.haar_unitary(d, seed)
+    diag = np.zeros(d)
+    diag[:rank] = 1.0
+    return (u * diag) @ u.conj().T
+
+
+def density_oracle(p: ProtocolSpec, inputs=None, pin=None) -> float:
+    """Tr(P rho) from the dense 2^n x 2^n density matrix, each round applied on
+    both sides: the reference for ``simulator.run_density``'s ring and
+    ``simulator.run_ensemble``'s sparse branches. rho0 follows the backends'
+    pin rule (``simulator._fixed_bits``)."""
+    fixed = simulator._fixed_bits(p, pin)
+    rho = qstate.tensor_all(
+        [qstate.basis_projector(fixed[q]) if q in fixed else qstate.I2 / 2.0 for q in range(p.layout.total)]
+    )
+    pieces = protocol.lowered(p)[0]
+    for pc, m in zip(pieces, simulator._piece_matrices(pieces, inputs)):
+        rho = apply_on_subset(rho, m, pc[3] + pc[1])
+    proj, support = p.measurement.operator()
+    return accept_probability(rho, embed_operator(proj, support, p.layout.total))
 
 
 def inline_matrices(desc: dict) -> dict:
@@ -204,7 +286,7 @@ def random_two_clean(seed: int, mixed: int = 1) -> ProtocolSpec:
         RoundAction(BOB, explicit(qstate.haar_unitary(1 << qubits, rng)), bob_targets, frozenset(), None)
     )
     rank = int(rng.integers(1, 1 << qubits))
-    proj = qstate.random_projector(qubits, rank, rng)
+    proj = random_projector(qubits, rank, rng)
     return ProtocolSpec(
         name=f"rand2clean(seed={seed})",
         players=2,
@@ -253,7 +335,7 @@ def random_protocol(seed: int, qubits: int, clean: int, single_qubit: bool) -> P
     else:
         mq = targets()
         rank = int(rng.integers(1, 1 << len(mq)))
-        measurement = Measurement(qubits=mq, projector=qstate.random_projector(len(mq), rank, rng))
+        measurement = Measurement(qubits=mq, projector=random_projector(len(mq), rank, rng))
     return ProtocolSpec(
         name=f"rand(seed={seed})",
         players=2,
@@ -385,8 +467,8 @@ def dense_ref_oracle(ref, inputs, width: int) -> np.ndarray:
         # fold each factor into the columns of the identity, on its positions only
         out = np.eye(1 << width, dtype=complex).reshape((2,) * width + (1 << width,))
         for sub, pos in ref.factors:
-            pos = qstate._check_targets(pos, width)
-            out = qstate._contract(out, dense_ref_oracle(sub, inputs, len(pos)), pos)
+            pos = _check_targets(pos, width)
+            out = _contract(out, dense_ref_oracle(sub, inputs, len(pos)), pos)
         return out.reshape(1 << width, 1 << width)
     if isinstance(ref, DispatchU):
         return _resolve_dispatch(ref, inputs, width)
@@ -416,7 +498,7 @@ def _resolve_dispatch(ref: DispatchU, inputs, width: int) -> np.ndarray:
             sub, pos = branch
             m = dense_ref_oracle(sub, inputs, len(pos))
             local = tuple(nonsel.index(p) for p in pos)
-            bfull = qstate.embed_operator(m, local, nb)
+            bfull = embed_operator(m, local, nb)
         j = (i + ref.increment) % (1 << w)
         idx: list = [slice(None)] * (2 * width)
         for axpos, bit in zip(ref.selector, _bits(j, w)):

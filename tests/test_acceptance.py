@@ -16,6 +16,7 @@ from oneclean.protocol import ALICE, BOB
 
 from helpers import (
     bit_inputs,
+    embed_operator,
     oneway_protocol,
     random_sq_base,
     recursive_disc_oracle,
@@ -235,7 +236,7 @@ def test_criterion_07_oneway_bias_formula():
         assert p.layout.total <= 8
         acc = simulator.run_density(p).acceptance
         bias = simulator.oneway_bias(
-            qstate.embed_operator(ua, ta, m), qstate.embed_operator(ub, tb, m)
+            embed_operator(ua, ta, m), embed_operator(ub, tb, m)
         )
         assert abs((acc - 0.5) - bias) < TOL
         assert abs(bias) <= 0.5 + TOL

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from oneclean import cli, protocol, problems, simulator, transforms
+from oneclean import cli, protocol, problems, simulator, transforms, verify
 from oneclean.errors import ValidationError
 
 from helpers import DATA, exact_amplify, inline_matrices, random_trace_form, v1_descriptor
@@ -821,3 +822,16 @@ def test_importing_and_running_oneclean_loads_no_scipy(tmp_path):
     assert got["cap"] == pytest.approx(closed, abs=1e-12)
     want = exact_amplify(Fraction(3, 8), Fraction(5, 8), Fraction(1, 2), Fraction(1, 8))
     assert got["amplify"] == pytest.approx(float(want), rel=1e-12)
+
+
+def test_the_kernel_check_fails_and_prints_its_deviation_when_the_engines_disagree(monkeypatch):
+    run_ensemble = simulator.run_ensemble
+
+    def off(*args, **kw):
+        rep = run_ensemble(*args, **kw)
+        return dataclasses.replace(rep, acceptance=rep.acceptance + 1e-6)
+
+    monkeypatch.setattr(simulator, "run_ensemble", off)
+    ok, detail = verify.check_kernel(quick=True)
+    assert not ok
+    assert detail.endswith("; worst dev 1.00e-06")

@@ -1,7 +1,8 @@
 """Descriptor fuzz: one-field mutants of committed and built descriptors.
 
 Each mutant deletes a field, puts a value of another JSON type in the place
-of a field or a list entry, or shifts an integer by one. ``from_descriptor``
+of a field or a list entry, or shifts an integer by one; one more nests a
+unitary reference deeper than the reader recurses. ``from_descriptor``
 may refuse a mutant only with a ``OneCleanError``; a mutant it accepts, of at
 most 9 qubits, gets one acceptance within 1e-9 from density, ensemble and,
 with a plan, trace, or a ``OneCleanError`` from each. The walk is fixed, so
@@ -67,6 +68,11 @@ def _mutants(desc):
             news += [val + 1, val - 1]
         for new in news:
             yield f"{path} {'deleted' if new is _DELETE else f'set to {new!r}'}", _mutated(desc, path, new)
+    # the first unitary reference under 400 adjoints, deeper than the reference reader recurses
+    path, ref = next((path, val) for path, val in _values(desc) if isinstance(val, dict) and "kind" in val)
+    for _ in range(400):
+        ref = {"kind": "adjoint", "inner": ref}
+    yield f"{path} under 400 adjoints", _mutated(desc, path, ref)
 
 
 def _acceptance(spec, inputs, backend):

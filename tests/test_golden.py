@@ -1,6 +1,9 @@
 import difflib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,15 @@ def test_the_corpus_covers_every_cli_block_in_the_readme():
     }
     covered = {_command(argv) for steps in golden.CASES.values() for argv in steps}
     assert readme and not readme - covered, sorted(readme - covered)
+
+
+def test_verify_quick_prints_its_golden_bytes_on_another_blas_kernel():
+    # A DYNAMIC_ARCH OpenBLAS reads OPENBLAS_CORETYPE when it loads, so only a fresh process
+    # switches kernel (another build ignores the variable). Haswell's roundoff differs from
+    # the corpus's in the last bits, which a passing check's detail line must not print.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_CORETYPE": "Haswell"}
+    code = "import sys; from oneclean import cli; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *golden.CASES["readme-verify-quick"][0]],
+                          env=env, capture_output=True, check=True)
+    assert proc.stdout == golden.read_case("readme-verify-quick")["0.stdout"]

@@ -29,6 +29,7 @@ from helpers import (
     DATA,
     check_steps,
     dense_ref_oracle,
+    embed_operator,
     inline_matrices,
     random_trace_form,
     random_two_clean,
@@ -517,6 +518,15 @@ def test_deeply_nested_references_are_a_parse_error(tmp_path, capsys, depth):
     assert code == 2 and captured.err == "error: descriptor: its references nest too deeply\n"
 
 
+def test_from_descriptor_names_references_that_nest_too_deeply():
+    # the 400 levels that overflow the reference reader, handed over as an object, not as text
+    obj = protocol.to_descriptor(problems.ip2_clocked(1))
+    for _ in range(400):
+        obj["rounds"][0]["unitary"] = {"kind": "adjoint", "inner": obj["rounds"][0]["unitary"]}
+    with pytest.raises(ParseError, match="descriptor: its references nest too deeply"):
+        protocol.from_descriptor(obj)
+
+
 def test_a_measurement_that_names_a_qubit_twice_is_a_violation(tmp_path, capsys):
     # a projector on qubits (1, 1) failed on density and read acceptance 1.0 on ensemble
     p = problems.ip2_clocked(1)
@@ -581,7 +591,7 @@ def _lowered_product(ref, targets, width: int, inputs) -> np.ndarray:
     out = np.eye(1 << width, dtype=complex)
     pieces = protocol.lower(ref, targets)
     for pc, m in zip(pieces, simulator._piece_matrices(pieces, inputs)):
-        out = qstate.embed_operator(m, pc[3] + pc[1], width) @ out
+        out = embed_operator(m, pc[3] + pc[1], width) @ out
     return out
 
 
@@ -614,7 +624,7 @@ def test_lowered_pieces_multiply_to_the_dense_oracle(kind, seed):
     ref, targets, width = _seeded_ref(kind, seed)
     for bit in "01":
         inputs = {ALICE: bit}
-        want = qstate.embed_operator(dense_ref_oracle(ref, inputs, width), targets, width)
+        want = embed_operator(dense_ref_oracle(ref, inputs, width), targets, width)
         got = _lowered_product(ref, targets, width, inputs)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -627,7 +637,7 @@ def test_fused_operators_multiply_to_their_parts(kind, seed):
     ref, targets, width = _seeded_ref(kind, seed)
     for bit in "01":
         inputs = {ALICE: bit}
-        want = qstate.embed_operator(dense_ref_oracle(ref, inputs, width), targets, width)
+        want = embed_operator(dense_ref_oracle(ref, inputs, width), targets, width)
         check_steps(protocol.lower(ref, targets), inputs, want)
 
 
@@ -636,7 +646,7 @@ def test_lowered_dispatch_with_identity_branches_and_an_increment():
     branch = (explicit(qstate.haar_unitary(4, rng)), (1, 2))
     ref = DispatchU(4, (3, 0), (None, branch, None, None), 1)
     targets = (2, 0, 3, 1)
-    want = qstate.embed_operator(dense_ref_oracle(ref, None, 4), targets, 4)
+    want = embed_operator(dense_ref_oracle(ref, None, 4), targets, 4)
     assert np.max(np.abs(_lowered_product(ref, targets, 4, None) - want)) < 1e-12
     # one conditioned branch, then the selector increment
     assert [len(pc[3]) for pc in protocol.lower(ref, targets)] == [2, 0]

@@ -9,6 +9,8 @@ from oneclean.errors import (
     NumericalIntegrityError,
 )
 
+from helpers import accept_probability, apply_on_subset, random_projector
+
 TOL = 1e-9
 
 
@@ -54,14 +56,14 @@ def _bell_rho():
 
 def test_apply_on_subset_flips_clean_qubit():
     rho = qstate.tensor(qstate.basis_projector(0), qstate.I2 / 2)
-    got = qstate.apply_on_subset(rho, qstate.X, [0])
+    got = apply_on_subset(rho, qstate.X, [0])
     want = qstate.tensor(qstate.basis_projector(1), qstate.I2 / 2)
     assert np.max(np.abs(got - want)) < TOL
 
 
 def test_apply_on_subset_identity_noop():
     rho = _bell_rho()
-    assert np.max(np.abs(qstate.apply_on_subset(rho, qstate.I2, [1]) - rho)) < TOL
+    assert np.max(np.abs(apply_on_subset(rho, qstate.I2, [1]) - rho)) < TOL
 
 
 def test_apply_on_subset_matches_embedding_oracle():
@@ -71,7 +73,7 @@ def test_apply_on_subset_matches_embedding_oracle():
     # oracle: explicit I (x) H (x) I embedding applied directly
     h_emb = qstate.tensor(qstate.tensor(qstate.I2, qstate.H), qstate.I2)
     want = h_emb @ rho @ h_emb.conj().T
-    got = qstate.apply_on_subset(rho, qstate.H, [1])
+    got = apply_on_subset(rho, qstate.H, [1])
     assert np.max(np.abs(got - want)) < TOL
 
 
@@ -79,7 +81,7 @@ def test_apply_on_subset_preserves_trace_and_spectrum():
     rng = np.random.default_rng(11)
     u = qstate.haar_unitary(8, rng)
     rho = u @ np.diag(rng.dirichlet(np.ones(8))).astype(complex) @ u.conj().T
-    got = qstate.apply_on_subset(rho, qstate.haar_unitary(4, rng), [2, 0])
+    got = apply_on_subset(rho, qstate.haar_unitary(4, rng), [2, 0])
     assert abs(np.trace(got) - 1) < TOL
     assert np.max(np.abs(np.sort(np.linalg.eigvalsh(got)) - np.sort(np.linalg.eigvalsh(rho)))) < TOL
 
@@ -97,34 +99,34 @@ def test_qubit_ordering_exhaustive_paulis_three_qubits():
             factors[target] = p
             emb = qstate.tensor_all(factors)
             want = emb @ rho @ emb.conj().T
-            got = qstate.apply_on_subset(rho, p, [target])
+            got = apply_on_subset(rho, p, [target])
             assert np.max(np.abs(got - want)) < TOL, (name, target)
 
 
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionError):
-        qstate.apply_on_subset(_bell_rho(), qstate.haar_unitary(4, 0), [0])
+        apply_on_subset(_bell_rho(), qstate.haar_unitary(4, 0), [0])
 
 
 def test_accept_probability_clean_qubit():
     rho = qstate.tensor(qstate.basis_projector(0), qstate.I2 / 2)
     p = qstate.tensor(qstate.basis_projector(0), qstate.I2)
-    assert qstate.accept_probability(rho, p) == pytest.approx(1.0, abs=TOL)
+    assert accept_probability(rho, p) == pytest.approx(1.0, abs=TOL)
 
 
 def test_accept_probability_zero_projector():
     rho = _bell_rho()
-    assert qstate.accept_probability(rho, np.zeros((4, 4))) == 0.0
+    assert accept_probability(rho, np.zeros((4, 4))) == 0.0
 
 
 def test_accept_probability_rank_half_on_maximally_mixed():
     rng = np.random.default_rng(13)
     q = 3
-    proj = qstate.random_projector(q, 4, rng)
+    proj = random_projector(q, 4, rng)
     # eigen-decomposition oracle: rank/2^q
     rank = int(round(np.linalg.eigvalsh(proj).sum()))
     rho = np.eye(1 << q, dtype=complex) / (1 << q)
-    assert qstate.accept_probability(rho, proj) == pytest.approx(rank / (1 << q), abs=TOL)
+    assert accept_probability(rho, proj) == pytest.approx(rank / (1 << q), abs=TOL)
 
 
 def test_accept_probability_flags_imaginary_part():
@@ -132,7 +134,7 @@ def test_accept_probability_flags_imaginary_part():
     rho = qstate.tensor(plus, qstate.I2 / 2)
     bad = qstate.tensor(np.array([[0, 1j], [0, 0]], dtype=complex), qstate.I2)
     with pytest.raises(NumericalIntegrityError):
-        qstate.accept_probability(rho, bad)
+        accept_probability(rho, bad)
 
 
 def test_haar_orthogonal_dimension_one():
@@ -195,7 +197,7 @@ def test_random_evolution_preserves_density_invariants(seed):
     for _ in range(3):
         sz = int(rng.integers(1, 4))
         targets = rng.choice(3, size=sz, replace=False).tolist()
-        rho = qstate.apply_on_subset(rho, qstate.haar_unitary(1 << sz, rng), targets)
+        rho = apply_on_subset(rho, qstate.haar_unitary(1 << sz, rng), targets)
     assert abs(np.trace(rho) - 1) < TOL
     assert qstate.is_hermitian(rho)
     assert np.linalg.eigvalsh(rho).min() > -TOL

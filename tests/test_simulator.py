@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oneclean import cli, problems, protocol, qstate, simulator, transforms, verify
+from oneclean import cli, problems, protocol, qstate, simulator, transforms
 from oneclean.errors import BackendLimitError, DomainError, NumericalIntegrityError, ShapeError
 from oneclean.protocol import (
     ALICE,
@@ -30,6 +30,7 @@ from oneclean.protocol import (
 from helpers import (
     check_steps,
     density_oracle,
+    embed_operator,
     exact_amplify,
     is_monomial,
     random_protocol,
@@ -875,7 +876,7 @@ def test_oneway_bias_matches_density(seed):
     assert protocol.validate(p) == []
     acc = simulator.run_density(p).acceptance
     bias = simulator.oneway_bias(
-        qstate.embed_operator(ua, ta, m), qstate.embed_operator(ub, tb, m)
+        embed_operator(ua, ta, m), embed_operator(ub, tb, m)
     )
     assert abs((acc - 0.5) - bias) < TOL
     assert abs(bias) <= 0.5 + TOL
@@ -938,7 +939,7 @@ def test_built_specs_are_not_validated_again_and_lower_each_round_once(monkeypat
         lambda: [simulator.run_trace(uc, inputs, counter_start=j) for j in range(uc.trace_plan.pairs)],
         lambda: simulator.run_trace(tf, inputs),
         lambda: simulator.measure_bias(k1, problems.ip2_inputs(1), k1.declared_p),
-        lambda: verify._two_sided_acceptance(k1, inputs),
+        lambda: density_oracle(k1, inputs),
         lambda: protocol.cost_report(k1),
     ]:
         call()

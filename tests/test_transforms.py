@@ -19,6 +19,7 @@ from oneclean.protocol import (
 
 from helpers import (
     bit_inputs,
+    random_projector,
     random_protocol,
     random_sq_base,
     random_trace_form,
@@ -120,7 +121,7 @@ def test_sq_measure_accept_all_and_reject_all():
 @pytest.mark.parametrize("seed", range(5))
 def test_sq_measure_preserves_random_rank3_projector(seed):
     rng = np.random.default_rng(seed)
-    base = _projector_base(qstate.random_projector(3, 3, rng), seed=seed)
+    base = _projector_base(random_projector(3, 3, rng), seed=seed)
     out = transforms.projective_to_single_qubit(base)
     assert protocol.validate(out) == []
     a = simulator.run_density(base).acceptance
@@ -290,7 +291,7 @@ def _random_two_round(seed, k: int = 2, single: bool = False):
             RoundAction(ALICE, explicit(qstate.haar_unitary(d, rng)), qubits, frozenset(), None),
         ),
         measurement=Measurement(single_qubit=0) if single else
-        Measurement(qubits=qubits, projector=qstate.random_projector(k, k, rng)),
+        Measurement(qubits=qubits, projector=random_projector(k, k, rng)),
     )
 
 
