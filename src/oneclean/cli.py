@@ -152,12 +152,6 @@ def _load_protocol(args) -> tuple[str, protocol.ProtocolSpec, problems.AbcInstan
     return source, PROTOCOLS[args.protocol][1](args.n), inst
 
 
-def _bias_record(acc: float, label, ref) -> float | None:
-    if label is None or ref is None:
-        return None
-    return acc - float(ref) if label == 1 else float(ref) - acc
-
-
 def _abc_instance_from(root: Path) -> problems.AbcInstance:
     """The instance 'gen abc-instance' wrote to ``root``; a malformed
     ``instance.json`` is a ``ParseError`` naming it."""
@@ -229,10 +223,8 @@ def cmd_run(args) -> int:
         rep = simulator.run(spec, inputs, backend=args.backend, **kw)
         rec = {"input": printable, "acceptance": rep.acceptance, "backend": rep.backend, "seed": seed,
                "elapsed": None}
-        bias = _bias_record(rep.acceptance, label, spec.declared_p)
-        if bias is not None:
-            rec["label"] = label
-            rec["bias"] = bias
+        if label is not None:
+            rec.update(label=label, bias=simulator.label_margin(rep.acceptance, label, spec.declared_p))
         records.append(rec)
     cost = {} if spec.declared_eps is None else {"cost": protocol.cost_report(spec).to_obj()}
     _write_report(args, records, cost)

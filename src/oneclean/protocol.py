@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -152,18 +152,24 @@ class FlagStateU:
     inner: Any
 
 
-def lower(ref, targets) -> tuple:
-    """A unitary reference on ``targets`` as local pieces in time order.
+class Piece(NamedTuple):
+    """One lowered piece: the ExplicitU or GenU ``leaf`` (conjugate-transposed
+    when ``adjoint``) acts on ``qubits`` where the ``controls`` read ``value``
+    (first control most significant), and as the identity elsewhere."""
 
-    Each piece is ``(leaf, qubits, adjoint, controls, value)``: the
-    ExplicitU or GenU ``leaf`` (conjugate-transposed when ``adjoint``)
-    acts on ``qubits`` where the ``controls`` read ``value`` (first
-    control most significant), and as the identity elsewhere. The walk
-    is input-independent; a malformed reference raises ``DomainError``.
-    """
+    leaf: Any
+    qubits: tuple
+    adjoint: bool = False
+    controls: tuple = ()
+    value: int = 0
+
+
+def lower(ref, targets) -> tuple:
+    """A unitary reference on ``targets`` as its ``Piece``s in time order. The walk
+    is input-independent; a malformed reference raises ``DomainError``."""
     targets = tuple(targets)
     if isinstance(ref, (ExplicitU, GenU)):
-        return ((ref, targets, False, (), 0),)
+        return (Piece(ref, targets),)
     if isinstance(ref, (ControlledU, FlagStateU)) and not targets:
         raise DomainError(f"{type(ref).__name__} has no control qubit")
     if isinstance(ref, (ComposedU, DispatchU)) and ref.width != len(targets):
@@ -188,25 +194,28 @@ def lower(ref, targets) -> tuple:
         if ref.increment % (1 << w):
             # the selector increment |i + inc mod 2^w><i|, after every branch
             step = np.roll(np.eye(1 << w, dtype=complex), ref.increment, axis=0)
-            out.append((_Built(step), sel, False, (), 0))
+            out.append(Piece(_Built(step), sel))
         return tuple(out)
     if isinstance(ref, FlagStateU):
         # X (x) P + I (x) (I - P) with P = W|0><0|W^dagger is W^dagger, flip-if-zero, W
         inner = lower(ref.inner, targets[1:])
-        flip = (_Built(qstate.flip_if_zero(len(targets) - 1)), targets, False, (), 0)
+        flip = Piece(_Built(qstate.flip_if_zero(len(targets) - 1)), targets)
         return _adjoint(inner) + (flip,) + inner
     raise DomainError(f"unknown unitary reference {type(ref).__name__}")
 
 
 def _adjoint(pieces) -> tuple:
-    return tuple((leaf, q, not adj, c, v) for leaf, q, adj, c, v in reversed(pieces))
+    return tuple(Piece(pc.leaf, pc.qubits, not pc.adjoint, pc.controls, pc.value) for pc in reversed(pieces))
 
 
 def _conditioned(pieces, controls: tuple, value: int) -> tuple:
     """``pieces`` acting only where ``controls`` read ``value``."""
-    if any(set(controls) & set(q + c) for _, q, _, c, _ in pieces):
+    if any(set(controls) & set(pc.qubits + pc.controls) for pc in pieces):
         raise DomainError(f"control qubits {controls} repeat a piece axis")
-    return tuple((leaf, q, adj, controls + c, (value << len(c)) | v) for leaf, q, adj, c, v in pieces)
+    return tuple(
+        Piece(pc.leaf, pc.qubits, pc.adjoint, controls + pc.controls, value << len(pc.controls) | pc.value)
+        for pc in pieces
+    )
 
 
 def _at(positions, targets: tuple) -> tuple:
@@ -218,9 +227,9 @@ def _at(positions, targets: tuple) -> tuple:
     return tuple(targets[p] for p in positions)
 
 
-def resolve_ref(piece, inputs) -> np.ndarray:
+def resolve_ref(piece: Piece, inputs) -> np.ndarray:
     """The matrix of a lowered piece's leaf on its qubits, adjoint applied."""
-    leaf, qubits, adjoint = piece[:3]
+    leaf = piece.leaf
     if isinstance(leaf, ExplicitU):
         m, what = leaf.matrix, "explicit matrix"
     else:
@@ -231,9 +240,9 @@ def resolve_ref(piece, inputs) -> np.ndarray:
             raise
         except Exception as e:  # the generator's own failure on its params or input
             raise DomainError(f"{what} failed: {type(e).__name__}: {e}") from e
-    if m.shape != (1 << len(qubits),) * 2:
-        raise DomainError(f"{what} has shape {m.shape}, expected dim 2^{len(qubits)}")
-    return m.conj().T if adjoint else m
+    if m.shape != (1 << len(piece.qubits),) * 2:
+        raise DomainError(f"{what} has shape {m.shape}, expected dim 2^{len(piece.qubits)}")
+    return m.conj().T if piece.adjoint else m
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +486,7 @@ def _lowering(memo: dict, ref, targets) -> tuple:
     if key not in memo:
         try:
             pieces = lower(ref, targets)
-            leaves = {(pc[0], len(pc[1])): pc for pc in pieces if isinstance(pc[0], ExplicitU)}
+            leaves = {(pc.leaf, len(pc.qubits)): pc for pc in pieces if isinstance(pc.leaf, ExplicitU)}
             for pc in leaves.values():
                 resolve_ref(pc, None)  # the shape check
             unitary = all(u.is_unitary for u, _ in leaves)

@@ -1,9 +1,9 @@
 """Exact acceptance-probability backends and the amplification harness.
 
 Three backends compute the same number on two engines. All of them run
-each round (or trace-form piece) as the pieces it was lowered to when the
-spec was built (``protocol.lowered``): a leaf matrix on a few qubits,
-applied where its control qubits read a value. No round is built dense.
+each round (or trace-form piece) as the ``protocol.Piece`` records it was
+lowered to when the spec was built (``protocol.lowered``), through one
+resolver, ``_piece_matrices``. No round is built dense.
 
 * ``run_density`` and ``run_trace`` contract a closed ring of those
   pieces pairwise (``qstate.ring_plan``), never building a 2^n x 2^n
@@ -47,10 +47,11 @@ import numpy as np
 
 from . import qstate
 from .errors import BackendLimitError, DimensionError, DomainError, ShapeError
-from .protocol import ExplicitU, ProtocolSpec, kept, lowered, q1_cost, resolve_ref
+from .protocol import ExplicitU, Piece, ProtocolSpec, _adjoint, kept, lowered, q1_cost, resolve_ref
 
 ENSEMBLE_QUBIT_LIMIT = 20
 TRACE_MAX_BYTES = 1 << 30
+_BASIS = ExplicitU(qstate.basis_projector(0)), ExplicitU(qstate.basis_projector(1))  # every rho0's leaves
 
 
 @dataclass(frozen=True)
@@ -89,39 +90,45 @@ def _fixed_bits(p: ProtocolSpec, pin: Optional[dict]) -> dict:
 
 
 def _piece_matrices(pieces, inputs) -> list:
-    """Each lowered piece as one operator on its controls then its qubits:
-    the identity except the block where the controls read the piece's value.
-    Each leaf is resolved once, and each piece's adjoint taken of that."""
-    leaves, mats = {}, []
-    for pc in pieces:
-        key = id(pc[0]), len(pc[1])
-        if key not in leaves:
-            leaves[key] = resolve_ref((pc[0], pc[1], False), inputs)
-        m, c, d = leaves[key].conj().T if pc[2] else leaves[key], 1 << len(pc[3]), 1 << len(pc[1])
-        if c > 1:
+    """Each lowered piece as one operator on its controls then its qubits: the
+    identity except the block where the controls read the piece's value. The one
+    resolver of every engine: in a call each leaf is resolved once, each adjoint
+    taken of that, and each distinct piece's operator built once."""
+    leaves, ops = {}, dict.fromkeys(pieces)
+    for pc in ops:
+        key = id(pc.leaf), len(pc.qubits)
+        if key not in leaves:  # kept as the leaf's own matrix
+            m = resolve_ref(pc, inputs)
+            leaves[key] = m.conj().T if pc.adjoint else m
+        m = leaves[key].conj().T if pc.adjoint else leaves[key]
+        if pc.controls:
+            c, d = 1 << len(pc.controls), len(m)
             block = np.eye(c * d, dtype=complex).reshape(c, d, c, d)
-            block[pc[4], :, pc[4], :] = m
+            block[pc.value, :, pc.value, :] = m
             m = block.reshape(c * d, c * d)
-        mats.append(m)
-    return mats
+        ops[pc] = m
+    return [ops[pc] for pc in pieces]
 
 
-def _ring(backend: str, d: int, ops: list, axes: list):
-    """A ring's trace as a function of the inputs. ``ops`` lists its operators
-    in application order, each a lowered piece and whether it enters as its
-    adjoint, and ``axes`` the ring qubits each acts on. Its plan folds those with
-    an ``ExplicitU`` leaf first if that is cheaper (``qstate.ring_plan``); one whose largest
-    intermediate exceeds ``TRACE_MAX_BYTES`` raises ``BackendLimitError``. The first call
-    contracts it whole; the second keeps ``_fold``, so that it and every later call resolve
+def _ring(backend: str, pieces: list, qubits):
+    """The trace of a ring of ``pieces`` in application order, over ``qubits``, as
+    a function of the inputs. Its plan folds the pieces with an ``ExplicitU`` leaf
+    first if that is cheaper (``qstate.ring_plan``); one whose largest intermediate
+    exceeds ``TRACE_MAX_BYTES`` raises ``BackendLimitError``. The first call contracts
+    it whole; the second keeps ``_fold``, so that it and every later call resolve
     only the generator pieces and run the steps left."""
-    fixed = tuple(k for k, (pc, _) in enumerate(ops) if isinstance(pc[0], ExplicitU))
-    traces, steps, free, peak = qstate.ring_plan(d, tuple(axes), fixed)
+    axes = tuple(pc.controls + pc.qubits for pc in pieces)
+    if qubits != range(len(qubits)):  # trace's core: each qubit numbered by its place there
+        local = {q: i for i, q in enumerate(qubits)}
+        axes = tuple(tuple(local[q] for q in ax) for ax in axes)
+    fixed = tuple(k for k, pc in enumerate(pieces) if isinstance(pc.leaf, ExplicitU))
+    traces, steps, free, peak = qstate.ring_plan(len(qubits), axes, fixed)
     if (need := peak * np.dtype(complex).itemsize) > TRACE_MAX_BYTES:
         raise BackendLimitError(
-            f"{backend} contraction over {d} qubits needs a {need}-byte intermediate, "
+            f"{backend} contraction over {len(qubits)} qubits needs a {need}-byte intermediate, "
             f"over the ring bound TRACE_MAX_BYTES = {TRACE_MAX_BYTES} bytes"
         )
-    ops, steps = list(enumerate(ops)), tuple(enumerate(steps, start=len(traces)))
+    ops, steps = list(enumerate(pieces)), tuple(enumerate(steps, start=len(traces)))
     calls, folded = itertools.count(), []
 
     def ring(inputs):
@@ -145,11 +152,9 @@ def _fold(ops, fixed, traces, steps) -> tuple:
 
 
 def _ring_tensors(ops, inputs, traces) -> dict:
-    """Tensor index -> ``qstate.ring_tensor`` of each ``(k, (piece, adjoint))``; each piece resolved once."""
-    pieces = {id(pc): pc for _, (pc, _) in ops}
-    mats = dict(zip(pieces, _piece_matrices(pieces.values(), inputs)))
-    return {k: qstate.ring_tensor(mats[id(pc)].conj().T if adj else mats[id(pc)], traces[k])
-            for k, (pc, adj) in ops}
+    """Tensor index -> ``qstate.ring_tensor`` of each ``(k, piece)``."""
+    mats = _piece_matrices([pc for _, pc in ops], inputs)
+    return {k: qstate.ring_tensor(m, traces[k]) for (k, _), m in zip(ops, mats)}
 
 
 def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> RunReport:
@@ -158,19 +163,16 @@ def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> Run
     rho0 is |0><0| on the clean qubits, |b><b| on each pinned mixed qubit
     and I/2^f on the f free ones, so the acceptance is the ring trace of,
     in application order, those basis projectors, the pieces of U_1 ... U_r,
-    P and the adjoint pieces of U_r ... U_1, over 2^f. The ring is planned
-    and checked against ``TRACE_MAX_BYTES`` before any piece is resolved.
+    P and the adjoint pieces of U_r ... U_1 (``protocol._adjoint``), over 2^f.
+    The ring is planned and checked against ``TRACE_MAX_BYTES`` first.
     """
     fixed = _fixed_bits(p, pin)
 
     def build():
-        proj, support = p.measurement.operator()
-        pieces = lowered(p)[0]
-        rho0 = [(qstate.basis_projector(bit), (q,)) for q, bit in fixed.items()]
-        projectors = [((ExplicitU(m), qs, False, (), 0), False) for m, qs in rho0 + [(proj, support)]]
-        ops = projectors[:-1] + [(pc, False) for pc in pieces] + projectors[-1:]
-        ops += [(pc, True) for pc in reversed(pieces)]
-        return _ring("density", p.layout.total, ops, [pc[3] + pc[1] for pc, _ in ops])
+        pieces, (proj, support) = lowered(p)[0], p.measurement.operator()
+        rho0 = [Piece(_BASIS[bit], (q,)) for q, bit in fixed.items()]
+        ring = [*rho0, *pieces, Piece(ExplicitU(proj), support), *_adjoint(pieces)]
+        return _ring("density", ring, range(p.layout.total))
 
     tr = kept(p, ("density", *fixed.items()), build)(inputs)
     return RunReport(qstate.checked_acceptance(tr / (1 << (p.layout.total - len(fixed)))), "density")
@@ -278,17 +280,17 @@ def run_ensemble(
     for j, q in enumerate(free):
         rows |= ((cols >> (len(free) - 1 - j)) & 1) << (n - 1 - q)
 
-    def build():  # each piece, its key shifts, and its step when its leaf is explicit
-        pieces = lowered(p)[0]
-        shifts = [tuple(n - 1 - q for q in pc[3] + pc[1]) for pc in pieces]
-        return [(pc, sh, isinstance(pc[0], ExplicitU) and _ensemble_step(sh, _piece_matrices([pc], None)[0]))
-                for pc, sh in zip(pieces, shifts)]
+    def build():  # the distinct pieces, explicit first: their steps, the others' shifts; each piece's index
+        distinct = sorted(dict.fromkeys(lowered(p)[0]), key=lambda pc: not isinstance(pc.leaf, ExplicitU))
+        shifts = [tuple(n - 1 - q for q in pc.controls + pc.qubits) for pc in distinct]
+        k = sum(isinstance(pc.leaf, ExplicitU) for pc in distinct)
+        index = {pc: i for i, pc in enumerate(distinct)}
+        known = list(map(_ensemble_step, shifts[:k], _piece_matrices(distinct[:k], None)))
+        return known, distinct[k:], shifts[k:], [index[pc] for pc in lowered(p)[0]]
 
-    steps, made = [], {}  # id(piece) -> its step: a piece that rounds share is resolved once
-    for pc, sh, step in kept(p, ("ensemble",), build):
-        if not step and id(pc) not in made:
-            made[id(pc)] = _ensemble_step(sh, _piece_matrices([pc], inputs)[0])
-        steps.append(step or made[id(pc)])
+    known, generated, gshifts, order = kept(p, ("ensemble",), build)
+    table = known + list(map(_ensemble_step, gshifts, _piece_matrices(generated, inputs)))
+    steps = [table[i] for i in order]
     proj, support = p.measurement.operator()
     spread = sum(len(step[0]) for step in steps if len(step) == 2) + len(support)
     block = max(1, TRACE_MAX_BYTES // (16 << min(n, spread)))
@@ -324,9 +326,7 @@ def run_trace(p: ProtocolSpec, inputs=None, counter_start: int = 0) -> RunReport
         core = [q for q in range(p.layout.total) if q != plan.control and q not in plan.counter]
         width, kept_pieces = len(plan.pieces), lowered(p)[1]  # width 2 * pairs with a counter
         pieces = [pc for t in range(width) for pc in kept_pieces[(2 * counter_start + t) % width]]
-        local = {q: i for i, q in enumerate(core)}
-        axes = [tuple(local[q] for q in pc[3] + pc[1]) for pc in pieces]
-        ring = _ring("trace", len(core), [(pc, False) for pc in pieces], axes)
+        ring = _ring("trace", pieces, core)
         return lambda inputs: 0.5 + ring(inputs).real / (1 << (len(core) + 1))
 
     return RunReport(qstate.checked_acceptance(kept(p, ("trace", counter_start), build)(inputs)), "trace")
@@ -361,23 +361,22 @@ def oneway_bias(ua, ub) -> float:
     return float(val.real / (1 << (m + 1)))
 
 
-def measure_bias(p: ProtocolSpec, labeled_inputs, ref, backend: str = "density") -> float:
-    """min over 1-inputs of (acc - ref) and over 0-inputs of (ref - acc).
+def label_margin(acc: float, label: int, ref) -> float:
+    """How far ``acc`` clears ``ref`` on ``label``'s side: acc - ref for label 1, ref - acc for 0."""
+    return acc - float(ref) if label == 1 else float(ref) - acc
 
-    Negative results mean the protocol fails its declared contract.
-    ``labeled_inputs`` is a sequence of (inputs, label) with label 0 or 1.
-    """
+
+def measure_bias(p: ProtocolSpec, labeled_inputs, ref, backend: str = "density") -> float:
+    """The least ``label_margin`` over ``labeled_inputs``, a sequence of (inputs, label)
+    with label 0 or 1. Negative results mean the protocol fails its declared contract."""
     labeled_inputs = list(labeled_inputs)
     if not labeled_inputs:
         raise DomainError("measure_bias needs a nonempty input set")
-    ref = float(ref)
     eps = math.inf
     for inputs, label in labeled_inputs:
         if label not in (0, 1):
             raise DomainError(f"input label must be 0 or 1, got {label}")
-        acc = run(p, inputs, backend=backend).acceptance
-        margin = acc - ref if label == 1 else ref - acc
-        eps = min(eps, margin)
+        eps = min(eps, label_margin(run(p, inputs, backend=backend).acceptance, label, ref))
     return eps
 
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import classical, problems, protocol, qstate, simulator, transforms
 from .protocol import ALICE, BOB
-
-TOL = 1e-9
+from .qstate import TOL
 
 
 def _toy_rotation_base(th0: float, th1: float) -> protocol.ProtocolSpec:

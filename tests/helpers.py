@@ -117,7 +117,7 @@ def density_oracle(p: ProtocolSpec, inputs=None, pin=None) -> float:
     )
     pieces = protocol.lowered(p)[0]
     for pc, m in zip(pieces, simulator._piece_matrices(pieces, inputs)):
-        rho = apply_on_subset(rho, m, pc[3] + pc[1])
+        rho = apply_on_subset(rho, m, pc.controls + pc.qubits)
     proj, support = p.measurement.operator()
     return accept_probability(rho, embed_operator(proj, support, p.layout.total))
 
@@ -606,9 +606,9 @@ def check_steps(pieces, inputs, want=None) -> int:
     """
     ops, moves = [], 0
     for pc in pieces:
-        m, axes = protocol.resolve_ref(pc, inputs), pc[3] + pc[1]
-        on = np.zeros((1 << len(pc[3]),) * 2)
-        on[pc[4], pc[4]] = 1
+        m, axes = protocol.resolve_ref(pc, inputs), pc.controls + pc.qubits
+        on = np.zeros((1 << len(pc.controls),) * 2)
+        on[pc.value, pc.value] = 1
         op = np.kron(on, m) + np.kron(np.eye(len(on)) - on, np.eye(len(m)))
         step = simulator._ensemble_step(tuple(range(len(axes) - 1, -1, -1)), op)
         assert (len(step) == 3) == is_monomial(op)

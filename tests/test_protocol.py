@@ -391,8 +391,8 @@ def test_version_3_descriptor_names_each_explicit_matrix_once(monkeypatch, base,
     q = protocol.deserialize(text)
     assert len(checked) == entries  # once per entry, none for the leaves the program builds
     # after reading, equal matrices are one leaf object
-    leaves = {id(pc[0]): pc[0] for pieces in protocol.lowered(q)[1] for pc in pieces
-              if isinstance(pc[0], ExplicitU)}
+    leaves = {id(pc.leaf): pc.leaf for pieces in protocol.lowered(q)[1] for pc in pieces
+              if isinstance(pc.leaf, ExplicitU)}
     assert len(leaves) == len({leaf.matrix.tobytes() for leaf in leaves.values()}) == entries
 
 
@@ -591,7 +591,7 @@ def _lowered_product(ref, targets, width: int, inputs) -> np.ndarray:
     out = np.eye(1 << width, dtype=complex)
     pieces = protocol.lower(ref, targets)
     for pc, m in zip(pieces, simulator._piece_matrices(pieces, inputs)):
-        out = embed_operator(m, pc[3] + pc[1], width) @ out
+        out = embed_operator(m, pc.controls + pc.qubits, width) @ out
     return out
 
 
@@ -649,7 +649,7 @@ def test_lowered_dispatch_with_identity_branches_and_an_increment():
     want = embed_operator(dense_ref_oracle(ref, None, 4), targets, 4)
     assert np.max(np.abs(_lowered_product(ref, targets, 4, None) - want)) < 1e-12
     # one conditioned branch, then the selector increment
-    assert [len(pc[3]) for pc in protocol.lower(ref, targets)] == [2, 0]
+    assert [len(pc.controls) for pc in protocol.lower(ref, targets)] == [2, 0]
 
 
 def _one_round(ref, targets, qubits: int = 3) -> ProtocolSpec:

@@ -144,7 +144,7 @@ def _branch_bytes(p, inputs) -> int:
     controls of every lowered piece that is not a permutation times phases."""
     w = len(p.measurement.support())
     for pc in protocol.lowered(p)[0]:
-        w += 0 if is_monomial(protocol.resolve_ref(pc, inputs)) else len(pc[1]) + len(pc[3])
+        w += 0 if is_monomial(protocol.resolve_ref(pc, inputs)) else len(pc.qubits) + len(pc.controls)
     return 16 << min(p.layout.total, w)
 
 
@@ -241,9 +241,11 @@ def test_ensemble_resolves_each_shared_generator_piece_once_per_call(monkeypatch
     real, resolved = simulator.resolve_ref, []
     monkeypatch.setattr(simulator, "resolve_ref", lambda pc, inp: resolved.append(pc) or real(pc, inp))
     simulator.run_ensemble(uc, inputs, sample=4, seed=1)
-    generated = [pc for pc in protocol.lowered(uc)[0] if isinstance(pc[0], GenU)]
-    assert (len(generated), len({id(pc) for pc in generated})) == (32, 4)
-    assert len(resolved) == len({id(pc) for pc in resolved}) == 4
+    generated = [pc for pc in protocol.lowered(uc)[0] if isinstance(pc.leaf, GenU)]
+    leaves = {id(pc.leaf) for pc in generated}
+    assert (len(generated), len({id(pc) for pc in generated}), len(leaves)) == (32, 4, 2)
+    # one resolve per distinct leaf; a piece's adjoint is taken of its leaf's matrix
+    assert len(resolved) == len({id(pc.leaf) for pc in resolved}) == 2
 
 
 def test_ensemble_cancels_exactly_on_the_unclocked_chain(monkeypatch):
@@ -613,6 +615,18 @@ def test_the_split_ring_folds_to_three_scalars_that_multiply_in_index_order(monk
     assert acc == qstate.checked_acceptance(0.5 + want.real / (1 << 9))
 
 
+def test_density_rings_of_fresh_specs_share_one_basis_leaf(monkeypatch):
+    # a spec built afresh for each call wraps no basis projector of rho0 anew
+    real, rings = simulator._ring, []
+    monkeypatch.setattr(simulator, "_ring", lambda *a: rings.append(a[1]) or real(*a))
+    inputs = {ALICE: "101", BOB: "110"}
+    accs = {simulator.run_density(problems.ip2_one_clean(3), inputs).acceptance for _ in range(2)}
+    assert len(accs) == 1 and len(rings) == 2
+    zero = rings[0][0].leaf  # the clean qubit's |0><0|, the ring's first piece
+    assert rings[0][0].qubits == rings[1][0].qubits == (0,) and rings[1][0].leaf is zero
+    assert np.array_equal(zero.matrix, qstate.basis_projector(0)) and not zero.matrix.flags.writeable
+
+
 def test_an_evaluated_spec_is_freed_with_its_entries():
     p = _fresh(transforms.k_to_one_clean(problems.ip2_clocked(1))[0])
     inputs = {ALICE: "1", BOB: "0"}
@@ -697,27 +711,34 @@ def test_a_warm_call_runs_only_the_ring_steps_that_read_an_input(backend, chain,
         assert len(steps) == first
 
 
-def test_a_warm_middle_trace_call_resolves_each_generator_leaf_once(monkeypatch):
-    p = _trace_chain(problems.middle_protocol(2))
-    inputs = {ALICE: "01", BOB: "10"}
-    pieces = [pc for pcs in protocol.lowered(p)[1] for pc in pcs if isinstance(pc[0], protocol.GenU)]
-    # each leaf enters the ring as U and as its adjoint
-    assert len(pieces) == 6 and len({id(pc[0]) for pc in pieces}) == 2
-    acc = [simulator.run_trace(p, inputs).acceptance for _ in range(2)]
+@pytest.mark.parametrize("backend", ["trace", "density", "ensemble"])
+def test_a_warm_call_resolves_each_generator_leaf_once(backend, monkeypatch):
+    # MIDDLE n = 2's trace chain; density's first calls on its ring take about
+    # 0.3 s each, so density runs on IP2 n = 1's instead
+    base, inputs = (problems.middle_protocol(2), {ALICE: "01", BOB: "10"})
+    if backend == "density":
+        base, inputs = (problems.ip2_clocked(1), {ALICE: "1", BOB: "1"})
+    p = _trace_chain(base)
+    rounds, plan = protocol.lowered(p)
+    pieces = [pc for pc in (rounds if backend != "trace" else [pc for pcs in plan for pc in pcs])
+              if isinstance(pc.leaf, protocol.GenU)]
+    # each leaf enters as U and as its adjoint
+    assert len(pieces) in (4, 6) and len({id(pc.leaf) for pc in pieces}) == 2
+    acc = [simulator.run(p, inputs, backend=backend).acceptance for _ in range(2)]
     calls = []
-    for name in {pc[0].name for pc in pieces}:
+    for name in {pc.leaf.name for pc in pieces}:
         real = protocol.generator(name)
         monkeypatch.setitem(protocol._GENERATORS, name,
                             lambda params, x, real=real: calls.append(1) or real(params, x))
     for _ in range(2):
         calls.clear()
-        assert simulator.run_trace(p, inputs).acceptance == acc[0] == acc[1]
+        assert simulator.run(p, inputs, backend=backend).acceptance == acc[0] == acc[1]
         assert len(calls) == 2
 
 
 def _density_ring_axes(p):
     """The axes of run_density's ring on ``p`` with no pins."""
-    axes = [pc[3] + pc[1] for pc in protocol.lowered(p)[0]]
+    axes = [pc.controls + pc.qubits for pc in protocol.lowered(p)[0]]
     return tuple([(q,) for q in range(p.layout.clean)] + axes + [p.measurement.support()] + axes[::-1])
 
 
@@ -789,7 +810,7 @@ def test_ring_plan_equals_the_rebuilding_planner():
     uc, _ = transforms.unclock(_trace_chain(problems.ip2_clocked(1)))
     rings.append((uc.layout.total, _density_ring_axes(uc)))
     rings.append((uc.layout.total - 4, tuple(
-        tuple(q - 1 for q in pc[3] + pc[1])
+        tuple(q - 1 for q in pc.controls + pc.qubits)
         for pieces in protocol.lowered(uc)[1] for pc in pieces
     )))
     for d, axes in rings:
@@ -807,7 +828,7 @@ def test_resolving_a_width_12_unclocked_round_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(len(pc[3] + pc[1]) for pc in pieces) <= 8
+    assert max(len(pc.controls + pc.qubits) for pc in pieces) <= 8
     assert peak < 4 << 20
 
 

@@ -216,11 +216,11 @@ def test_trace_form_runs_a_players_consecutive_rounds_in_one_slot():
     # Alice's k1 flag round and her first load share courier slot 1, ahead of
     # the SWAP that moves her first message qubit into the courier
     pieces = protocol.lowered(tf)[1][1]
-    leaves = [pc[0] for pc in pieces]
+    leaves = [pc.leaf for pc in pieces]
     assert [getattr(leaf, "name", None) for leaf in leaves] == [None, "ip2_alice", None]
     assert np.array_equal(leaves[0].matrix, qstate.flip_if_zero(2))
     assert np.array_equal(leaves[2].matrix, qstate.SWAP2)
-    assert tf.trace_plan.channel in pieces[2][1]
+    assert tf.trace_plan.channel in pieces[2].qubits
 
 
 # --------------------------------------------------------------- unclock
