@@ -97,10 +97,11 @@ def _piece_matrices(pieces, inputs) -> list:
     leaves, ops = {}, dict.fromkeys(pieces)
     for pc in ops:
         key = id(pc.leaf), len(pc.qubits)
-        if key not in leaves:  # kept as the leaf's own matrix
-            m = resolve_ref(pc, inputs)
-            leaves[key] = m.conj().T if pc.adjoint else m
-        m = leaves[key].conj().T if pc.adjoint else leaves[key]
+        if key not in leaves:  # kept with the adjoint flag it was resolved under
+            leaves[key] = resolve_ref(pc, inputs), pc.adjoint
+        m, adjoint = leaves[key]
+        if adjoint != pc.adjoint:
+            m = m.conj().T
         if pc.controls:
             c, d = 1 << len(pc.controls), len(m)
             block = np.eye(c * d, dtype=complex).reshape(c, d, c, d)
@@ -117,10 +118,8 @@ def _ring(backend: str, pieces: list, qubits):
     exceeds ``TRACE_MAX_BYTES`` raises ``BackendLimitError``. The first call contracts
     it whole; the second keeps ``_fold``, so that it and every later call resolve
     only the generator pieces and run the steps left."""
-    axes = tuple(pc.controls + pc.qubits for pc in pieces)
-    if qubits != range(len(qubits)):  # trace's core: each qubit numbered by its place there
-        local = {q: i for i, q in enumerate(qubits)}
-        axes = tuple(tuple(local[q] for q in ax) for ax in axes)
+    local = {q: i for i, q in enumerate(qubits)}
+    axes = tuple(tuple(local[q] for q in pc.controls + pc.qubits) for pc in pieces)
     fixed = tuple(k for k, pc in enumerate(pieces) if isinstance(pc.leaf, ExplicitU))
     traces, steps, free, peak = qstate.ring_plan(len(qubits), axes, fixed)
     if (need := peak * np.dtype(complex).itemsize) > TRACE_MAX_BYTES:

@@ -723,7 +723,8 @@ def test_a_warm_call_resolves_each_generator_leaf_once(backend, monkeypatch):
     pieces = [pc for pc in (rounds if backend != "trace" else [pc for pcs in plan for pc in pcs])
               if isinstance(pc.leaf, protocol.GenU)]
     # each leaf enters as U and as its adjoint
-    assert len(pieces) in (4, 6) and len({id(pc.leaf) for pc in pieces}) == 2
+    assert len(pieces) == {"trace": 6, "density": 4, "ensemble": 6}[backend]
+    assert len({id(pc.leaf) for pc in pieces}) == 2
     acc = [simulator.run(p, inputs, backend=backend).acceptance for _ in range(2)]
     calls = []
     for name in {pc.leaf.name for pc in pieces}:
