@@ -14,7 +14,7 @@ import copy
 import json
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 from fractions import Fraction
@@ -61,6 +61,10 @@ def generator(name: str):
     if name not in _GENERATORS:
         raise ParseError(f"unknown unitary generator {name!r}")
     return _GENERATORS[name]
+
+
+def _int_tuple(xs) -> tuple:
+    return tuple(int(x) for x in xs)
 
 
 def _frozen(m) -> np.ndarray:
@@ -125,6 +129,9 @@ class ComposedU:
     width: int
     factors: tuple  # ((ref, (pos, ...)), ...)
 
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple((ref, _int_tuple(pos)) for ref, pos in self.factors))
+
 
 @dataclass(frozen=True, eq=False)
 class DispatchU:
@@ -139,6 +146,11 @@ class DispatchU:
     selector: tuple
     branches: tuple  # entries: None or (ref, (pos, ...))
     increment: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "selector", _int_tuple(self.selector))
+        branches = tuple(b if b is None else (b[0], _int_tuple(b[1])) for b in self.branches)
+        object.__setattr__(self, "branches", branches)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,24 +283,25 @@ class RoundAction:
     to: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "targets", _int_tuple(self.targets))
         object.__setattr__(self, "message", frozenset(int(q) for q in self.message))
 
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    """Accepting projector. ``single_qubit`` means accept on |0> there."""
+    """Accepting projector: |0> on ``single_qubit``, or ``projector`` on the ``qubits`` list."""
 
     single_qubit: Optional[int] = None
     qubits: Optional[tuple] = None
     projector: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if (self.single_qubit is None) == (self.projector is None):
-            raise DomainError("measurement needs either single_qubit or projector")
+        given = (self.single_qubit is not None, self.qubits is not None, self.projector is not None)
+        if given not in ((True, False, False), (False, True, True)):
+            raise DomainError("measurement needs either single_qubit, or a projector and its qubit list")
         if self.projector is not None:
             object.__setattr__(self, "projector", _frozen(self.projector))
-            object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+            object.__setattr__(self, "qubits", _int_tuple(self.qubits))
 
     def support(self) -> tuple:
         if self.single_qubit is not None:
@@ -311,8 +324,8 @@ class TracePlan:
     number of non-control, non-counter qubits. For semi-unclocked
     protocols ``counter`` lists the counter qubits and ``pairs`` the
     number of dispatch pairs (pieces come in (even, odd) pairs).
-    ``trace_form_spec`` is the one place that builds rounds from a plan,
-    and a descriptor stores a trace form as its plan only.
+    ``trace_form_spec`` is the one place that builds rounds from a plan and
+    attaches one, and a descriptor stores a trace form as its plan only.
     """
 
     control: int
@@ -321,11 +334,15 @@ class TracePlan:
     counter: tuple = ()
     pairs: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "pieces", tuple((ref, _int_tuple(tg)) for ref, tg in self.pieces))
+        object.__setattr__(self, "counter", _int_tuple(self.counter))
+
 
 @dataclass(frozen=True, eq=False)
 class ProtocolSpec:
-    """Valid once built: the constructor, ``dataclasses.replace`` and
-    ``from_descriptor`` raise ``ValidationError`` with ``validate``'s violations."""
+    """Valid once built: the constructor and ``dataclasses.replace`` raise ``ValidationError``
+    with ``validate``'s violations. Only ``trace_form_spec`` sets ``trace_plan``."""
 
     name: str
     players: int
@@ -337,7 +354,7 @@ class ProtocolSpec:
     channel: str = GHOSTED
     declared_p: Any = Fraction(1, 2)
     declared_eps: Any = None
-    trace_plan: Optional[TracePlan] = None
+    trace_plan: Optional[TracePlan] = field(default=None, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "initial_owner", tuple(int(o) for o in self.initial_owner))
@@ -386,14 +403,14 @@ def kept(p: ProtocolSpec, key, build):
 
 
 def lowered(p: ProtocolSpec) -> tuple:
-    """``p``'s rounds' pieces in time order, and a piece tuple per trace-plan piece (None
-    without a plan), as ``validate`` lowered them; rounds with one key share pieces."""
+    """``p``'s rounds' pieces in time order, as ``validate`` lowered them (rounds with one key
+    share pieces), and a piece tuple per plan piece from ``trace_form_spec`` (None without a plan)."""
     return _ENTRIES[p]["lowered"]
 
 
 def validate(p: ProtocolSpec) -> list:
-    """Check every ProtocolSpec invariant; return the list of violations. A valid
-    ``p`` keeps the pieces its rounds and plan lower to, for ``lowered``."""
+    """Check every ProtocolSpec invariant but the plan's, which ``trace_form_spec`` checks; return
+    the list of violations. A valid ``p`` keeps the pieces its rounds lower to, for ``lowered``."""
     v: list[str] = []
     if p.players not in (2, 3):
         v.append(f"players must be 2 or 3, got {p.players}")
@@ -462,10 +479,6 @@ def validate(p: ProtocolSpec) -> list:
         elif not qstate.is_projector(p.measurement.projector):
             v.append("measurement matrix is not a projector within 1e-9")
 
-    if p.trace_plan is not None:
-        v.extend(_validate_trace_plan(p.trace_plan, total))
-        for j, piece in enumerate(p.trace_plan.pieces):
-            v.extend(f"trace_plan piece {j}: {msg}" for msg in _lowering(memo, *piece)[1])
     if p.mode == SEMI_UNCLOCKED:
         v.extend(_validate_semi_unclocked(p))
     if p.channel == FIXED:
@@ -474,8 +487,7 @@ def validate(p: ProtocolSpec) -> list:
             v.append("fixed channel but message sets differ across rounds")
     if not v:
         rounds = tuple(pc for r in p.rounds for pc in _lowering(memo, r.unitary, r.targets)[0])
-        plan = p.trace_plan and tuple(_lowering(memo, *piece)[0] for piece in p.trace_plan.pieces)
-        _ENTRIES.setdefault(p, {})["lowered"] = rounds, plan
+        _ENTRIES.setdefault(p, {}).setdefault("lowered", (rounds, None))
     return v
 
 
@@ -496,10 +508,9 @@ def _lowering(memo: dict, ref, targets) -> tuple:
     return memo[key]
 
 
-def _validate_trace_plan(tp: TracePlan, total: int) -> list:
-    """Why ``trace_form_spec`` cannot build the plan's rounds: its qubits, each
-    piece's targets, and the piece count of a counter plan. ``validate`` also
-    lowers each piece."""
+def _validate_trace_plan(tp: TracePlan, total: int, memo: dict) -> list:
+    """Why ``trace_form_spec`` cannot build the plan's rounds: its qubits, each piece's targets and
+    the piece count of a counter plan, or else the pieces that do not lower (into ``memo``)."""
     named = [("control", tp.control), ("channel", tp.channel)]
     named += [("counter qubit", c) for c in tp.counter]
     v = [f"trace_plan: {what} {q} out of range" for what, q in named if not 0 <= q < total]
@@ -520,7 +531,9 @@ def _validate_trace_plan(tp: TracePlan, total: int) -> list:
             v.append(f"trace_plan: {tp.pairs} counter pairs, not 2^{len(tp.counter)}")
         if len(tp.pieces) != 2 * tp.pairs:
             v.append(f"trace_plan: {len(tp.pieces)} pieces for {tp.pairs} counter pairs")
-    return v
+    return v or [
+        f"trace_plan piece {j}: {msg}" for j, pc in enumerate(tp.pieces) for msg in _lowering(memo, *pc)[1]
+    ]
 
 
 def _validate_semi_unclocked(p: ProtocolSpec) -> list:
@@ -639,7 +652,7 @@ def trace_form_spec(
     plan: TracePlan, owners, name: str, declared_p=Fraction(1, 2), declared_eps=None
 ) -> ProtocolSpec:
     """The trace-form protocol of ``plan``, whose acceptance is the plan's
-    1/2 + Re Tr(prod pieces) / 2^(d+1).
+    1/2 + Re Tr(prod pieces) / 2^(d+1); the only code that sets ``trace_plan``.
 
     The control (qubit 0, the one clean qubit) is measured at the end. Its
     owner plays the even rounds and the other player the odd ones, and
@@ -647,8 +660,12 @@ def trace_form_spec(
     plan (``pairs == 0``) runs piece i, controlled, in round i, with H on
     the control before the first and after the last. A counter plan runs
     ``2 * pairs`` rounds of one fixed unitary per player (``_dispatch``),
-    so every counter start runs the pieces in a cyclic rotation.
+    so every counter start runs the pieces in a cyclic rotation. A bad plan, or
+    rounds that ``owners`` cannot run, raise ``ValidationError`` naming ``trace_plan``.
     """
+    memo: dict = {}  # plan piece -> (pieces, violations)
+    if v := _validate_trace_plan(plan, len(owners), memo):
+        raise ValidationError(v)
     players = (owners[plan.control], 1 - owners[plan.control])
     message = frozenset({plan.control, plan.channel, *plan.counter})
     if plan.pairs:
@@ -663,19 +680,18 @@ def trace_form_spec(
         RoundAction(players[t % 2], ref, tg, message, players[1 - t % 2])
         for t, (ref, tg) in enumerate(steps)
     ]
-    return ProtocolSpec(
-        name=name,
-        players=2,
-        layout=RegisterLayout(clean=1, mixed=len(owners) - 1),
-        initial_owner=tuple(owners),
-        rounds=tuple(rounds),
-        measurement=Measurement(single_qubit=plan.control),
-        mode=SEMI_UNCLOCKED if plan.pairs else CLOCKED,
-        channel=FIXED,
-        declared_p=declared_p,
-        declared_eps=declared_eps,
-        trace_plan=plan,
-    )
+    try:
+        spec = ProtocolSpec(
+            name=name, players=2, layout=RegisterLayout(clean=1, mixed=len(owners) - 1),
+            initial_owner=owners, rounds=rounds, measurement=Measurement(single_qubit=plan.control),
+            mode=SEMI_UNCLOCKED if plan.pairs else CLOCKED, channel=FIXED,
+            declared_p=declared_p, declared_eps=declared_eps,
+        )
+    except ValidationError as e:  # the rounds, or the owners or declared values they carry
+        raise ValidationError([f"trace_plan: {msg}" for msg in e.violations]) from None
+    object.__setattr__(spec, "trace_plan", plan)
+    _ENTRIES[spec]["lowered"] = lowered(spec)[0], tuple(_lowering(memo, *piece)[0] for piece in plan.pieces)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -942,13 +958,7 @@ def _from_descriptor(obj) -> ProtocolSpec:
         raise ParseError(f"{where}: field {stray[0]!r} is not stored in a version-{version} trace form")
     if plan is None:
         return ProtocolSpec(initial_owner=owners, **head, **fields)
-    if violations := _validate_trace_plan(plan, len(owners)):
-        raise ValidationError(violations)
-    try:
-        spec = trace_form_spec(plan, owners, **head)
-    except ValidationError as e:  # plan pieces that do not lower, or rounds the owners cannot run
-        own = [v for v in e.violations if v.startswith("trace_plan")]
-        raise ValidationError(own or [f"trace_plan: {v}" for v in e.violations]) from None
+    spec = trace_form_spec(plan, owners, **head)
     written: dict = {}  # one matrix table, so equal indices are equal matrices
     if version == 1 and _write(SimpleNamespace(**fields), _BODY, written) != _write(spec, _BODY, written):
         raise ValidationError(["trace_plan: the rounds or layout differ from the ones the plan builds"])

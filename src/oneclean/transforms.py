@@ -369,24 +369,10 @@ def to_trace_form(p: ProtocolSpec) -> tuple[ProtocolSpec, TransformCert]:
 
     slope = Fraction(1, 1 << (j + 1))
     offset = Fraction(1, 2)
-    out = hadamard_test_protocol(
-        pieces, new_owner, 1 + channel, p.name + "+trace", **_declared(p, slope, offset)
-    )
+    plan = TracePlan(0, 1 + channel, pieces)
+    out = trace_form_spec(plan, new_owner, p.name + "+trace", **_declared(p, slope, offset))
     notes = f"j={j} clean slots -> p0 = 1/2 + a/{1 << (j + 1)}; {2 * r} rounds of 2 qubits"
     return out, _cert(p, out, slope, offset, notes)
-
-
-def hadamard_test_protocol(
-    pieces, owners, channel: int, name: str = "hadamard-test",
-    declared_p=Fraction(1, 2), declared_eps=None,
-) -> ProtocolSpec:
-    """The clocked Hadamard test (``trace_form_spec``) of an even number of
-    pieces, each (ref, targets) on qubits other than the control, qubit 0."""
-    pieces = tuple((ref, tuple(tg)) for ref, tg in pieces)
-    if len(pieces) % 2:
-        raise ShapeError("need an even number of pieces (players alternate)")
-    plan = TracePlan(control=0, channel=channel, pieces=pieces)
-    return trace_form_spec(plan, owners, name, declared_p, declared_eps)
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def _haar_trace_form(seed: int, count: int) -> protocol.ProtocolSpec:
     for i in range(count):
         tg = (1, ch) if i % 2 == 0 else (2, ch)
         pieces.append((transforms.explicit(qstate.haar_unitary(4, rng)), tg))
-    return transforms.hadamard_test_protocol(pieces, owners, ch)
+    return protocol.trace_form_spec(protocol.TracePlan(0, ch, pieces), owners, "hadamard-test")
 
 
 def check_unclock(quick: bool):

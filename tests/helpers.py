@@ -28,10 +28,11 @@ from oneclean.protocol import (
     ProtocolSpec,
     RegisterLayout,
     RoundAction,
+    TracePlan,
     explicit,
     register_generator,
+    trace_form_spec,
 )
-from oneclean.transforms import hadamard_test_protocol
 from oneclean.verify import _toy_rotation_base as toy_rotation_base  # noqa: F401
 
 # descriptors written by earlier format versions, named <spec>_v<version>.json
@@ -141,7 +142,7 @@ def inline_matrices(desc: dict) -> dict:
 def v1_descriptor(p: ProtocolSpec) -> dict:
     """``p``'s descriptor in format version 1, which states the rounds and
     layout of a trace form beside its plan, with every matrix inline."""
-    rounds = inline_matrices(protocol.to_descriptor(dataclasses.replace(p, trace_plan=None)))
+    rounds = inline_matrices(protocol.to_descriptor(dataclasses.replace(p)))
     return {**rounds, **inline_matrices(protocol.to_descriptor(p)), "version": 1}
 
 
@@ -388,7 +389,7 @@ def random_trace_form(seed: int, pairs: int = 4, slots_a: int = 1, slots_b: int 
     for i in range(2 * pairs):
         tg = b_slots + (ch,) if i % 2 == 0 else a_slots + (ch,)
         pieces.append((explicit(qstate.haar_unitary(1 << len(tg), rng)), tg))
-    return hadamard_test_protocol(pieces, owners, ch, name=f"randtf(seed={seed})")
+    return trace_form_spec(TracePlan(0, ch, pieces), owners, f"randtf(seed={seed})")
 
 
 def bit_inputs(n: int = 1):

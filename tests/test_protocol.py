@@ -425,7 +425,7 @@ def test_deserialized_unclocked_spec_validates_and_flags_a_changed_round():
 
 def test_a_semi_unclocked_spec_without_a_plan_reads_back_from_its_descriptor():
     # stored with its rounds, whose equal unitaries must read as one reference per player
-    q = dataclasses.replace(_unclocked(), trace_plan=None)
+    q = dataclasses.replace(_unclocked())
     back = protocol.deserialize(protocol.serialize(q))
     assert protocol.protocol_equal(q, back)
     assert back.rounds[0].unitary is back.rounds[2].unitary
@@ -693,3 +693,124 @@ def test_malformed_unitary_ref_is_a_named_violation_exiting_2(tmp_path, capsys, 
     desc.write_text(json.dumps(obj))
     assert cli.main(["run", "--descriptor", str(desc)]) == 2
     assert named in capsys.readouterr().err
+
+
+# ------------------------------------------------ constructors freeze their fields
+
+
+def test_a_composed_ref_keeps_its_factors_when_the_callers_list_changes():
+    factors = [(_X, [0])]
+    p = _one_round(ComposedU(1, factors), (0,), qubits=1)
+    factors.append((_X, (0,)))  # X X would accept; the spec's one X never does
+    factors[0][1].append(0)
+    back = protocol.deserialize(protocol.serialize(p))
+    assert simulator.run_density(p).acceptance == simulator.run_density(back).acceptance == 0.0
+    assert protocol.protocol_equal(p, back)
+
+
+def _nested_tuples(v) -> bool:
+    """``v`` is a tuple, and so is every list-like entry at any depth."""
+    return isinstance(v, tuple) and all(not isinstance(e, (list, tuple)) or _nested_tuples(e) for e in v)
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (lambda: DispatchU(2, [0], [None, [_X, [1]]]), ("selector", "branches")),
+        (lambda: protocol.TracePlan(0, 1, [(_X, [2]), [_X, [2]]], [3], 1), ("pieces", "counter")),
+    ],
+    ids=["dispatch", "trace-plan"],
+)
+def test_ir_constructors_store_their_sequences_as_tuples(make, fields):
+    obj = make()
+    for name in fields:
+        assert _nested_tuples(getattr(obj, name)), name
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"projector": qstate.basis_projector(0)}, {"single_qubit": 0, "qubits": (0,)}],
+    ids=["projector-without-qubits", "single-qubit-with-qubits"],
+)
+def test_a_measurement_takes_a_qubit_list_with_a_projector_and_only_then(fields):
+    with pytest.raises(DomainError) as e:
+        Measurement(**fields)
+    assert str(e.value) == "measurement needs either single_qubit, or a projector and its qubit list"
+
+
+# ------------------------------------------------------ validate's named faults
+
+_A_ROUND = RoundAction(ALICE, _X, (0,), frozenset(), None)
+_B_ROUND = RoundAction(BOB, explicit(qstate.H), (1,), frozenset(), None)
+
+
+def _semi_unclocked(rounds, **fields) -> ProtocolSpec:
+    """Alice on q0 and Bob on q1, no messages; valid with rounds (_A_ROUND, _B_ROUND)."""
+    base = dict(name="semi", players=2, layout=RegisterLayout(clean=1, mixed=1), initial_owner=(ALICE, BOB),
+                measurement=Measurement(single_qubit=0), mode=protocol.SEMI_UNCLOCKED, channel=protocol.FIXED)
+    return ProtocolSpec(rounds=rounds, **{**base, **fields})
+
+
+@pytest.mark.parametrize(
+    "rounds, fields, violations",
+    [
+        ((_A_ROUND, _B_ROUND), {"mode": "quantum"}, ["unknown mode 'quantum'"]),
+        ((_A_ROUND, _B_ROUND), {"mode": protocol.CLOCKED, "channel": "wire"}, ["unknown channel 'wire'"]),
+        ((_A_ROUND, _B_ROUND), {"measurement": Measurement(qubits=(0,), projector=np.eye(4))},
+         ["measurement projector dim does not match its qubit list"]),
+        ((), {}, ["semi-unclocked protocol has no rounds"]),
+        ((_A_ROUND, _A_ROUND), {}, ["semi-unclocked rounds must alternate between exactly two players",
+                                    "semi-unclocked rounds 0,1 have the same player"]),
+        ((_A_ROUND, _B_ROUND, _B_ROUND), {}, ["semi-unclocked rounds 1,2 have the same player"]),
+        ((_A_ROUND, _B_ROUND), {"channel": protocol.GHOSTED},
+         ["semi-unclocked protocols require a fixed channel"]),
+    ],
+    ids=["mode", "channel", "projector-dim", "no-rounds", "one-player", "same-player", "ghosted"],
+)
+def test_validate_names_mode_channel_projector_and_semi_unclocked_faults(rounds, fields, violations):
+    assert protocol.validate(_semi_unclocked((_A_ROUND, _B_ROUND))) == []
+    with pytest.raises(ValidationError) as e:
+        _semi_unclocked(rounds, **fields)
+    assert e.value.violations == violations
+
+
+# ------------------------------------------------------- the trace-form builder
+
+
+def test_only_the_builder_attaches_a_plan_so_a_swapped_plan_builds_its_own_rounds():
+    tf = _readme_chain()[2]
+    pieces = list(tf.trace_plan.pieces)
+    pieces[0], pieces[2] = pieces[2], pieces[0]
+    swapped = dataclasses.replace(tf.trace_plan, pieces=pieces)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(tf, trace_plan=swapped)
+    fields = {f.name: getattr(tf, f.name) for f in dataclasses.fields(tf) if f.init}
+    with pytest.raises(TypeError, match="trace_plan"):
+        ProtocolSpec(**fields, trace_plan=swapped)
+    built = protocol.trace_form_spec(swapped, tf.initial_owner, tf.name)
+    back = protocol.deserialize(protocol.serialize(built))
+    for inp, _ in problems.ip2_inputs(1):
+        want = simulator.run_trace(built, inp).acceptance
+        assert simulator.run_density(built, inp).acceptance == pytest.approx(want, abs=qstate.TOL)
+        assert simulator.run_density(back, inp).acceptance == pytest.approx(want, abs=qstate.TOL)
+
+
+def test_a_plan_control_out_of_range_is_a_validation_error_naming_the_plan():
+    tf = _readme_chain()[2]
+    total = len(tf.initial_owner)
+    plan = dataclasses.replace(tf.trace_plan, control=total)
+    with pytest.raises(ValidationError) as e:
+        protocol.trace_form_spec(plan, tf.initial_owner, "bad")
+    assert e.value.violations == [f"trace_plan: control {total} out of range"]
+
+
+def test_replace_on_a_trace_form_gives_the_plain_spec_of_its_rounds():
+    tf = _readme_chain()[2]
+    q = dataclasses.replace(tf, name="plain")
+    assert q.trace_plan is None and q.rounds is tf.rounds
+    desc = protocol.to_descriptor(q)
+    assert "trace_plan" not in desc and len(desc["rounds"]) == len(tf.rounds)
+    for inp, _ in problems.ip2_inputs(1):
+        assert simulator.run_density(q, inp).acceptance == simulator.run_density(tf, inp).acceptance
+    # validating the trace form again keeps the plan's pieces beside the rounds'
+    assert protocol.validate(tf) == [] and len(protocol.lowered(tf)[1]) == len(tf.trace_plan.pieces)

@@ -401,7 +401,7 @@ def _trace_form_with_piece(m, width):
         (explicit(m), tuple(range(1, width + 1))),
         (explicit(np.eye(2, dtype=complex)), (ch,)),
     ]
-    return transforms.hadamard_test_protocol(pieces, owners, ch)
+    return protocol.trace_form_spec(protocol.TracePlan(0, ch, pieces), owners, "hadamard-test")
 
 
 def test_run_trace_identity_piece():
@@ -427,6 +427,23 @@ def test_run_trace_matches_density(seed):
 def test_run_trace_requires_plan():
     with pytest.raises(ShapeError):
         simulator.run_trace(problems.ip2_clocked(1))
+
+
+@pytest.mark.parametrize(
+    "unclocked, start, message",
+    [
+        (True, 2, "counter start 2 outside [0, 2)"),
+        (True, -1, "counter start -1 outside [0, 2)"),
+        (False, 1, "counter start given but the plan has no counter"),
+    ],
+    ids=["past-the-pairs", "negative", "no-counter"],
+)
+def test_run_trace_refuses_a_counter_start_its_plan_lacks(unclocked, start, message):
+    tf = random_trace_form(0, pairs=2)
+    p = transforms.unclock(tf)[0] if unclocked else tf
+    with pytest.raises(DomainError) as e:
+        simulator.run_trace(p, counter_start=start)
+    assert str(e.value) == message
 
 
 def _trace_chain(base):
@@ -496,7 +513,7 @@ def _split_ring(seed: int, alice_input: bool = False):
             phases = np.exp(1j * rng.uniform(-0.3, 0.3, 1 << len(tg)))
             mats.append((v * phases) @ v.conj().T)
         pieces.append((table_ref(ALICE, dict(zip("01", mats))) if len(mats) == 2 else explicit(mats[0]), tg))
-    return transforms.hadamard_test_protocol(pieces, owners, 8)
+    return protocol.trace_form_spec(protocol.TracePlan(0, 8, pieces), owners, "hadamard-test")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -969,7 +986,7 @@ def test_built_specs_are_not_validated_again_and_lower_each_round_once(monkeypat
     text = protocol.serialize(uc)
     calls["validate"] = calls["lower"] = 0
     protocol.deserialize(text)
-    # read back, the plan is lowered once too, by validate: the pre-check checks its qubits only
+    # read back, the plan is lowered once too, by trace_form_spec, and the rounds by validate
     assert calls == {"validate": 1, "lower": 18}
 
 
@@ -1056,9 +1073,8 @@ def _gen_twice_identity(params, player_input):
 
 
 def test_every_backend_raises_on_acceptance_beyond_one():
-    p = transforms.hadamard_test_protocol(
-        [(GenU("test_twice_identity", {}, ALICE), (1,)), (explicit(qstate.I2), (1,))], (0, 0), 1
-    )
+    pieces = [(GenU("test_twice_identity", {}, ALICE), (1,)), (explicit(qstate.I2), (1,))]
+    p = protocol.trace_form_spec(protocol.TracePlan(0, 1, pieces), (0, 0), "hadamard-test")
     assert protocol.validate(p) == []
     for backend in simulator.BACKENDS:
         with pytest.raises(NumericalIntegrityError, match="outside"):

@@ -223,6 +223,38 @@ def test_trace_form_runs_a_players_consecutive_rounds_in_one_slot():
     assert tf.trace_plan.channel in pieces[2].qubits
 
 
+def _swap_onto_bobs_qubit(theta: float) -> ProtocolSpec:
+    """Alice rotates her clean q0 by ``theta`` and sends it; Bob SWAPs it onto his
+    mixed q1 and measures q1, so the measurer owns no clean qubit."""
+    c, s = math.cos(theta), math.sin(theta)
+    return ProtocolSpec(
+        name="swap-measure",
+        players=2,
+        layout=RegisterLayout(clean=1, mixed=1),
+        initial_owner=(ALICE, BOB),
+        rounds=(
+            RoundAction(ALICE, explicit(np.array([[c, -s], [s, c]])), (0,), frozenset({0}), BOB),
+            RoundAction(BOB, explicit(qstate.SWAP2), (0, 1), frozenset(), None),
+        ),
+        measurement=Measurement(single_qubit=1),
+    )
+
+
+@pytest.mark.parametrize(
+    "backend", ["trace", "density", "ensemble", "certificate"],
+)
+def test_trace_form_when_the_measurer_owns_no_clean_qubit(backend):
+    p = _swap_onto_bobs_qubit(0.7)
+    tf, cert = transforms.to_trace_form(p)
+    # no projector opens the measurer's piece: it is the identity on the courier
+    assert tf.trace_plan.pieces[0][1] == (tf.trace_plan.channel,)
+    if backend == "certificate":
+        acc = float(cert.predict(simulator.run_density(p).acceptance))
+    else:
+        acc = simulator.run(tf, backend=backend).acceptance
+    assert acc == pytest.approx(0.64624589286253, abs=TOL)  # 1/2 + cos^2(0.7)/4
+
+
 # --------------------------------------------------------------- unclock
 
 
@@ -256,7 +288,7 @@ def test_unclock_requires_power_of_two_pairs():
     for i in range(6):  # 3 pairs: not a power of two
         tg = (1, 3) if i % 2 == 0 else (2, 3)
         pieces.append((explicit(qstate.haar_unitary(4, rng)), tg))
-    tf = transforms.hadamard_test_protocol(pieces, owners, 3)
+    tf = protocol.trace_form_spec(protocol.TracePlan(0, 3, pieces), owners, "hadamard-test")
     with pytest.raises(ShapeError):
         transforms.unclock(tf)
 
@@ -305,6 +337,21 @@ def test_lemma1_random_two_round_quarter_scaling(seed):
         a = simulator.run_density(base, inp).acceptance
         b = simulator.run_density(out, inp).acceptance
         assert b == pytest.approx(a / 4, abs=TOL)
+
+
+@pytest.mark.parametrize("k, targets", [(2, (1, 0)), (3, (2, 0, 1))])
+def test_lemma1_lifts_a_first_unitary_on_clean_qubits_out_of_index_order(k, targets):
+    base = _random_two_round(0, k)
+    first = RoundAction(ALICE, base.rounds[0].unitary, targets, base.rounds[0].message, BOB)
+    base = ProtocolSpec(
+        name="out-of-order", players=2, layout=base.layout, initial_owner=base.initial_owner,
+        rounds=(first,) + base.rounds[1:], measurement=base.measurement,
+    )
+    out, _ = transforms.two_round_one_clean(base)
+    assert out.rounds[0].unitary.inner.factors[0][1] == targets  # W1 lifted by its positions
+    for inp, _ in bit_inputs():
+        a = simulator.run_density(base, inp).acceptance
+        assert simulator.run_density(out, inp).acceptance == pytest.approx(a / (1 << k), abs=TOL)
 
 
 def test_lemma1_shape_errors():
