@@ -6,9 +6,10 @@ drawn, from its exact law; no codebook is materialized), the exact cap
 probability and its sampled estimate, and exact rectangle discrepancy on
 small sign matrices.
 
-scipy (the incomplete beta and its inverse) is used by ``cap_probability``
-and by the best-aligned draw of ``abc_classical``; each imports it on its
-first call, so importing the module loads only numpy.
+Both ``cap_probability`` and the best-aligned draw read the law of one
+coordinate of a Haar unit vector, a regularized incomplete beta with
+b = 1/2, which ``_w1_tail`` and ``_w1_quantile`` evaluate and invert with
+the ``math`` module alone.
 """
 
 from __future__ import annotations
@@ -85,10 +86,60 @@ def cap_probability(n: int, k: int) -> float:
     """
     if not 1 <= k <= n / 4:
         raise DomainError(f"cap parameter k={k} outside [1, n/4] at n={n}")
-    # imported here so that importing oneclean loads no scipy
-    from scipy.special import betainc
+    return _w1_tail(n, 1.0 - k / n)[0]
 
-    return float(betainc((n - 1) / 2, 0.5, 1.0 - k / n))
+
+def _w1_tail(n: int, x: float, cut: float = 0.125) -> tuple[float, float]:
+    """I = I_x((n-1)/2, 1/2) = Pr(W_1^2 >= 1 - x) for Haar W in S^(n-1) and 0 < x < 1, and dI/dx.
+
+    With a = (n-1)/2, Q = 1 - I sums positive terms (DLMF 8.17.20): sqrt(1-x) for an integer a, or
+    (2/pi) acos sqrt x then (2/pi) sqrt(x(1-x)) for a half-integer, each next one the last times
+    x (c + 1/2)/(c + 1), for c = 0 or 1/2 up to a - 1. The same terms for c >= a sum to I, which is
+    how I is read under ``cut``, where 1 - Q cancels. The first of those is
+    x^a sqrt(1-x) / (a B(a, 1/2)), and dI/dx is a times it over x (1 - x).
+    """
+    a, c, h = (n - 1) / 2, (n - 1) % 2 / 2, x / 2
+    r = math.sqrt(1.0 - x)
+    q, term = (2 / math.pi * math.atan2(r, math.sqrt(x)), 2 / math.pi * math.sqrt(x) * r) if c else (0.0, r)
+    while c < a:
+        q += term
+        c += 1
+        term *= x - h / c  # x (c - 1/2) / c
+    i, slope = 1.0 - q, a * term / (x * (1.0 - x))
+    if i < cut:  # the rest as multiples of its first term, which may underflow
+        s, f = 0.0, 1.0
+        while f > s * 2**-56:
+            s += f
+            c += 1
+            f *= x - h / c
+        i = term * s
+    return i, slope
+
+
+def _w1_quantile(n: int, p: float) -> float:
+    """The x in [0, 1] with I_x((n-1)/2, 1/2) = p, for n >= 3; exactly 0 at p = 0 and 1 at p = 1.
+
+    Newton's method on log I in log x, which is convex, so from a start at or above the root every
+    step stays there, under the bracket's top 1. With L = 1/(a B(a, 1/2)) both starts are: I >= L x^a
+    gives (p/L)^(1/a), and 1 - I <= 2aL sqrt(1-x) gives 1 - ((1-p)/(2aL))^2, taken as a product
+    that keeps its digits at n = 3, where 2aL = 1 (its least). The steps read I as 1 - Q down to
+    I = 2^-16 (about 10 digits); once log I is within 1e-8 of log p, or x stops moving (a root
+    within an ulp of 1), one more step reads I to full precision.
+    """
+    if p == 0 or p == 1:
+        return float(p)
+    a = (n - 1) / 2
+    lead = math.exp(math.lgamma(a + 0.5) - math.lgamma(a + 1)) / math.sqrt(math.pi)  # L
+    h = max(2 * a * lead, 1.0)  # so that h - 1 + p > 0 where lgamma rounds 2aL under 1 at n = 3
+    x, last = min((p / lead) ** (1 / a), (h - 1 + p) * (h + 1 - p) / (h * h), 1.0), False
+    while x < 1:
+        i, slope = _w1_tail(n, x) if last else _w1_tail(n, x, 2**-16)
+        g = math.log(i / p)
+        x, prev = min(x * math.exp(-g * i / (x * slope)), (1 + x) / 2), x
+        if last:
+            break
+        last = abs(g) < 1e-8 or x == prev
+    return x
 
 
 def cap_probability_mc(n: int, k: int, samples: int, seed=None) -> float:
@@ -149,12 +200,9 @@ def best_aligned(c, size: int, rng) -> np.ndarray:
     Given t, the maximizer is uniform on its circle about c:
     w = t c + sqrt(1 - t^2) u with u Haar on c's orthogonal complement.
     """
-    # imported here so that importing oneclean loads no scipy
-    from scipy.special import betaincinv
-
     n = len(c)
     tail = -math.expm1(math.log1p(-rng.random()) / size)
-    x = float(betaincinv((n - 1) / 2, 0.5, 2.0 * min(tail, 1.0 - tail)))  # 1 - t^2
+    x = _w1_quantile(n, 2.0 * min(tail, 1.0 - tail))  # 1 - t^2
     t = math.copysign(math.sqrt(1.0 - x), 0.5 - tail)
     u = rng.standard_normal(n)
     u -= (u @ c) * c

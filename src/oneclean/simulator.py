@@ -29,9 +29,9 @@ result laid out for the step that reads it. A warm call resolves each
 generator leaf once and runs the steps left: the same ``np.dot`` on the same
 operands as the plan contracted whole, as the spec's first call does.
 
-``amplify`` reads each binomial tail of the repetition harness as one
-regularized incomplete beta. It is the module's only use of scipy, which
-it imports on its first call, so importing the module loads only numpy.
+``amplify`` sums each binomial tail of the repetition harness outward from
+its threshold, from a first term in Loader's saddle-point form, with the
+``math`` module alone.
 """
 
 from __future__ import annotations
@@ -386,14 +386,55 @@ def repetition_plan(eps, ref) -> RepetitionPlan:
     return RepetitionPlan(t=t, threshold=int(math.ceil(ref * t)))
 
 
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n), by lgamma up to 15 and by its asymptotic series above."""
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2 * math.pi)
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: int, mean: Fraction) -> float:
+    """x log(x / mean) + mean - x, the deviance of x from an exact mean, to full precision near it."""
+    d = float(x - mean)
+    if abs(d) >= 0.1 * float(x + mean):
+        return x * math.log(x / mean) - d
+    v = d / float(x + mean)
+    s, ej, j, prev = d * v, 2 * x * v, 3, None
+    while s != prev:  # the series of Loader 2000 in v = d / (x + mean)
+        ej *= v * v
+        s, prev, j = s + ej / j, s, j + 2
+    return s
+
+
+def _binomial_tail(t: int, m: int, p) -> float:
+    """Pr[Bin(t, p) >= m] for 0 < m < t and a rational p (a float or a Fraction) under m/t.
+
+    The terms fall from Pr[Bin(t, p) = m], which is read in Loader's saddle-point form
+    (Loader 2000, "Fast and Accurate Computation of Binomial Probabilities"; R's dbinom) with
+    tp taken exactly; each next term is the last times (t - j) p / ((j + 1)(1 - p)).
+    """
+    if p == 0:
+        return 0.0
+    mean = t * Fraction(p)
+    log_first = _stirlerr(t) - _stirlerr(m) - _stirlerr(t - m) - _bd0(m, mean) - _bd0(t - m, t - mean)
+    term = math.exp(log_first) * math.sqrt(t / (2 * math.pi * m * (t - m)))
+    total, ratio = 0.0, float(p) / (1.0 - float(p))
+    while term > total * 2**-56:
+        total += term
+        term *= (t - m) / (m + 1) * ratio
+        m += 1
+    return total
+
+
 def amplify(acc0, acc1, ref, eps) -> float:
     """Exact two-sided binomial error after t = ceil(4/eps^2) repetitions.
 
     Returns max(Pr[Bin(t, acc1) < ref*t], Pr[Bin(t, acc0) >= ref*t]); the
-    standard Chernoff argument makes this at most 1/3. With k = threshold - 1
-    each tail is one regularized incomplete beta, read directly rather than
-    as 1 - cdf: Pr[Bin(t, p) <= k] = I_{1-p}(t-k, k+1) and
-    Pr[Bin(t, p) >= k+1] = I_p(k+1, t-k).
+    standard Chernoff argument makes this at most 1/3. The threshold lies at
+    least t*eps >= 4 beyond both means, so each tail (the first read as
+    Pr[Bin(t, 1 - acc1) >= t - threshold + 1]) is summed from it outward by
+    ``_binomial_tail``, never as 1 - cdf; acc0 = 0 or acc1 = 1 gives exactly 0.
     """
     for name, value in (("acc0", acc0), ("acc1", acc1)):
         if not 0 <= value <= 1:
@@ -404,11 +445,6 @@ def amplify(acc0, acc1, ref, eps) -> float:
         raise DomainError(
             f"need acc0 <= ref-eps <= ref+eps <= acc1, got ({acc0}, {ref}, {eps}, {acc1})"
         )
-    # imported here so that importing oneclean loads no scipy
-    from scipy.special import betainc
-
     plan = repetition_plan(eps, ref)
     t, k = plan.t, plan.threshold - 1
-    err1 = float(betainc(t - k, k + 1, float(1 - acc1)))
-    err0 = float(betainc(k + 1, t - k, float(acc0)))
-    return max(err0, err1)
+    return max(_binomial_tail(t, k + 1, acc0), _binomial_tail(t, t - k, 1 - acc1))

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import betainc, betaincinv
 from scipy.stats import chi2_contingency, ks_2samp
 
 from helpers import (
@@ -182,6 +183,64 @@ def test_cap_codebook_hits_the_cap():
         assert np.max(book.vectors @ v) >= math.sqrt(1 / 8)
 
 
+W1_GRID = [1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.44, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6]
+
+
+def test_w1_tail_matches_the_incomplete_beta():
+    # scipy as the oracle of I_x((n-1)/2, 1/2), for either parity of n and either side of the cut;
+    # it reads 0 or a subnormal where I is under 1e-300 (x = 1e-6 from n = 101 on), so only the absolute
+    # bound applies there
+    for n in range(3, 129):
+        for x in W1_GRID:
+            want = betainc((n - 1) / 2, 0.5, x)
+            got = classical._w1_tail(n, x)[0]
+            assert abs(got - want) <= 1e-14, (n, x, got, want)
+            assert abs(got - want) <= 1e-12 * want or want < 1e-300, (n, x, got, want)
+
+
+@pytest.mark.parametrize("n, k", [(16, 2), (64, 8)])
+def test_w1_quantile_matches_the_inverse_incomplete_beta_on_best_aligned_draws(n, k):
+    rng, size = np.random.default_rng(n + k), classical.codebook_size(k)
+    tails = -np.expm1(np.log1p(-rng.random(3000)) / size)  # best_aligned's tails of the top score
+    ps = 2.0 * np.minimum(tails, 1.0 - tails)
+    got = np.array([classical._w1_quantile(n, p) for p in ps.tolist()])
+    want = betaincinv((n - 1) / 2, 0.5, ps)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_w1_quantile_is_exact_at_zero_and_one():
+    for n in (3, 4, 16, 17):
+        assert classical._w1_quantile(n, 0.0) == 0.0
+        assert classical._w1_quantile(n, 1.0) == 1.0
+
+
+def test_w1_quantile_returns_at_the_ends_of_its_range():
+    # at n = 3 lgamma rounds 2aL just under 1, which once made the start from above negative
+    for p in (1e-20, 1e-300):
+        assert classical._w1_quantile(3, p) == pytest.approx(betaincinv(1, 0.5, p), rel=1e-12, abs=0)
+    # the root 1 - 4.9e-17 has no float between it and 1, which once kept Newton's method stepping
+    p = 0.9999999784556531
+    assert abs(classical._w1_quantile(16, p) - betaincinv(7.5, 0.5, p)) <= 2**-52
+
+
+def test_a_best_aligned_draw_from_a_zero_uniform_is_the_vector_itself():
+    class ZeroUniform:  # the first draw of best_aligned is the uniform of its top score
+        def random(self):
+            return 0.0
+
+        def standard_normal(self, n):
+            return np.random.default_rng(0).standard_normal(n)
+
+    c = qstate.haar_unit_vector(16, np.random.default_rng(1))
+    assert np.array_equal(classical.best_aligned(c, classical.codebook_size(2), ZeroUniform()), c)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 64, 128])
+def test_cap_probability_at_the_largest_cap_matches_the_incomplete_beta(n):
+    want = betainc((n - 1) / 2, 0.5, 0.75)  # k = n/4
+    assert classical.cap_probability(n, n // 4) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_cap_codebook_domain():
     with pytest.raises(DomainError):
         cap_codebook(4, 2, seed=0)  # k > n/4
@@ -242,7 +301,7 @@ def test_cap_probability_beats_bound():
 
 
 def test_cap_probability_preconditions():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^cap parameter k=1 outside \[1, n/4\] at n=2$"):
         classical.cap_probability(2, 1)  # k > n/4
     with pytest.raises(DomainError):
         classical.cap_probability_mc(2, 1, 10**5, seed=0)  # k > n/4
@@ -303,7 +362,7 @@ def test_best_aligned_draw_matches_the_codebook_argmax_law(n, k):
 def test_abc_classical_at_n64_k8_materializes_no_codebook():
     # |T| = 804,278,913 vectors of 64 doubles: the codebook alone would take 412 GB
     assert classical.codebook_size(8) == 804_278_913
-    classical.abc_classical(problems.abc_instance(64, 1, seed=0), k=8, seed=0)  # imports scipy.special
+    classical.abc_classical(problems.abc_instance(64, 1, seed=0), k=8, seed=0)  # one-time set-up untraced
     for label in (1, -1):
         ok = 0
         for seed in range(10):

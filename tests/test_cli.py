@@ -787,37 +787,56 @@ def test_full_chain_via_cli_hits_the_wrap_formula(tmp_path, capsys):
 
 
 COLD_START = """
-import importlib, json, pkgutil, sys
+import contextlib, importlib, io, json, pkgutil, sys
 from fractions import Fraction
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
 import oneclean
-from oneclean import cli
+from oneclean import classical, cli, simulator
 for m in pkgutil.iter_modules(oneclean.__path__):
     importlib.import_module("oneclean." + m.name)
 out = sys.argv[1]
-codes = [
-    cli.main(["run", "--protocol", "ip2-one-clean", "--n", "2", "--x", "10", "--y", "11",
-              "--out", out + "/run.json"]),
-    cli.main(["transform", "--protocol", "ip2-clocked", "--n", "2", "--pass", "k1",
-              "--out-dir", out + "/k1"]),
-]
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-from oneclean import classical, simulator
+codes, stdout = [], []
+for argv in [
+    ["run", "--protocol", "ip2-one-clean", "--n", "2", "--x", "10", "--y", "11", "--out", out + "/run.json"],
+    ["transform", "--protocol", "ip2-clocked", "--n", "2", "--pass", "k1", "--out-dir", out + "/k1"],
+    ["classical", "caps", "--n", "4", "--k", "1", "--samples", "100000", "--seed", "1"],
+    ["classical", "abc", "--n", "16", "--k", "2", "--trials", "1", "--seed", "7"],
+    ["verify", "--quick"],
+]:
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        codes.append(cli.main(argv))
+    stdout.append(buf.getvalue())
 cap = classical.cap_probability(4, 1)
 amp = simulator.amplify(Fraction(3, 8), Fraction(5, 8), Fraction(1, 2), Fraction(1, 8))
-print(json.dumps({"codes": codes, "scipy": loaded, "cap": cap, "amplify": amp}))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "stdout": stdout, "scipy": loaded, "cap": cap, "amplify": amp}))
 """
 
 
 def test_importing_and_running_oneclean_loads_no_scipy(tmp_path):
-    # scipy costs about 1 s of start-up; only cap_probability, best_aligned (so abc_classical) and
-    # amplify import it, on first call
+    # a cold process that refuses every scipy import runs each command that once needed
+    # scipy.special (caps, abc and verify, through cap_probability, best_aligned and amplify)
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
                           capture_output=True, text=True, check=True)
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got["codes"] == [0, 0]
+    assert got["codes"] == [0, 0, 0, 0, 0]
     assert got["scipy"] == []
+    golden = DATA / "golden"
+    assert got["stdout"][2] == (golden / "readme-classical-caps" / "0.stdout").read_text()
+    assert got["stdout"][4] == (golden / "readme-verify-quick" / "0.stdout").read_text()
+    abc = json.loads(got["stdout"][3])["records"]
+    assert [(r["success_rate"], r["transcript_bits"]) for r in abc] == [(1.0, 640_012)] * 2
     closed = (4 / math.pi) * (math.pi / 6 - math.sqrt(3) / 8)
     assert got["cap"] == pytest.approx(closed, abs=1e-12)
     want = exact_amplify(Fraction(3, 8), Fraction(5, 8), Fraction(1, 2), Fraction(1, 8))

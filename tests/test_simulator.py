@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import betainc
 
 from oneclean import cli, problems, protocol, qstate, simulator, transforms
 from oneclean.errors import BackendLimitError, DomainError, NumericalIntegrityError, ShapeError
@@ -1029,8 +1030,23 @@ def test_amplify_error_bound_across_biases():
 
 
 def test_amplify_precondition():
-    with pytest.raises(DomainError):
+    message = r"^need acc0 <= ref-eps <= ref\+eps <= acc1, got \(0.5, 1/2, 1/4, 0.6\)$"
+    with pytest.raises(DomainError, match=message):
         simulator.amplify(0.5, 0.6, Fraction(1, 2), Fraction(1, 4))
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 64), 1e-2, 1e-3])
+def test_amplify_tails_match_the_incomplete_beta(eps):
+    # scipy as the oracle of each tail, up to t = 4,000,000 at eps = 1e-3; an acc0 of 0 or an
+    # acc1 of 1 makes its own tail exactly 0, so each call below returns the other one
+    ref = Fraction(1, 2)
+    acc0, acc1 = ref - eps, ref + eps
+    plan = simulator.repetition_plan(eps, ref)
+    t, k = plan.t, plan.threshold - 1
+    upper = simulator.amplify(acc0, 1, ref, eps)  # Pr[Bin(t, acc0) >= k + 1]
+    lower = simulator.amplify(0, acc1, ref, eps)  # Pr[Bin(t, acc1) <= k]
+    assert upper == pytest.approx(betainc(k + 1, t - k, float(acc0)), rel=1e-12, abs=0)
+    assert lower == pytest.approx(betainc(t - k, k + 1, float(1 - acc1)), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -1041,6 +1057,7 @@ def test_amplify_precondition():
         (0.2, 0.8, Fraction(1, 2), Fraction(1, 4)),  # 1 - cdf kept 9 digits
         (Fraction(3, 8), Fraction(5, 8), Fraction(1, 2), Fraction(1, 8)),
         (0.1, 0.6, Fraction(3, 8), Fraction(1, 8)),
+        (1e-9, 1 - 1e-9, Fraction(1, 2), Fraction(1, 4)),  # tp read as m - (m - tp) kept 6 digits
     ],
 )
 def test_amplify_matches_the_exact_binomial_tails(acc0, acc1, ref, eps):
