@@ -236,19 +236,17 @@ def cmd_transform(args) -> int:
     for pass_name in args.passes:
         if pass_name not in PASSES:
             raise OneCleanError(f"unknown pass {pass_name!r}; choose from {sorted(PASSES)}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    certs = []
+    files = {}  # every pass runs before anything is written, so a failed one leaves --out-dir as it was
     for i, pass_name in enumerate(args.passes):
         spec, cert = PASSES[pass_name](spec)
         if cert is not None:
-            certs.append((pass_name, cert))
-            (out_dir / f"{i:02d}-{pass_name}.cert.json").write_text(
-                json.dumps(cert.to_obj(), indent=1, sort_keys=True) + "\n"
-            )
-    (out_dir / "protocol.json").write_text(protocol.serialize(spec) + "\n")
+            files[f"{i:02d}-{pass_name}.cert.json"] = json.dumps(cert.to_obj(), indent=1, sort_keys=True)
+    files["protocol.json"] = protocol.serialize(spec)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text + "\n")
     _write_json(args, {
-        "passes": [name for name, _ in certs] or list(args.passes),
         "protocol": spec.name,
         "qubits": spec.layout.total,
         "communication": protocol.communication_cost(spec),

@@ -24,10 +24,10 @@ A ring's plan contracts the ``ExplicitU`` pieces together first where that
 makes a warm call cheaper. What no input changes is kept in the spec's store
 (``protocol.kept``; a spec is frozen and read-only in every leaf), per fixed
 and pinned bits (density) and per counter start (trace): the checked plan
-and, from a spec's second call on, every step over those pieces alone, each
-result laid out for the step that reads it. A warm call resolves each
-generator leaf once and runs the steps left: the same ``np.dot`` on the same
-operands as the plan contracted whole, as the spec's first call does.
+and every step over those pieces alone, each result laid out for the step
+that reads it. A spec's first call runs those steps as part of its own
+contraction and keeps them; a later call resolves each generator leaf once
+and runs the steps left, the same ``np.dot`` on the same operands.
 
 ``amplify`` sums each binomial tail of the repetition harness outward from
 its threshold, from a first term in Loader's saddle-point form, with the
@@ -37,7 +37,6 @@ its threshold, from a first term in Loader's saddle-point form, with the
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,11 +114,12 @@ def _ring(backend: str, pieces: list, qubits):
     """The trace of a ring of ``pieces`` in application order, over ``qubits``, as
     a function of the inputs. Its plan folds the pieces with an ``ExplicitU`` leaf
     first if that is cheaper (``qstate.ring_plan``); one whose largest intermediate
-    exceeds ``TRACE_MAX_BYTES`` raises ``BackendLimitError``. The first call contracts
-    it whole; the second keeps ``_fold``, so that it and every later call resolve
-    only the generator pieces and run the steps left."""
-    local = {q: i for i, q in enumerate(qubits)}
-    axes = tuple(tuple(local[q] for q in pc.controls + pc.qubits) for pc in pieces)
+    exceeds ``TRACE_MAX_BYTES`` raises ``BackendLimitError``. The first call resolves
+    every piece, folds the ``ExplicitU`` tensors (``qstate.fold_ring``) and keeps what
+    is left, read-only, with the steps left; a later call resolves only the generator
+    pieces. Every call then runs the steps left over the kept and generator tensors."""
+    local = {q: i for i, q in enumerate(qubits)}.__getitem__
+    axes = tuple([tuple(map(local, pc.controls + pc.qubits)) for pc in pieces])
     fixed = tuple(k for k, pc in enumerate(pieces) if isinstance(pc.leaf, ExplicitU))
     traces, steps, free, peak = qstate.ring_plan(len(qubits), axes, fixed)
     if (need := peak * np.dtype(complex).itemsize) > TRACE_MAX_BYTES:
@@ -128,26 +128,22 @@ def _ring(backend: str, pieces: list, qubits):
             f"over the ring bound TRACE_MAX_BYTES = {TRACE_MAX_BYTES} bytes"
         )
     ops, steps = list(enumerate(pieces)), tuple(enumerate(steps, start=len(traces)))
-    calls, folded = itertools.count(), []
+    held = [None]  # the first call's fold: the held tensors, the steps left, the other operators
 
     def ring(inputs):
-        if not folded and next(calls):  # a spec's first call keeps nothing
-            folded.append(_fold(ops, set(fixed), traces, steps))
-        arrs, rest, left = folded[0] if folded else ({}, ops, steps)
-        return qstate.trace_ring({**arrs, **_ring_tensors(rest, inputs, traces)}, left, free)
+        fold = held[0]  # read once, so that threads sharing a fresh spec each use a whole fold
+        tensors = _ring_tensors(ops if fold is None else fold[2], inputs, traces)
+        if fold is None:
+            arrs = {k: tensors.pop(k) for k in fixed}
+            fold = arrs, qstate.fold_ring(arrs, steps), [ops[k] for k in tensors]
+            for t in arrs.values():
+                t.setflags(write=False)
+            held[0] = fold
+        arrs, left, _ = fold
+        tensors.update(arrs)
+        return qstate.trace_ring(tensors, left, free)
 
     return ring
-
-
-def _fold(ops, fixed, traces, steps) -> tuple:
-    """What a ring's warm calls reuse: the tensors left when the ``fixed`` operators are
-    resolved and every step over those alone runs (``qstate.fold_ring``), made read-only;
-    the other operators; and the steps left."""
-    arrs = _ring_tensors([op for op in ops if op[0] in fixed], None, traces)
-    left = qstate.fold_ring(arrs, steps)
-    for t in arrs.values():
-        t.flags.writeable = False
-    return arrs, [op for op in ops if op[0] not in fixed], left
 
 
 def _ring_tensors(ops, inputs, traces) -> dict:

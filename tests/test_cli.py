@@ -521,6 +521,21 @@ def test_transform_unknown_pass_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_a_failed_transform_pass_leaves_the_out_dir_as_it_was(tmp_path, capsys):
+    # k1 certifies, then unclock refuses a spec that is not in trace form
+    failing = ["transform", "--protocol", "ip2-clocked", "--n", "1", "--pass", "k1", "--pass", "unclock"]
+    assert run_cli(*failing, "--out-dir", str(tmp_path / "fresh")) == 2
+    assert not (tmp_path / "fresh").exists()
+    old = tmp_path / "old"  # an earlier success, whose k1 certificate is another one
+    assert run_cli("transform", "--protocol", "ip2-clocked", "--n", "2", "--pass", "k1",
+                   "--out-dir", str(old)) == 0
+    before = {f.name: f.read_bytes() for f in old.iterdir()}
+    capsys.readouterr()
+    assert run_cli(*failing, "--out-dir", str(old)) == 2
+    assert capsys.readouterr().err == "error: unclock expects a clocked trace-form protocol\n"
+    assert {f.name: f.read_bytes() for f in old.iterdir()} == before
+
+
 def test_classical_caps_report(capsys):
     code = run_cli("classical", "caps", "--n", "4", "--k", "1", "--samples", "20000", "--seed", "3")
     assert code == 0

@@ -566,11 +566,22 @@ def _rotation_chain():
     return _trace_chain(toy_rotation_base(2 * math.pi / 3, math.pi / 5))
 
 
+def _whole_ring(backend, pieces, qubits):
+    """``simulator._ring``'s plan on the same ring with nothing folded: each call resolves
+    every piece and contracts the plan whole, as ``_folded_trace`` does."""
+    local = {q: i for i, q in enumerate(qubits)}
+    axes = tuple(tuple(local[q] for q in pc.controls + pc.qubits) for pc in pieces)
+    fixed = tuple(k for k, pc in enumerate(pieces) if isinstance(pc.leaf, protocol.ExplicitU))
+    traces, steps, free, _ = qstate.ring_plan(len(qubits), axes, fixed)
+    steps = tuple(enumerate(steps, start=len(traces)))
+    return lambda inputs: qstate.trace_ring(simulator._ring_tensors(list(enumerate(pieces)), inputs, traces),
+                                            steps, free)
+
+
 def _whole(monkeypatch, run):
-    """``run``'s value with no ring ever folded, so that every call resolves every
-    piece and contracts the same plan whole, as a spec's first call does."""
+    """``run``'s value with every ring its spec builds in it contracted whole on every call."""
     with monkeypatch.context() as m:
-        m.setattr(simulator, "_fold", lambda ops, fixed, traces, steps: ({}, ops, steps))
+        m.setattr(simulator, "_ring", _whole_ring)
         return run()
 
 
@@ -614,19 +625,21 @@ def test_a_warm_call_equals_a_first_call_and_a_whole_ring_bit_for_bit(case, monk
 
 def test_the_split_ring_folds_to_three_scalars_that_multiply_in_index_order(monkeypatch):
     p = _fresh(_split_ring(1))
-    seen = []
-    real = qstate.trace_ring
+    seen, ran = [], []
+    real, step = qstate.trace_ring, qstate._ring_step
     monkeypatch.setattr(qstate, "trace_ring", lambda arrs, steps, free: seen.append((dict(arrs), steps))
                         or real(arrs, steps, free))
+    monkeypatch.setattr(qstate, "_ring_step", lambda *args: ran.append(len(seen)) or step(*args))
     acc = simulator.run_trace(p).acceptance
     for _ in range(2):
         assert simulator.run_trace(p).acceptance == acc
-    # every piece is explicit, so each call from the second on gets the two
-    # components and the lone piece as scalars folded once, with no step left to run
-    assert len(seen[0][1]) == 3 and not any(t is seen[1][0].get(k) for k, t in seen[0][0].items())
-    arrs, steps = seen[2]
+    # every piece is explicit, so the first call folds the two components and the
+    # lone piece to scalars in three steps, and every call gets those with no step left
+    assert ran == [0, 0, 0]
+    arrs, steps = seen[0]
     assert steps == () and [t.shape for t in arrs.values()] == [()] * 3
-    assert all(t is seen[1][0][k] for k, t in arrs.items())
+    assert all(s == () and s_arrs.keys() == arrs.keys() and all(t is arrs[k] for k, t in s_arrs.items())
+               for s_arrs, s in seen[1:])
     want = complex(1 << 2)  # the two core qubits no piece touches
     for k in sorted(arrs):
         want *= complex(arrs[k])
@@ -666,12 +679,11 @@ def test_the_arrays_a_spec_keeps_are_read_only(monkeypatch):
     monkeypatch.setattr(qstate, "trace_ring", lambda arrs, *r: seen.append(dict(arrs)) or real(arrs, *r))
     for x, y in (("01", "10"), ("11", "00"), ("10", "01")):
         simulator.run_trace(p, {ALICE: x, BOB: y})
-    # the first call keeps nothing; the second folds what the third reuses
-    assert not any(seen[1].get(k) is t for k, t in seen[0].items())
-    kept = [t for k, t in seen[2].items() if seen[1].get(k) is t]
-    fresh = [t for k, t in seen[2].items() if seen[1].get(k) is not t]
-    assert kept and fresh
-    for t in kept:
+    # the first call folds what the second and the third reuse
+    kept = {k: t for k, t in seen[1].items() if seen[0].get(k) is t}
+    fresh = [t for k, t in seen[1].items() if seen[0].get(k) is not t]
+    assert kept and fresh and all(seen[2][k] is t for k, t in kept.items())
+    for t in kept.values():
         with pytest.raises(ValueError, match="read-only"):
             t[...] = 0
 
@@ -712,16 +724,21 @@ def test_threads_that_share_a_fresh_spec_get_the_values_of_one_thread():
 def test_a_warm_call_runs_only_the_ring_steps_that_read_an_input(backend, chain, inputs, first, warm,
                                                                   monkeypatch):
     p = chain()
-    steps = []
-    real = qstate._ring_step
+    steps, explicit = [], []
+    real, resolve = qstate._ring_step, simulator.resolve_ref
     monkeypatch.setattr(qstate, "_ring_step", lambda *args: steps.append(1) or real(*args))
+    monkeypatch.setattr(simulator, "resolve_ref", lambda pc, inputs: explicit.append(
+        isinstance(pc.leaf, protocol.ExplicitU)) or resolve(pc, inputs))
     counts = []
     for _ in range(4):
         steps.clear()
+        explicit.clear()
         simulator.run(p, inputs, backend=backend)
-        counts.append(len(steps))
-    # the first call contracts whole and the second folds, then runs the steps left
-    assert counts == [first, first, warm, warm]
+        counts.append((len(steps), sum(explicit)))
+    # the first call folds as it contracts, and every later call resolves no
+    # ExplicitU piece and runs the steps left
+    assert [c for c, _ in counts] == [first, warm, warm, warm]
+    assert counts[0][1] > 0 and [e for _, e in counts[1:]] == [0, 0, 0]
     whole = _fresh(p)
     for _ in range(3):  # the reference of the bit-identity test contracts every step on every call
         steps.clear()
