@@ -148,8 +148,15 @@ def _load_protocol(args) -> tuple[str, protocol.ProtocolSpec, problems.AbcInstan
         if getattr(args, dest, default) is None:
             setattr(args, dest, getattr(inst, dest, default))
     if source == "descriptor":
-        return source, protocol.deserialize(Path(args.descriptor).read_text()), None
+        return source, protocol.deserialize(_read_text("--descriptor", args.descriptor)), None
     return source, PROTOCOLS[args.protocol][1](args.n), inst
+
+
+def _read_text(flag: str, path) -> str:
+    try:  # as UTF-8; other bytes are a ParseError that names the flag and the file
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{flag} {path} is not UTF-8 text: {e}") from e
 
 
 def _abc_instance_from(root: Path) -> problems.AbcInstance:
@@ -157,7 +164,7 @@ def _abc_instance_from(root: Path) -> problems.AbcInstance:
     ``instance.json`` is a ``ParseError`` naming it."""
     path = root / "instance.json"
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(_read_text("--instance", path))
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
     files = manifest.get("files") if isinstance(manifest, dict) else None
@@ -167,7 +174,7 @@ def _abc_instance_from(root: Path) -> problems.AbcInstance:
     n, label = manifest["n"], manifest["label"]
     if type(label) is not int or label not in (1, -1):
         raise ParseError(f"{path}: 'label' must be 1 or -1, got {label!r}")
-    a, b, c = (qstate.matrix_from_json((root / files[key]).read_text()) for key in "ABC")
+    a, b, c = (qstate.matrix_from_json(_read_text("--instance", root / files[key])) for key in "ABC")
     if type(n) is not int or any(m.shape != (n, n) for m in (a, b, c)):
         raise ParseError(f"{path}: 'n' must be the integer side of A, B and C, got {n!r}")
     inst = problems.AbcInstance(n=n, a=a, b=b, c=c, label=label)
@@ -196,7 +203,7 @@ def _run_inputs(args, source: str, inst) -> list[tuple[str, dict, object]]:
         return [(f"abc(label={inst.label})", inst.inputs(), 1 if inst.label == 1 else 0)]
     if args.inputs:
         raw = args.inputs
-        text = Path(raw[1:]).read_text() if raw.startswith("@") else raw
+        text = _read_text("--inputs", raw[1:]) if raw.startswith("@") else raw
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as e:

@@ -327,8 +327,8 @@ def abc_instance(n: int, label: int, seed=None) -> AbcInstance:
     if label not in (1, -1):
         raise DomainError(f"label must be +1 or -1, got {label}")
     rng = np.random.default_rng(seed)
-    b = qstate.haar_orthogonal(n, special=True, seed=rng)
-    c = qstate.haar_orthogonal(n, special=True, seed=rng)
+    b = qstate.haar_orthogonal(n, seed=rng)
+    c = qstate.haar_orthogonal(n, seed=rng)
     a = label * (b @ c).T
     inst = AbcInstance(n=n, a=a, b=b, c=c, label=label)
     inst.check()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -96,23 +97,27 @@ RING_STEP_MACS = 16_000
 
 @functools.lru_cache(maxsize=64)
 def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...], fixed: tuple[int, ...] = ()):
-    """Greedy pairwise contraction order for Tr(M_last ... M_first) on d qubits.
+    """The program that contracts Tr(M_last ... M_first) on d qubits pairwise.
 
     ``piece_axes`` lists each operator's target qubits in application
     order. Operator k becomes a (2,)*2w tensor whose row legs are fresh
     wire labels and whose column legs are the current wires of its
     targets; each qubit's last wire then closes onto its first. The plan
-    is ``(traces, steps, free, largest)``: per-tensor pairs of axes traced
-    at once (a qubit only that tensor touches), the (a, b, perm_a, perm_b,
-    s) steps, each an ``np.tensordot`` over s shared legs with its axis
-    order fixed here, appending its result as the next tensor, the count
-    of untouched qubits (a factor 2 each), and the largest tensor in
-    elements. It depends only on the arguments, so it is cached.
+    is ``(traces, fold, lay, steps, free, peak)``: per tensor, the axis
+    pairs traced at once (a qubit only it touches); the steps over the
+    ``fixed`` tensors (the operators no input changes) and their results
+    alone; a ``(k, perm, shape)`` for each folded tensor k that a per-call
+    step reads, laying it out as the matrix that step multiplies; the
+    per-call steps, whose perm for such a k is None; the count of untouched
+    qubits (a factor 2 each); and the largest tensor in elements. A step
+    ``(a, b, perm_a, perm_b, s, n)`` is ``_ring_step``'s ``np.dot`` of tensors
+    a and b over s shared legs, into tensor n (from ``len(traces)`` on).
+    It depends only on the arguments, so it is cached.
 
-    Pairs go smallest result first. With ``fixed``, the operators no input
-    changes, a fold-first order first contracts pairs of those, each within
-    the size-only order's largest, so that they fold once; it is kept if it
-    peaks no higher and a call runs no more steps and costs less, at ``RING_STEP_MACS`` a step.
+    Pairs go smallest result first. With ``fixed``, a fold-first order first
+    contracts pairs of fixed tensors, each within the size-only order's
+    largest, so that they fold once; it is kept if it peaks no higher and a
+    call runs no more steps and costs less, at ``RING_STEP_MACS`` a step.
     """
     cur = list(range(d))
     nxt = d
@@ -137,8 +142,8 @@ def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...], fixed: tuple[int,
             del ls[j], ls[i]
         traces.append(tuple(pairs))
 
-    def order(cap: int) -> tuple:  # the plan that folds pairs within ``cap`` first, a call's steps and cost
-        live, held, steps, peak, calls, cost = dict(enumerate(labels)), set(fixed), [], largest, 0, 0
+    def order(cap: int) -> tuple:  # the plan that folds pairs within ``cap`` first, and a call's cost
+        live, held, fold, lay, steps, peak, cost = dict(enumerate(labels)), set(fixed), [], [], [], largest, 0
         where: dict = {}  # label -> the two live tensors holding it, older first
         for k, ls in live.items():
             for lab in ls:
@@ -159,25 +164,30 @@ def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...], fixed: tuple[int,
                 continue
             la, lb = live.pop(a), live.pop(b)
             shared = [lab for lab in la if lab in lb]
+            s, n = len(shared), len(labels) + len(fold) + len(steps)
             keep_a, keep_b = ([i for i, lab in enumerate(ls) if lab not in shared] for ls in (la, lb))
             perm_a, perm_b = (*keep_a, *map(la.index, shared)), (*map(lb.index, shared), *keep_b)
-            steps.append((a, b, perm_a, perm_b, len(shared)))
-            n = len(labels) + len(steps) - 1
             if a in held and b in held:
                 held.add(n)
-            else:
-                calls, cost = calls + 1, cost + RING_STEP_MACS + (1 << size + len(shared))
+                fold.append((a, b, perm_a, perm_b, s, n))
+            else:  # a folded operand is laid out once, as the matrix this step multiplies
+                lay += [(a, perm_a, (1 << len(la) - s, 1 << s))] if a in held else []
+                lay += [(b, perm_b, (1 << s, 1 << len(lb) - s))] if b in held else []
+                steps.append((a, b, None if a in held else perm_a, None if b in held else perm_b, s, n))
+                cost += RING_STEP_MACS + (1 << size + s)
             live[n] = [lab for lab in la + lb if lab not in shared]
             for lab in live[n]:
                 where[lab] = [k for k in where[lab] if k not in (a, b)] + [n]
-            for o, s in Counter(where[lab][0] for lab in live[n]).items():
-                heapq.heappush(heap, score(o, n, s))
+            for o, c in Counter(where[lab][0] for lab in live[n]).items():
+                heapq.heappush(heap, score(o, n, c))
             peak = max(peak, 1 << size)
-        return (tuple(traces), tuple(steps), free, peak), calls, cost
+        return (tuple(traces), tuple(fold), tuple(lay), tuple(steps), free, peak), cost
 
-    size_only, calls, cost = order(0)
-    plan, fold_calls, fold_cost = order(size_only[3]) if fixed else (size_only, calls, cost)
-    return plan if plan[3] <= size_only[3] and fold_calls <= calls and fold_cost < cost else size_only
+    size_only, cost = order(0)
+    plan, fold_cost = order(size_only[-1]) if fixed else (size_only, cost)
+    if plan[-1] <= size_only[-1] and len(plan[3]) <= len(size_only[3]) and fold_cost < cost:
+        return plan
+    return size_only
 
 
 def ring_tensor(m: np.ndarray, pairs) -> np.ndarray:
@@ -191,42 +201,33 @@ def ring_tensor(m: np.ndarray, pairs) -> np.ndarray:
 
 def _ring_step(left, right, perm_a, perm_b, s) -> np.ndarray:
     """One ``ring_plan`` step: an ``np.dot`` of two tensors over their s shared legs. A side
-    whose perm is None is already the matrix it multiplies (``fold_ring`` laid it out)."""
+    whose perm is None is already the matrix it multiplies (a ``lay`` entry laid it out)."""
     left = left if perm_a is None else left.transpose(perm_a).reshape(-1, 1 << s)
     right = right if perm_b is None else right.transpose(perm_b).reshape(1 << s, -1)
     out = np.dot(left, right)
     return out.reshape((2,) * (out.size.bit_length() - 1))
 
 
-def fold_ring(arrs: dict, steps) -> tuple:
-    """Run in order each ``(n, step)`` whose ``ring_plan`` step ``(a, b, perm_a,
-    perm_b, s)`` has both operands in ``arrs`` (tensor index -> ``ring_tensor``),
-    its result put at n (len(traces) + k for the plan's k-th step) in their
-    place; return the ``(n, step)`` left. An operand of those that ``arrs`` holds
-    is put there as the matrix its step multiplies, and that side's perm as None."""
-    left = []
-    for n, (a, b, perm_a, perm_b, s) in steps:
-        if a in arrs and b in arrs:
-            arrs[n] = _ring_step(arrs.pop(a), arrs.pop(b), perm_a, perm_b, s)
-            continue
-        if a in arrs:  # the very array _ring_step would pass to np.dot, so results keep their bits
-            arrs[a], perm_a = arrs[a].transpose(perm_a).reshape(-1, 1 << s), None
-        if b in arrs:
-            arrs[b], perm_b = arrs[b].transpose(perm_b).reshape(1 << s, -1), None
-        left.append((n, (a, b, perm_a, perm_b, s)))
-    return tuple(left)
+def _run_steps(arrs: dict, steps) -> None:
+    for a, b, perm_a, perm_b, s, n in steps:
+        arrs[n] = _ring_step(arrs.pop(a), arrs.pop(b), perm_a, perm_b, s)
+
+
+def fold_ring(arrs: dict, fold, lay) -> None:
+    """Run a ``ring_plan``'s ``fold`` steps on ``arrs`` (tensor index -> ``ring_tensor``), each
+    result put at its index in its operands' place, then lay out each ``lay`` entry's tensor as
+    the very matrix its per-call step would pass to ``np.dot``, so results keep their bits."""
+    _run_steps(arrs, fold)
+    for k, perm, shape in lay:
+        arrs[k] = arrs[k].transpose(perm).reshape(shape)
 
 
 def trace_ring(arrs: dict, steps, free: int) -> complex:
-    """Tr(M_last ... M_first) of a ring whose tensors ``arrs`` (consumed) all
-    close to scalars once ``fold_ring`` runs ``steps``; those multiply in
-    tensor-index order, times 2 for each of the ``free`` qubits no operator touches."""
-    if fold_ring(arrs, steps):
-        raise DimensionError("a ring step's operand is missing")
-    out = complex(1 << free)
-    for k in sorted(arrs):
-        out *= complex(arrs[k])
-    return out
+    """Tr(M_last ... M_first) of a ring whose tensors ``arrs`` (consumed, folded by ``fold_ring``)
+    close to scalars once the per-call ``steps`` run; those multiply in tensor-index order,
+    times 2 for each of the ``free`` qubits no operator touches."""
+    _run_steps(arrs, steps)
+    return math.prod([complex(arrs[k]) for k in sorted(arrs)], start=complex(1 << free))
 
 
 def checked_acceptance(val) -> float:
@@ -249,12 +250,12 @@ def basis_projector(bit: int) -> np.ndarray:
     return np.array([[1.0 - bit, 0], [0, float(bit)]], dtype=complex)
 
 
-def haar_orthogonal(n: int, special: bool = False, seed=None) -> np.ndarray:
-    """Haar-random orthogonal matrix via Gaussian QR with sign correction.
+def haar_orthogonal(n: int, seed=None) -> np.ndarray:
+    """Haar-random special orthogonal matrix via Gaussian QR with sign correction.
 
     The diagonal of R is forced positive (Mezzadri), which makes the QR
-    output Haar-distributed on O(n). With ``special`` the last column is
-    flipped when det = -1, giving SO(n).
+    output Haar-distributed on O(n); the last column is then flipped when
+    det = -1, so the result is Haar-distributed on SO(n).
     """
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
@@ -263,7 +264,7 @@ def haar_orthogonal(n: int, special: bool = False, seed=None) -> np.ndarray:
     q, r = np.linalg.qr(a)
     d = np.diag(r)
     q = q * np.where(d < 0, -1.0, 1.0)
-    if special and np.linalg.det(q) < 0:
+    if np.linalg.det(q) < 0:
         q[:, -1] = -q[:, -1]
     return q
 

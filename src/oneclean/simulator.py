@@ -21,13 +21,13 @@ resolver, ``_piece_matrices``. No round is built dense.
   count; any other piece on s qubits multiplies it by up to 2^s.
 
 A ring's plan contracts the ``ExplicitU`` pieces together first where that
-makes a warm call cheaper. What no input changes is kept in the spec's store
-(``protocol.kept``; a spec is frozen and read-only in every leaf), per fixed
-and pinned bits (density) and per counter start (trace): the checked plan
-and every step over those pieces alone, each result laid out for the step
-that reads it. A spec's first call runs those steps as part of its own
-contraction and keeps them; a later call resolves each generator leaf once
-and runs the steps left, the same ``np.dot`` on the same operands.
+makes a warm call cheaper, and says which steps fold and which run per call.
+What no input changes is kept in the spec's store (``protocol.kept``; a spec is
+frozen and read-only in every leaf), per fixed and pinned bits (density) and per
+counter start (trace): the checked plan and, folded when that entry is built,
+every step over those pieces alone, each result laid out for the step that
+reads it. A call resolves each generator leaf once and runs the per-call steps,
+the same ``np.dot`` on the same operands as a whole contraction.
 
 ``amplify`` sums each binomial tail of the repetition harness outward from
 its threshold, from a first term in Loader's saddle-point form, with the
@@ -114,36 +114,26 @@ def _ring(backend: str, pieces: list, qubits):
     """The trace of a ring of ``pieces`` in application order, over ``qubits``, as
     a function of the inputs. Its plan folds the pieces with an ``ExplicitU`` leaf
     first if that is cheaper (``qstate.ring_plan``); one whose largest intermediate
-    exceeds ``TRACE_MAX_BYTES`` raises ``BackendLimitError``. The first call resolves
-    every piece, folds the ``ExplicitU`` tensors (``qstate.fold_ring``) and keeps what
-    is left, read-only, with the steps left; a later call resolves only the generator
-    pieces. Every call then runs the steps left over the kept and generator tensors."""
+    exceeds ``TRACE_MAX_BYTES`` raises ``BackendLimitError`` before any piece is
+    resolved. The ``ExplicitU`` pieces are then resolved and folded
+    (``qstate.fold_ring``), and the result is kept read-only; a call resolves only
+    the generator pieces and runs the plan's per-call steps over them and the fold."""
     local = {q: i for i, q in enumerate(qubits)}.__getitem__
     axes = tuple([tuple(map(local, pc.controls + pc.qubits)) for pc in pieces])
-    fixed = tuple(k for k, pc in enumerate(pieces) if isinstance(pc.leaf, ExplicitU))
-    traces, steps, free, peak = qstate.ring_plan(len(qubits), axes, fixed)
+    ops = list(enumerate(pieces))
+    fixed = tuple(k for k, pc in ops if isinstance(pc.leaf, ExplicitU))
+    traces, fold, lay, steps, free, peak = qstate.ring_plan(len(qubits), axes, fixed)
     if (need := peak * np.dtype(complex).itemsize) > TRACE_MAX_BYTES:
         raise BackendLimitError(
             f"{backend} contraction over {len(qubits)} qubits needs a {need}-byte intermediate, "
             f"over the ring bound TRACE_MAX_BYTES = {TRACE_MAX_BYTES} bytes"
         )
-    ops, steps = list(enumerate(pieces)), tuple(enumerate(steps, start=len(traces)))
-    held = [None]  # the first call's fold: the held tensors, the steps left, the other operators
-
-    def ring(inputs):
-        fold = held[0]  # read once, so that threads sharing a fresh spec each use a whole fold
-        tensors = _ring_tensors(ops if fold is None else fold[2], inputs, traces)
-        if fold is None:
-            arrs = {k: tensors.pop(k) for k in fixed}
-            fold = arrs, qstate.fold_ring(arrs, steps), [ops[k] for k in tensors]
-            for t in arrs.values():
-                t.setflags(write=False)
-            held[0] = fold
-        arrs, left, _ = fold
-        tensors.update(arrs)
-        return qstate.trace_ring(tensors, left, free)
-
-    return ring
+    held = _ring_tensors([ops[k] for k in fixed], None, traces)
+    qstate.fold_ring(held, fold, lay)
+    for t in held.values():
+        t.setflags(write=False)
+    generated = [(k, pc) for k, pc in ops if not isinstance(pc.leaf, ExplicitU)]
+    return lambda inputs: qstate.trace_ring({**held, **_ring_tensors(generated, inputs, traces)}, steps, free)
 
 
 def _ring_tensors(ops, inputs, traces) -> dict:

@@ -51,7 +51,7 @@ def _dev(worst: float) -> str:
 
 
 def check_kernel(quick: bool):
-    q = qstate.haar_orthogonal(5, special=True, seed=3)
+    q = qstate.haar_orthogonal(5, seed=3)
     ok = abs(np.linalg.det(q) - 1.0) < 1e-9
     ok &= np.max(np.abs(q.T @ q - np.eye(5))) < TOL
     # projector measurement over pinned Haar slots; a pin on the clean qubit 0 is ignored

@@ -662,6 +662,28 @@ def test_run_abc_with_a_malformed_instance_manifest_exits_2(tmp_path, capsys, ma
     assert len(errors) == 1 and str(out / "instance.json") in errors[0] and named in errors[0]
 
 
+@pytest.mark.parametrize(
+    "argv, bad, flag",
+    [
+        (["run", "--descriptor", "{bad}"], "bad.json", "--descriptor"),
+        (["transform", "--descriptor", "{bad}", "--pass", "k1", "--out-dir", "{tmp}/out"], "bad.json",
+         "--descriptor"),
+        (["run", "--descriptor", str(DATA / "two_clean_v3.json"), "--inputs", "@{bad}"], "bad.json", "--inputs"),
+        (["run", "--protocol", "abc", "--instance", "{tmp}/inst"], "inst/instance.json", "--instance"),
+        (["run", "--protocol", "abc", "--instance", "{tmp}/inst"], "inst/A.json", "--instance"),
+    ],
+    ids=["run-descriptor", "transform-descriptor", "inputs", "instance-manifest", "instance-matrix"],
+)
+def test_a_file_that_is_not_utf8_exits_2_naming_its_flag_and_path(tmp_path, capsys, argv, bad, flag):
+    assert run_cli("gen", "abc-instance", "--n", "4", "--seed", "5", "--out-dir", str(tmp_path / "inst")) == 0
+    capsys.readouterr()
+    (tmp_path / bad).write_bytes(b"\xff\xfe{}")
+    assert run_cli(*(a.format(bad=tmp_path / bad, tmp=tmp_path) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {tmp_path / bad} is not UTF-8 text") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_gen_razborov_csv(capsys):
     code = run_cli("gen", "razborov", "--n", "14", "--which", "mu0", "--count", "4", "--seed", "1")
     assert code == 0
@@ -869,3 +891,10 @@ def test_the_kernel_check_fails_and_prints_its_deviation_when_the_engines_disagr
     ok, detail = verify.check_kernel(quick=True)
     assert not ok
     assert detail.endswith("; worst dev 1.00e-06")
+
+
+def test_the_full_verify_battery_passes(capsys):
+    # CI's smoke step runs this battery too; Tier-1 otherwise runs only --quick
+    assert run_cli("verify") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "OK (0 failing)" and all(line.startswith("PASS ") for line in lines[:-1])

@@ -138,13 +138,13 @@ def test_accept_probability_flags_imaginary_part():
 
 
 def test_haar_orthogonal_dimension_one():
-    assert np.array_equal(qstate.haar_orthogonal(1, special=True, seed=0), np.eye(1))
+    assert np.array_equal(qstate.haar_orthogonal(1, seed=0), np.eye(1))
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6))
 @settings(max_examples=40, deadline=None)
 def test_haar_orthogonal_invariants(seed, n):
-    q = qstate.haar_orthogonal(n, special=True, seed=seed)
+    q = qstate.haar_orthogonal(n, seed=seed)
     assert np.max(np.abs(q.T @ q - np.eye(n))) < TOL
     assert abs(np.linalg.det(q) - 1.0) < 1e-9
 

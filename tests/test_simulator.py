@@ -525,7 +525,8 @@ def test_run_trace_split_ring_matches_density(seed):
     assert abs(t - d) < TOL
     assert abs(t - 0.5) > 0.1  # far from the traceless value
     local_axes = tuple(tuple(q - 1 for q in tg) for _, tg in p.trace_plan.pieces)
-    traces, steps, free, _ = qstate.ring_plan(8, local_axes)
+    traces, fold, lay, steps, free, _ = qstate.ring_plan(8, local_axes)
+    assert fold == lay == ()  # nothing is fixed, so every step runs per call
     # two untouched qubits, three self-traced pieces, 6 tensors in 3 components
     assert free == 2 and sum(map(bool, traces)) == 3 and len(steps) == 3
 
@@ -567,15 +568,19 @@ def _rotation_chain():
 
 
 def _whole_ring(backend, pieces, qubits):
-    """``simulator._ring``'s plan on the same ring with nothing folded: each call resolves
-    every piece and contracts the plan whole, as ``_folded_trace`` does."""
+    """``simulator._ring``'s plan on the same ring with nothing kept: each call resolves
+    every piece and runs every step of the plan, fold and per-call, as ``_folded_trace`` does."""
     local = {q: i for i, q in enumerate(qubits)}
     axes = tuple(tuple(local[q] for q in pc.controls + pc.qubits) for pc in pieces)
     fixed = tuple(k for k, pc in enumerate(pieces) if isinstance(pc.leaf, protocol.ExplicitU))
-    traces, steps, free, _ = qstate.ring_plan(len(qubits), axes, fixed)
-    steps = tuple(enumerate(steps, start=len(traces)))
-    return lambda inputs: qstate.trace_ring(simulator._ring_tensors(list(enumerate(pieces)), inputs, traces),
-                                            steps, free)
+    traces, fold, lay, steps, free, _ = qstate.ring_plan(len(qubits), axes, fixed)
+
+    def ring(inputs):
+        arrs = simulator._ring_tensors(list(enumerate(pieces)), inputs, traces)
+        qstate.fold_ring(arrs, fold, lay)
+        return qstate.trace_ring(arrs, steps, free)
+
+    return ring
 
 
 def _whole(monkeypatch, run):
@@ -724,9 +729,10 @@ def test_threads_that_share_a_fresh_spec_get_the_values_of_one_thread():
 def test_a_warm_call_runs_only_the_ring_steps_that_read_an_input(backend, chain, inputs, first, warm,
                                                                   monkeypatch):
     p = chain()
-    steps, explicit = [], []
-    real, resolve = qstate._ring_step, simulator.resolve_ref
+    steps, explicit, plans = [], [], []
+    real, resolve, plan = qstate._ring_step, simulator.resolve_ref, qstate.ring_plan
     monkeypatch.setattr(qstate, "_ring_step", lambda *args: steps.append(1) or real(*args))
+    monkeypatch.setattr(qstate, "ring_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
     monkeypatch.setattr(simulator, "resolve_ref", lambda pc, inputs: explicit.append(
         isinstance(pc.leaf, protocol.ExplicitU)) or resolve(pc, inputs))
     counts = []
@@ -739,6 +745,8 @@ def test_a_warm_call_runs_only_the_ring_steps_that_read_an_input(backend, chain,
     # ExplicitU piece and runs the steps left
     assert [c for c, _ in counts] == [first, warm, warm, warm]
     assert counts[0][1] > 0 and [e for _, e in counts[1:]] == [0, 0, 0]
+    # the cached plan carries the split, so the counts can be read from it
+    assert len(plans) == 1 and (len(plans[0][1]) + len(plans[0][3]), len(plans[0][3])) == (first, warm)
     whole = _fresh(p)
     for _ in range(3):  # the reference of the bit-identity test contracts every step on every call
         steps.clear()
@@ -808,19 +816,35 @@ def _ring_einsum(d: int, axes, mats) -> complex:
     return complex(np.einsum(*args, [], optimize="greedy")) * (1 << untouched)
 
 
-def _folded_trace(plan, fixed, mats) -> tuple:
-    """The ring trace of ``mats`` by ``plan`` contracted whole, the same with the ``fixed``
-    tensors folded first, and the number of steps that the folded call runs."""
-    traces, steps, free, _ = plan
-    steps = tuple(enumerate(steps, start=len(traces)))
+def _folded_trace(plan, fixed, mats) -> complex:
+    """The ring trace of ``mats`` by ``plan`` contracted whole, and the same with the
+    ``fixed`` tensors folded alone first, as ``simulator._ring`` does."""
+    traces, fold, lay, steps, free, _ = plan
     arrs = {k: qstate.ring_tensor(m, traces[k]) for k, m in enumerate(mats)}
-    # trace_ring raises unless every step finds its operands, and what is left
-    # multiplies as scalars only when every label is closed
-    whole = qstate.trace_ring(dict(arrs), steps, free)
     kept = {k: arrs[k] for k in fixed}
-    left = qstate.fold_ring(kept, steps)
-    rest = {k: t for k, t in arrs.items() if k not in fixed}
-    return whole, qstate.trace_ring({**kept, **rest}, left, free), len(left)
+    # a fold step that read a tensor outside ``fixed`` would not find it here, and
+    # what is left multiplies as scalars only when every label is closed
+    qstate.fold_ring(kept, fold, lay)
+    folded = qstate.trace_ring({**kept, **{k: t for k, t in arrs.items() if k not in fixed}}, steps, free)
+    qstate.fold_ring(arrs, fold, lay)
+    return qstate.trace_ring(arrs, steps, free), folded
+
+
+def _order(plan) -> list:
+    """``plan``'s steps, fold and per-call, in the order it planned them."""
+    return sorted(plan[1] + plan[3], key=lambda step: step[-1])
+
+
+def _calls(plan, fixed) -> int:
+    """How many steps of ``plan``'s whole order read a tensor that folding the ``fixed`` ones leaves
+    unmade: the per-call steps of that order for ``fixed``, whatever set the plan was made for."""
+    held, calls = set(fixed), 0
+    for a, b, *_, n in _order(plan):
+        if a in held and b in held:
+            held.add(n)
+        else:
+            calls += 1
+    return calls
 
 
 def test_the_fold_first_plan_peaks_and_calls_no_more_than_the_size_only_plan():
@@ -833,12 +857,45 @@ def test_the_fold_first_plan_peaks_and_calls_no_more_than_the_size_only_plan():
         for share in (0.3, 0.6):  # of the operators that no input changes
             fixed = tuple(k for k in range(len(axes)) if rng.random() < share)
             plan = qstate.ring_plan(d, axes, fixed)
-            chosen += plan != size_only
-            assert plan[3] <= size_only[3]
-            whole, folded, calls = _folded_trace(plan, fixed, mats)
+            chosen += [st[:2] for st in _order(plan)] != [st[:2] for st in _order(size_only)]
+            assert plan[-1] <= size_only[-1]
+            whole, folded = _folded_trace(plan, fixed, mats)
             assert abs(whole - want) < 1e-12 * max(1.0, abs(want)) and folded == whole
-            assert calls <= _folded_trace(size_only, fixed, mats)[2]
+            assert len(plan[3]) == _calls(plan, fixed) <= _calls(size_only, fixed)
     assert chosen > 100  # the fold-first order is kept on many of these rings
+
+
+def test_the_ring_program_folds_fixed_tensors_and_consumes_each_tensor_once():
+    rng = np.random.default_rng(11)  # fixed sets, on the planner test's rings
+    for d, axes in _random_rings(np.random.default_rng(5)):
+        for share in (0.3, 0.6, 1.0):
+            fixed = tuple(k for k in range(len(axes)) if rng.random() < share)
+            traces, fold, lay, steps, free, _ = qstate.ring_plan(d, axes, fixed)
+            rank = {k: 2 * len(ax) - 2 * len(traces[k]) for k, ax in enumerate(axes)}
+            held, folded, read, made = set(fixed), [], [], set(rank)
+            for a, b, perm_a, perm_b, s, n in fold:  # only fixed tensors and earlier fold results
+                assert a in held and b in held and n not in made
+                assert sorted(perm_a) == list(range(rank[a])) and sorted(perm_b) == list(range(rank[b]))
+                folded += [a, b]
+                held.add(n)
+                made.add(n)
+                rank[n] = rank.pop(a) + rank.pop(b) - 2 * s
+            laid = {k: (perm, shape) for k, perm, shape in lay}
+            assert len(laid) == len(lay) and laid.keys() <= held
+            for a, b, perm_a, perm_b, s, n in steps:  # a folded operand is laid out and its perm None
+                assert not (a in held and b in held) and n not in made
+                for k, perm in ((a, perm_a), (b, perm_b)):
+                    assert (k in laid) == (k in held) == (perm is None)
+                    perm, shape = laid.get(k, (perm, None))
+                    assert sorted(perm) == list(range(rank[k]))
+                    assert shape is None or math.prod(shape) == 1 << rank[k]
+                read += [a, b]
+                made.add(n)
+                rank[n] = rank.pop(a) + rank.pop(b) - 2 * s
+            # every tensor is read by one step or left as a scalar, never read twice
+            assert len(folded + read) == len(set(folded + read)) and laid.keys() <= set(read)
+            assert made == set(range(len(axes) + len(fold) + len(steps)))
+            assert all(r == 0 for r in rank.values())
 
 
 def test_ring_plan_equals_the_rebuilding_planner():
@@ -850,7 +907,11 @@ def test_ring_plan_equals_the_rebuilding_planner():
         for pieces in protocol.lowered(uc)[1] for pc in pieces
     )))
     for d, axes in rings:
-        assert qstate.ring_plan.__wrapped__(d, axes) == ring_plan_oracle(d, axes)
+        traces, fold, lay, steps, free, peak = qstate.ring_plan.__wrapped__(d, axes)
+        # nothing is fixed, so every step runs per call, each result the next tensor
+        assert fold == lay == ()
+        assert [step[-1] for step in steps] == list(range(len(traces), len(traces) + len(steps)))
+        assert (traces, tuple(step[:-1] for step in steps), free, peak) == ring_plan_oracle(d, axes)
 
 
 def test_resolving_a_width_12_unclocked_round_stays_small():
