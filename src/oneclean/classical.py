@@ -15,6 +15,7 @@ the ``math`` module alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,11 +83,13 @@ def cap_probability(n: int, k: int) -> float:
     By rotation invariance v is fixed to e_1; W_1^2 is Beta(1/2, (n-1)/2),
     so the probability is the regularized incomplete beta
     I_{1-k/n}((n-1)/2, 1/2). The spherical-cap bound keeps it above
-    e^-k / (16 sqrt(k)).
+    e^-k / (16 sqrt(k)). A tail below the least normal float (about
+    0.75^(n/2) at k = n/4, so from n near 4,900) is 0, as betainc gives.
     """
     if not 1 <= k <= n / 4:
         raise DomainError(f"cap parameter k={k} outside [1, n/4] at n={n}")
-    return _w1_tail(n, 1.0 - k / n)[0]
+    i = _w1_tail(n, 1.0 - k / n)[0]
+    return i if i >= sys.float_info.min else 0.0
 
 
 def _w1_tail(n: int, x: float, cut: float = 0.125) -> tuple[float, float]:

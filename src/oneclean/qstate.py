@@ -90,9 +90,10 @@ def tensor_all(mats) -> np.ndarray:
 
 
 # A ring step's own cost in multiply-adds. On one core of a 2-vCPU Xeon host
-# (OpenBLAS, one thread) a step on 2 x 2 operands takes about 2.4 us, and a large
-# one about 0.15 ns a multiply-add (0.12-0.17 ns at 2^17-2^20): 2.4 us / 0.15 ns.
-RING_STEP_MACS = 16_000
+# (OpenBLAS, one thread) a step on 2 x 2 operands takes about 1.5 us (2.9 us when
+# each step transposed its operands anew), and a large one about 0.15 ns a
+# multiply-add (0.12-0.17 ns at 2^17-2^20): 1.5 us / 0.15 ns.
+RING_STEP_MACS = 10_000
 
 
 @functools.lru_cache(maxsize=64)
@@ -102,17 +103,18 @@ def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...], fixed: tuple[int,
     ``piece_axes`` lists each operator's target qubits in application
     order. Operator k becomes a (2,)*2w tensor whose row legs are fresh
     wire labels and whose column legs are the current wires of its
-    targets; each qubit's last wire then closes onto its first. The plan
-    is ``(traces, fold, lay, steps, free, peak)``: per tensor, the axis
-    pairs traced at once (a qubit only it touches); the steps over the
+    targets; each qubit's last wire then closes onto its first. The program
+    is ``(traces, fold, lay, steps, free, copies, peak)``: per tensor, the
+    axis pairs traced at once (a qubit only it touches); the steps over the
     ``fixed`` tensors (the operators no input changes) and their results
-    alone; a ``(k, perm, shape)`` for each folded tensor k that a per-call
-    step reads, laying it out as the matrix that step multiplies; the
-    per-call steps, whose perm for such a k is None; the count of untouched
-    qubits (a factor 2 each); and the largest tensor in elements. A step
-    ``(a, b, perm_a, perm_b, s, n)`` is ``_ring_step``'s ``np.dot`` of tensors
-    a and b over s shared legs, into tensor n (from ``len(traces)`` on).
-    It depends only on the arguments, so it is cached.
+    alone; per tensor, the ``(perm, mat)`` that lays its traced tensor out as
+    the matrix its step multiplies (``mat`` is () for a scalar); the
+    per-call steps; the count of untouched qubits (a factor 2 each); how many
+    per-call steps copy their result; and the largest tensor in elements. A
+    step ``(a, b, s, shape, perm, mat, n)`` is ``_ring_step``'s ``np.dot`` of
+    matrix a by matrix b over s shared legs, its result laid out as tensor n
+    (from ``len(traces)`` on) for the step that reads it (``_program``). It
+    depends only on the arguments, so it is cached.
 
     Pairs go smallest result first. With ``fixed``, a fold-first order first
     contracts pairs of fixed tensors, each within the size-only order's
@@ -142,8 +144,8 @@ def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...], fixed: tuple[int,
             del ls[j], ls[i]
         traces.append(tuple(pairs))
 
-    def order(cap: int) -> tuple:  # the plan that folds pairs within ``cap`` first, and a call's cost
-        live, held, fold, lay, steps, peak, cost = dict(enumerate(labels)), set(fixed), [], [], [], largest, 0
+    def order(cap: int) -> tuple:  # pairs (a, b, n) folding within ``cap`` first; what folds; peak; call cost
+        live, held, pairs, peak, cost = dict(enumerate(labels)), set(fixed), [], largest, 0
         where: dict = {}  # label -> the two live tensors holding it, older first
         for k, ls in live.items():
             for lab in ls:
@@ -163,70 +165,195 @@ def ring_plan(d: int, piece_axes: tuple[tuple[int, ...], ...], fixed: tuple[int,
             if a not in live or b not in live:
                 continue
             la, lb = live.pop(a), live.pop(b)
-            shared = [lab for lab in la if lab in lb]
-            s, n = len(shared), len(labels) + len(fold) + len(steps)
-            keep_a, keep_b = ([i for i, lab in enumerate(ls) if lab not in shared] for ls in (la, lb))
-            perm_a, perm_b = (*keep_a, *map(la.index, shared)), (*map(lb.index, shared), *keep_b)
+            n = len(labels) + len(pairs)
+            pairs.append((a, b, n))
             if a in held and b in held:
                 held.add(n)
-                fold.append((a, b, perm_a, perm_b, s, n))
-            else:  # a folded operand is laid out once, as the matrix this step multiplies
-                lay += [(a, perm_a, (1 << len(la) - s, 1 << s))] if a in held else []
-                lay += [(b, perm_b, (1 << s, 1 << len(lb) - s))] if b in held else []
-                steps.append((a, b, None if a in held else perm_a, None if b in held else perm_b, s, n))
-                cost += RING_STEP_MACS + (1 << size + s)
-            live[n] = [lab for lab in la + lb if lab not in shared]
+            else:
+                cost += RING_STEP_MACS + (1 << (len(la) + len(lb) + size) // 2)
+            live[n] = [lab for lab in la + lb if lab not in la or lab not in lb]
             for lab in live[n]:
                 where[lab] = [k for k in where[lab] if k not in (a, b)] + [n]
             for o, c in Counter(where[lab][0] for lab in live[n]).items():
                 heapq.heappush(heap, score(o, n, c))
             peak = max(peak, 1 << size)
-        return (tuple(traces), tuple(fold), tuple(lay), tuple(steps), free, peak), cost
+        return pairs, held, peak, cost
 
-    size_only, cost = order(0)
-    plan, fold_cost = order(size_only[-1]) if fixed else (size_only, cost)
-    if plan[-1] <= size_only[-1] and len(plan[3]) <= len(size_only[3]) and fold_cost < cost:
-        return plan
-    return size_only
-
-
-def ring_tensor(m: np.ndarray, pairs) -> np.ndarray:
-    """A local operator as a (2,)*2w tensor, with the axis ``pairs`` that ``ring_plan`` traces
-    closed; an array even when every axis closes, so that it can be made read-only."""
-    t = m.reshape((2,) * (2 * num_qubits(m.shape[0])))
-    for i, j in pairs:
-        t = np.trace(t, axis1=i, axis2=j)
-    return np.asarray(t)
+    plan = size_only = order(0)
+    if fixed:
+        plan = order(size_only[2])
+        calls = [len(p[0]) + len(fixed) - len(p[1]) for p in (plan, size_only)]  # per-call steps
+        if not (plan[2] <= size_only[2] and calls[0] <= calls[1] and plan[3] < size_only[3]):
+            plan = size_only
+    fold, lay, steps, copies = _program(labels, *plan[:2])
+    return tuple(traces), fold, lay, steps, free, copies, plan[2]
 
 
-def _ring_step(left, right, perm_a, perm_b, s) -> np.ndarray:
-    """One ``ring_plan`` step: an ``np.dot`` of two tensors over their s shared legs. A side
-    whose perm is None is already the matrix it multiplies (a ``lay`` entry laid it out)."""
-    left = left if perm_a is None else left.transpose(perm_a).reshape(-1, 1 << s)
-    right = right if perm_b is None else right.transpose(perm_b).reshape(1 << s, -1)
-    out = np.dot(left, right)
-    return out.reshape((2,) * (out.size.bit_length() - 1))
+def _program(labels: list, pairs: list, held: set) -> tuple:
+    """``ring_plan``'s ``fold``, ``lay``, ``steps`` and ``copies`` for its ``pairs``.
+
+    A step's result holds the left matrix's kept legs, then the right's. One
+    pass in step order picks each per-call step's sides so that the step
+    reading its result finds the legs it contracts first or last there, in the
+    order its other operand holds them, and reads it in place; a result that
+    cannot be made so is laid out anew by its step, a copy. Leg orders stay
+    open as long as they can: a tensor's legs are a sequence of atoms (sets
+    whose order inside is not yet chosen), and a step cuts atoms only where its
+    reader needs a block. A piece's tensor and a folded or copied result are
+    laid out for the step that reads them. At the end the legs inside each atom
+    take one order: a copied result's in the order it is made in, largest first,
+    so that its copy moves long runs of legs."""
+    legs, reader, cuts = {k: frozenset(ls) for k, ls in enumerate(labels)}, {}, {}
+    for a, b, n in pairs:
+        legs[n] = legs[a] ^ legs[b]
+        reader[a], reader[b] = (n, b), (n, a)
+
+    def flat(seq) -> list:  # the atoms of ``seq`` with every cut made so far
+        return [piece for atom in seq for piece in (flat(cuts[atom]) if atom in cuts else [atom])]
+
+    kept: dict = {}  # per-call result -> its atoms, where the step that reads it reads them in place
+    made, read = {}, {}  # result -> atoms as made, sides, shared count; tensor -> atoms as read, row count
+    for a, b, n in pairs:
+        shared = legs[a] & legs[b]
+        own, sigma = {}, None
+        for x in (a, b):
+            block = _block(flat(kept[x]), shared) if x in kept else None
+            own[x], sigma = block or ([legs[x] - shared] * bool(legs[x] - shared), sigma)
+        sigma = sigma or [shared]
+        c, w = reader.get(n, (None, None))
+        z = legs[n] & legs[w] if c is not None and n not in held else frozenset()
+        zseq = (_block(flat(kept[w]), z) or (None, None))[1] if w in kept else None
+        copied = {x for x in (a, b) if x in made and x not in held | kept.keys()}
+        # in place first (z first or last), then z as one run to copy, then the fewest cuts,
+        # then copied operands read along long runs
+        tries = ((-1, 0, zseq), (-1, 1, zseq), (0, 0, zseq), (0, 0, None)) if z else ()
+        best = None
+        for left, right in ((a, b), (b, a)):
+            inner = len(shared) * (left in copied) + len(legs[right] - shared) * (right in copied)
+            seq = flat(own[left] + own[right])
+            for kind, rev, want in (*tries, (1, 0, None)):  # z last: each sequence reversed
+                if rev:
+                    seq, want = seq[::-1], want and want[::-1]
+                got = {} if kind > 0 else _run(seq, z, want, kind)
+                if rev:
+                    seq, got = seq[::-1], got and {k: v[::-1] for k, v in got.items()}
+                if got is not None and (best is None or (kind, len(got), -inner) < best[0]):
+                    best = (kind, len(got), -inner), got, left, right
+        (kind, *_), got, left, right = best
+        cuts.update(got)
+        if kind < 0:
+            kept[n] = own[left] + own[right]
+        made[n] = own[left] + own[right], left, right, len(shared)
+        read[left] = own[left] + sigma, sum(map(len, own[left]))
+        read[right] = sigma + own[right], len(shared)
+
+    rank: dict = {}
+    copied_results = reader.keys() - held - kept.keys() - set(range(len(labels)))
+    for n in sorted(copied_results, key=lambda r: -len(legs[r])):
+        for atom in flat(made[n][0]):
+            for lab in sorted(atom - rank.keys()):
+                rank[lab] = len(rank)
+    key = {lab: (rank.get(lab, len(rank)), lab) for ls in labels for lab in ls}.__getitem__
+
+    def laid(seq) -> list:
+        return [lab for atom in flat(seq) for lab in sorted(atom, key=key)]
+
+    lay = []
+    for k, ls in enumerate(labels):
+        seq, rows = read.get(k, ([], 0))
+        lay.append((tuple(map(ls.index, laid(seq))), (1 << rows, 1 << len(ls) - rows) if ls else ()))
+    fold, steps, copies = [], [], 0
+    for _, _, n in pairs:
+        seq, left, right, s = made[n]
+        out, rows = read.get(n, ([], 0))
+        post, copy = _post(laid(seq), laid(out), rows)
+        (fold if n in held else steps).append((left, right, s, *post, n))
+        copies += copy and n not in held
+    return tuple(fold), tuple(lay), tuple(steps), copies
 
 
-def _run_steps(arrs: dict, steps) -> None:
-    for a, b, perm_a, perm_b, s, n in steps:
-        arrs[n] = _ring_step(arrs.pop(a), arrs.pop(b), perm_a, perm_b, s)
+def _block(seq: list, part: frozenset):
+    """Atoms ``seq`` whose first or last atoms hold exactly the legs ``part``, as (the rest, those);
+    None if no such atoms are first or last."""
+    for j in range(len(seq) + 1):
+        if frozenset().union(*seq[:j]) == part:
+            return seq[j:], seq[:j]
+        if frozenset().union(*seq[len(seq) - j:]) == part:
+            return seq[: len(seq) - j], seq[len(seq) - j:]
+    return None
 
 
-def fold_ring(arrs: dict, fold, lay) -> None:
-    """Run a ``ring_plan``'s ``fold`` steps on ``arrs`` (tensor index -> ``ring_tensor``), each
-    result put at its index in its operands' place, then lay out each ``lay`` entry's tensor as
-    the very matrix its per-call step would pass to ``np.dot``, so results keep their bits."""
-    _run_steps(arrs, fold)
-    for k, perm, shape in lay:
-        arrs[k] = arrs[k].transpose(perm).reshape(shape)
+def _run(seq: list, z: frozenset, zseq, edge: bool):
+    """The cuts of atoms that make the legs ``z`` one run of the atom sequence ``seq`` (its first
+    atoms, if ``edge``), in an order that ``zseq`` (z's atoms in another tensor, if given) agrees
+    with: {atom: its pieces}, or None."""
+    at = [i for i, atom in enumerate(seq) if atom & z]
+    i, j = at[0], at[-1]
+    if edge and (i or (i < j and not seq[0] <= z)) or not all(seq[k] <= z for k in range(i + 1, j)):
+        return None
+    found, head = {}, []
+    for k in range(i, j + 1):
+        head.append(seq[k] & z)
+        if not seq[k] <= z:
+            found[seq[k]] = [seq[k] - z, seq[k] & z] if k == i < j else [seq[k] & z, seq[k] - z]
+    if zseq is None:
+        return found
+    pieces = [p & q for p in head for q in zseq if p & q]
+    at = [next(j for j, q in enumerate(zseq) if piece <= q) for piece in pieces]
+    if at != sorted(at):
+        return None
+    for atom in head + zseq:
+        inside = [piece for piece in pieces if piece <= atom]
+        if len(inside) > 1:
+            found[atom] = inside
+    return found
+
+
+def _post(natural: list, order: list, rows: int) -> tuple:
+    """How a step's result, legs ``natural``, becomes the matrix its reader multiplies, legs
+    ``order`` with the first ``rows`` on its rows: ``(shape, perm, mat)``, and whether that
+    copies. Legs that stay side by side move as one axis, so a copy transposes few axes."""
+    r = len(natural)
+    mat = (1 << rows, 1 << r - rows) if r else ()
+    runs: list = []  # ``order`` as runs of legs side by side in ``natural``: [first position, length]
+    for at in map(natural.index, order):
+        if runs and sum(runs[-1]) == at:
+            runs[-1][1] += 1
+        else:
+            runs.append([at, 1])
+    if len(runs) < 2:
+        return (mat, None, None), False
+    starts = sorted(at for at, _ in runs)
+    shape, perm = tuple(1 << length for _, length in sorted(runs)), tuple(starts.index(at) for at, _ in runs)
+    if len(runs) == 2 and runs[0][1] == rows:  # the row legs end ``natural``: a 2-d transpose
+        return (shape, perm, None), False
+    return (shape, perm, mat), True
+
+
+def _ring_step(left, right, shape, perm, mat) -> np.ndarray:
+    """One ``ring_plan`` step: ``left.dot(right)`` (``np.dot``), reshaped to ``shape`` and then,
+    with a ``perm``, transposed (a 2-d transpose if ``mat`` is None, else a copy reshaped to
+    ``mat``): the matrix its reader multiplies."""
+    out = left.dot(right).reshape(shape)
+    if perm is None:
+        return out
+    return out.T if mat is None else out.transpose(perm).reshape(mat)
+
+
+def run_steps(arrs: dict, steps) -> dict:
+    """Run ``ring_plan`` steps on ``arrs`` (tensor index -> the matrix its step multiplies, as the
+    program's ``lay`` and steps lay it out), each result put at its index in its operands' place;
+    returns ``arrs``."""
+    for a, b, _, shape, perm, mat, n in steps:
+        arrs[n] = _ring_step(arrs.pop(a), arrs.pop(b), shape, perm, mat)
+    return arrs
 
 
 def trace_ring(arrs: dict, steps, free: int) -> complex:
-    """Tr(M_last ... M_first) of a ring whose tensors ``arrs`` (consumed, folded by ``fold_ring``)
+    """Tr(M_last ... M_first) of a ring whose tensors ``arrs`` (consumed, folded by ``run_steps``)
     close to scalars once the per-call ``steps`` run; those multiply in tensor-index order,
     times 2 for each of the ``free`` qubits no operator touches."""
-    _run_steps(arrs, steps)
+    run_steps(arrs, steps)
     return math.prod([complex(arrs[k]) for k in sorted(arrs)], start=complex(1 << free))
 
 

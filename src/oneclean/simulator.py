@@ -20,14 +20,16 @@ resolver, ``_piece_matrices``. No round is built dense.
   one nonzero per column only moves and scales rows, so it keeps their
   count; any other piece on s qubits multiplies it by up to 2^s.
 
-A ring's plan contracts the ``ExplicitU`` pieces together first where that
-makes a warm call cheaper, and says which steps fold and which run per call.
-What no input changes is kept in the spec's store (``protocol.kept``; a spec is
-frozen and read-only in every leaf), per fixed and pinned bits (density) and per
-counter start (trace): the checked plan and, folded when that entry is built,
-every step over those pieces alone, each result laid out for the step that
-reads it. A call resolves each generator leaf once and runs the per-call steps,
-the same ``np.dot`` on the same operands as a whole contraction.
+A ring's program (``qstate.ring_plan``) contracts the ``ExplicitU`` pieces
+together first where that makes a warm call cheaper, says which steps fold and
+which run per call, and lays each step's result out as the matrix the step that
+reads it multiplies, in place where it can. What no input changes is kept in the
+spec's store (``protocol.kept``; a spec is frozen and read-only in every leaf),
+per fixed and pinned bits (density) and per counter start (trace): the checked
+program and, folded when that entry is built, every step over those pieces
+alone. A call resolves each generator leaf once, gathers each generator piece
+straight into the matrix its step multiplies (``_gather_map``) and runs the
+per-call steps: the same ``np.dot`` on the same operands as the program run whole.
 
 ``amplify`` sums each binomial tail of the repetition harness outward from
 its threshold, from a first term in Loader's saddle-point form, with the
@@ -51,6 +53,7 @@ from .protocol import ExplicitU, Piece, ProtocolSpec, _adjoint, kept, lowered, q
 ENSEMBLE_QUBIT_LIMIT = 20
 TRACE_MAX_BYTES = 1 << 30
 _BASIS = ExplicitU(qstate.basis_projector(0)), ExplicitU(qstate.basis_projector(1))  # every rho0's leaves
+_UNITS = np.array([0, 1], dtype=complex)  # the entries of a ring piece's identity part
 
 
 @dataclass(frozen=True)
@@ -112,34 +115,82 @@ def _piece_matrices(pieces, inputs) -> list:
 
 def _ring(backend: str, pieces: list, qubits):
     """The trace of a ring of ``pieces`` in application order, over ``qubits``, as
-    a function of the inputs. Its plan folds the pieces with an ``ExplicitU`` leaf
-    first if that is cheaper (``qstate.ring_plan``); one whose largest intermediate
-    exceeds ``TRACE_MAX_BYTES`` raises ``BackendLimitError`` before any piece is
-    resolved. The ``ExplicitU`` pieces are then resolved and folded
-    (``qstate.fold_ring``), and the result is kept read-only; a call resolves only
-    the generator pieces and runs the plan's per-call steps over them and the fold."""
+    a function of the inputs. Its program (``qstate.ring_plan``) folds the pieces
+    with an ``ExplicitU`` leaf first if that is cheaper; one whose largest
+    intermediate exceeds ``TRACE_MAX_BYTES`` raises ``BackendLimitError`` before
+    any piece is resolved. The ``ExplicitU`` pieces are then gathered and folded
+    (``qstate.run_steps``), and the result is kept read-only; a call resolves each
+    generator leaf once, gathers each generator piece straight into the matrix its
+    step multiplies, and runs the per-call steps over them and the fold."""
     local = {q: i for i, q in enumerate(qubits)}.__getitem__
     axes = tuple([tuple(map(local, pc.controls + pc.qubits)) for pc in pieces])
-    ops = list(enumerate(pieces))
-    fixed = tuple(k for k, pc in ops if isinstance(pc.leaf, ExplicitU))
-    traces, fold, lay, steps, free, peak = qstate.ring_plan(len(qubits), axes, fixed)
+    fixed = tuple(k for k, pc in enumerate(pieces) if isinstance(pc.leaf, ExplicitU))
+    traces, fold, lay, steps, free, _, peak = qstate.ring_plan(len(qubits), axes, fixed)
     if (need := peak * np.dtype(complex).itemsize) > TRACE_MAX_BYTES:
         raise BackendLimitError(
             f"{backend} contraction over {len(qubits)} qubits needs a {need}-byte intermediate, "
             f"over the ring bound TRACE_MAX_BYTES = {TRACE_MAX_BYTES} bytes"
         )
-    held = _ring_tensors([ops[k] for k in fixed], None, traces)
-    qstate.fold_ring(held, fold, lay)
-    for t in held.values():
-        t.setflags(write=False)
-    generated = [(k, pc) for k, pc in ops if not isinstance(pc.leaf, ExplicitU)]
-    return lambda inputs: qstate.trace_ring({**held, **_ring_tensors(generated, inputs, traces)}, steps, free)
+    held = qstate.run_steps(_gather(*_gathers(pieces, fixed, traces, lay), None, {}), fold)
+    for k, t in held.items():
+        held[k] = np.asarray(t)
+        held[k].setflags(write=False)
+    generated = _gathers(pieces, [k for k in range(len(pieces)) if k not in fixed], traces, lay)
+    return lambda inputs: qstate.trace_ring(_gather(*generated, inputs, dict(held)), steps, free)
 
 
-def _ring_tensors(ops, inputs, traces) -> dict:
-    """Tensor index -> ``qstate.ring_tensor`` of each ``(k, piece)``."""
-    mats = _piece_matrices([pc for _, pc in ops], inputs)
-    return {k: qstate.ring_tensor(m, traces[k]) for (k, _), m in zip(ops, mats)}
+def _gathers(pieces, ks, traces, lay) -> tuple:
+    """The distinct leaves of the pieces ``ks`` (each as a ``Piece`` on its qubits alone), whether a
+    piece has controls, and per piece ``(k, its leaf's index, adjoint, how many axis pairs it closes,
+    its _gather_map)``."""
+    slots, gathers = {}, []
+    for k in ks:
+        pc = pieces[k]
+        j = slots.setdefault((id(pc.leaf), len(pc.qubits)), (len(slots), pc))[0]
+        index = _gather_map(len(pc.qubits), len(pc.controls), pc.value, pc.adjoint, traces[k], *lay[k])
+        gathers.append((k, j, pc.adjoint, len(traces[k]), index))
+    leaves = [Piece(pc.leaf, pc.qubits) for _, pc in slots.values()]
+    return leaves, any(pieces[k].controls for k in ks), gathers
+
+
+def _gather(leaves, units: bool, gathers, inputs, arrs: dict) -> dict:
+    """Each piece of ``gathers`` put in ``arrs`` as the matrix its step multiplies, gathered from
+    its leaf's matrix (each leaf resolved once), then 0 and 1 if ``units``; each closed trace sums
+    a last axis, and an adjoint conjugates. Returns ``arrs``."""
+    srcs = [resolve_ref(leaf, inputs).ravel() for leaf in leaves]
+    srcs = [np.concatenate((m, _UNITS)) for m in srcs] if units else srcs
+    for k, j, adjoint, traced, index in gathers:
+        t = srcs[j][index]
+        for _ in range(traced):
+            t = t.sum(-1)
+        arrs[k] = t.conj() if adjoint else t
+    return arrs
+
+
+@functools.lru_cache(maxsize=256)
+def _gather_map(w: int, controls: int, value: int, adjoint: bool, pairs, perm, mat) -> np.ndarray:
+    """Where each entry of a piece's laid-out ring tensor sits in ``_gather``'s source.
+
+    The piece acts on ``controls`` then w qubits, as its leaf (transposed here and
+    conjugated by ``_gather`` when ``adjoint``) where the controls read ``value`` and
+    as the identity elsewhere (0 and 1, put after the leaf's entries). Its
+    (2,)*2(controls + w) tensor has the axis ``pairs`` closed in turn, each pair's two
+    terms on a trailing axis, the first pair's last, so that ``_gather``, summing the
+    last axis once per pair, adds them as repeated ``np.trace`` calls do. It is laid
+    out by ``perm`` and ``mat`` (``qstate.ring_plan``'s ``lay``). Read-only; it
+    depends only on the arguments.
+    """
+    n, dim = 1 << w, 1 << controls + w
+    r, c = np.divmod(np.arange(dim * dim), dim)
+    i, j = (c % n, r % n) if adjoint else (r % n, c % n)
+    block = (r >> w == value) & (c >> w == value)
+    t = np.where(block, i * n + j, n * n + (r == c)).reshape((2,) * (2 * (controls + w)))
+    for a, b in pairs:
+        t = t.diagonal(axis1=a, axis2=b)
+    t = t.transpose(perm + tuple(range(t.ndim - 1, len(perm) - 1, -1))).reshape(mat + (2,) * len(pairs))
+    t = np.ascontiguousarray(t)
+    t.setflags(write=False)
+    return t
 
 
 def run_density(p: ProtocolSpec, inputs=None, pin: Optional[dict] = None) -> RunReport:

@@ -514,6 +514,21 @@ def _bits(value: int, width: int) -> tuple:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
+def ring_tensor(m: np.ndarray, pairs) -> np.ndarray:
+    """A local operator as a (2,)*2w tensor, with the axis ``pairs`` that ``qstate.ring_plan``
+    traces closed by one ``np.trace`` each: the reference for ``simulator._gather``."""
+    t = m.reshape((2,) * (2 * qstate.num_qubits(m.shape[0])))
+    for i, j in pairs:
+        t = np.trace(t, axis1=i, axis2=j)
+    return np.asarray(t)
+
+
+def laid_tensor(m: np.ndarray, pairs, lay) -> np.ndarray:
+    """``ring_tensor`` laid out by a ring program's ``(perm, mat)``, as the matrix its step multiplies."""
+    perm, mat = lay
+    return np.asarray(ring_tensor(m, pairs).transpose(perm).reshape(mat))
+
+
 # ``qstate.ring_plan`` as it was before it kept its owner map and scores
 # incrementally: the oracle for identical plans.
 def ring_plan_oracle(d: int, piece_axes: tuple[tuple[int, ...], ...]):

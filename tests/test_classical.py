@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -239,6 +240,21 @@ def test_a_best_aligned_draw_from_a_zero_uniform_is_the_vector_itself():
 def test_cap_probability_at_the_largest_cap_matches_the_incomplete_beta(n):
     want = betainc((n - 1) / 2, 0.5, 0.75)  # k = n/4
     assert classical.cap_probability(n, n // 4) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n, k", [(10**4, 2500), (10**4, 2000), (6000, 1500)])
+def test_cap_probability_is_zero_where_its_tail_underflows(n, k):
+    # the true tails are near 0.75^(n/2), far under the least normal float
+    assert betainc((n - 1) / 2, 0.5, 1 - k / n) == 0.0
+    assert classical.cap_probability(n, k) == 0.0
+
+
+def test_cap_probability_keeps_every_value_of_the_small_grid_bit_for_bit():
+    vals = [classical.cap_probability(n, k) for n in range(4, 129) for k in range(1, n // 4 + 1)]
+    assert len(vals) == 2016 and min(vals) > 1e-9
+    # the float-hex digest of the values before the underflow guard
+    digest = hashlib.sha256("".join(v.hex() for v in vals).encode()).hexdigest()
+    assert digest == "2e7ac65f275cf26609d4762cac639a0ff572a799abdbe665a1748e5141ba5d6f"
 
 
 def test_cap_codebook_domain():

@@ -34,6 +34,7 @@ from helpers import (
     embed_operator,
     exact_amplify,
     is_monomial,
+    laid_tensor,
     random_protocol,
     random_trace_form,
     random_two_clean,
@@ -525,8 +526,8 @@ def test_run_trace_split_ring_matches_density(seed):
     assert abs(t - d) < TOL
     assert abs(t - 0.5) > 0.1  # far from the traceless value
     local_axes = tuple(tuple(q - 1 for q in tg) for _, tg in p.trace_plan.pieces)
-    traces, fold, lay, steps, free, _ = qstate.ring_plan(8, local_axes)
-    assert fold == lay == ()  # nothing is fixed, so every step runs per call
+    traces, fold, lay, steps, free, _, _ = qstate.ring_plan(8, local_axes)
+    assert fold == ()  # nothing is fixed, so every step runs per call
     # two untouched qubits, three self-traced pieces, 6 tensors in 3 components
     assert free == 2 and sum(map(bool, traces)) == 3 and len(steps) == 3
 
@@ -568,17 +569,18 @@ def _rotation_chain():
 
 
 def _whole_ring(backend, pieces, qubits):
-    """``simulator._ring``'s plan on the same ring with nothing kept: each call resolves
-    every piece and runs every step of the plan, fold and per-call, as ``_folded_trace`` does."""
+    """``simulator._ring``'s program on the same ring with nothing kept: each call resolves
+    every piece, lays its ``ring_tensor`` out as the program's ``lay`` says (no gather map)
+    and runs every step of the program, fold and per-call, as ``_folded_trace`` does."""
     local = {q: i for i, q in enumerate(qubits)}
     axes = tuple(tuple(local[q] for q in pc.controls + pc.qubits) for pc in pieces)
     fixed = tuple(k for k, pc in enumerate(pieces) if isinstance(pc.leaf, protocol.ExplicitU))
-    traces, fold, lay, steps, free, _ = qstate.ring_plan(len(qubits), axes, fixed)
+    traces, fold, lay, steps, free, _, _ = qstate.ring_plan(len(qubits), axes, fixed)
 
     def ring(inputs):
-        arrs = simulator._ring_tensors(list(enumerate(pieces)), inputs, traces)
-        qstate.fold_ring(arrs, fold, lay)
-        return qstate.trace_ring(arrs, steps, free)
+        mats = simulator._piece_matrices(pieces, inputs)
+        arrs = {k: laid_tensor(m, traces[k], lay[k]) for k, m in enumerate(mats)}
+        return qstate.trace_ring(qstate.run_steps(arrs, fold), steps, free)
 
     return ring
 
@@ -819,15 +821,14 @@ def _ring_einsum(d: int, axes, mats) -> complex:
 def _folded_trace(plan, fixed, mats) -> complex:
     """The ring trace of ``mats`` by ``plan`` contracted whole, and the same with the
     ``fixed`` tensors folded alone first, as ``simulator._ring`` does."""
-    traces, fold, lay, steps, free, _ = plan
-    arrs = {k: qstate.ring_tensor(m, traces[k]) for k, m in enumerate(mats)}
+    traces, fold, lay, steps, free, _, _ = plan
+    arrs = {k: laid_tensor(m, traces[k], lay[k]) for k, m in enumerate(mats)}
     kept = {k: arrs[k] for k in fixed}
     # a fold step that read a tensor outside ``fixed`` would not find it here, and
     # what is left multiplies as scalars only when every label is closed
-    qstate.fold_ring(kept, fold, lay)
+    qstate.run_steps(kept, fold)
     folded = qstate.trace_ring({**kept, **{k: t for k, t in arrs.items() if k not in fixed}}, steps, free)
-    qstate.fold_ring(arrs, fold, lay)
-    return qstate.trace_ring(arrs, steps, free), folded
+    return qstate.trace_ring(qstate.run_steps(arrs, fold), steps, free), folded
 
 
 def _order(plan) -> list:
@@ -857,7 +858,7 @@ def test_the_fold_first_plan_peaks_and_calls_no_more_than_the_size_only_plan():
         for share in (0.3, 0.6):  # of the operators that no input changes
             fixed = tuple(k for k in range(len(axes)) if rng.random() < share)
             plan = qstate.ring_plan(d, axes, fixed)
-            chosen += [st[:2] for st in _order(plan)] != [st[:2] for st in _order(size_only)]
+            chosen += [{*st[:2]} for st in _order(plan)] != [{*st[:2]} for st in _order(size_only)]
             assert plan[-1] <= size_only[-1]
             whole, folded = _folded_trace(plan, fixed, mats)
             assert abs(whole - want) < 1e-12 * max(1.0, abs(want)) and folded == whole
@@ -870,32 +871,80 @@ def test_the_ring_program_folds_fixed_tensors_and_consumes_each_tensor_once():
     for d, axes in _random_rings(np.random.default_rng(5)):
         for share in (0.3, 0.6, 1.0):
             fixed = tuple(k for k in range(len(axes)) if rng.random() < share)
-            traces, fold, lay, steps, free, _ = qstate.ring_plan(d, axes, fixed)
+            traces, fold, lay, steps, free, copies, _ = qstate.ring_plan(d, axes, fixed)
             rank = {k: 2 * len(ax) - 2 * len(traces[k]) for k, ax in enumerate(axes)}
-            held, folded, read, made = set(fixed), [], [], set(rank)
-            for a, b, perm_a, perm_b, s, n in fold:  # only fixed tensors and earlier fold results
-                assert a in held and b in held and n not in made
-                assert sorted(perm_a) == list(range(rank[a])) and sorted(perm_b) == list(range(rank[b]))
-                folded += [a, b]
-                held.add(n)
-                made.add(n)
+            mat = {}  # each tensor's shape as the step that reads it multiplies it, () for a scalar
+            for k, (perm, shape) in enumerate(lay):  # a piece's tensor is laid out as that matrix
+                assert sorted(perm) == list(range(rank[k])) and math.prod(shape) == 1 << rank[k]
+                assert len(shape) == 2 * (rank[k] > 0)
+                mat[k] = shape
+            held, read = set(fixed), []
+            for a, b, s, shape, perm, out, n in sorted(fold + steps, key=lambda step: step[-1]):
+                # a fold step reads only fixed tensors and earlier fold results, a per-call step not only
+                assert (a in held and b in held) == ((a, b, s, shape, perm, out, n) in fold)
+                held |= {n} if a in held and b in held else set()
+                assert n not in mat and mat[a][1] == mat[b][0] == 1 << s  # a's columns meet b's rows
                 rank[n] = rank.pop(a) + rank.pop(b) - 2 * s
-            laid = {k: (perm, shape) for k, perm, shape in lay}
-            assert len(laid) == len(lay) and laid.keys() <= held
-            for a, b, perm_a, perm_b, s, n in steps:  # a folded operand is laid out and its perm None
-                assert not (a in held and b in held) and n not in made
-                for k, perm in ((a, perm_a), (b, perm_b)):
-                    assert (k in laid) == (k in held) == (perm is None)
-                    perm, shape = laid.get(k, (perm, None))
-                    assert sorted(perm) == list(range(rank[k]))
-                    assert shape is None or math.prod(shape) == 1 << rank[k]
+                assert math.prod(shape) == mat[a][0] * mat[b][1] == 1 << rank[n]
+                # the product in place, transposed in place (out None), or a copy laid out as ``out``
+                mat[n] = shape if perm is None else shape[::-1] if out is None else out
+                assert len(mat[n]) == 2 * (rank[n] > 0) and math.prod(mat[n]) == 1 << rank[n]
                 read += [a, b]
-                made.add(n)
-                rank[n] = rank.pop(a) + rank.pop(b) - 2 * s
             # every tensor is read by one step or left as a scalar, never read twice
-            assert len(folded + read) == len(set(folded + read)) and laid.keys() <= set(read)
-            assert made == set(range(len(axes) + len(fold) + len(steps)))
+            assert len(read) == len(set(read)) and all(rank[k] == 0 for k in mat.keys() - set(read))
+            assert mat.keys() == set(range(len(axes) + len(fold) + len(steps)))
             assert all(r == 0 for r in rank.values())
+            assert copies == sum(perm is not None and out is not None for *_, perm, out, _ in steps)
+
+
+class _Probe:
+    """A left operand that keeps the product ``qstate._ring_step`` makes of it."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def dot(self, right):
+        self.out = self.m.dot(right)
+        return self.out
+
+
+def test_the_ring_program_traces_random_tensors_and_copies_only_what_it_counts():
+    rng = np.random.default_rng(13)  # tensors and fixed sets, on the planner test's rings
+    for d, axes in _random_rings(np.random.default_rng(5)):
+        mats = [rng.standard_normal((1 << len(ax),) * 2) + 1j * rng.standard_normal((1 << len(ax),) * 2)
+                for ax in axes]
+        want = _ring_einsum(d, axes, mats)
+        share = rng.random()
+        fixed = tuple(k for k in range(len(axes)) if rng.random() < share)
+        traces, fold, lay, steps, free, copies, _ = qstate.ring_plan(d, axes, fixed)
+        arrs = qstate.run_steps({k: laid_tensor(m, traces[k], lay[k]) for k, m in enumerate(mats)}, fold)
+        recount = 0
+        for a, b, _, shape, perm, out, n in steps:
+            probe = _Probe(arrs.pop(a))
+            arrs[n] = qstate._ring_step(probe, arrs.pop(b), shape, perm, out)
+            # a result the program reads in place is a view of the product, and only such a one
+            in_place = np.shares_memory(arrs[n], probe.out)
+            assert in_place == (perm is None or out is None)
+            recount += not in_place
+        assert copies == recount
+        got = qstate.trace_ring(arrs, (), free)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("backend, chain, inputs, ceiling", [
+    ("trace", lambda: _trace_chain(problems.middle_protocol(2)), {ALICE: "01", BOB: "10"}, 4),
+    ("density", _rotation_chain, {ALICE: "1", BOB: ""}, 6),
+    ("trace", lambda: _trace_chain(problems.ip2_clocked(1)), {ALICE: "0", BOB: "1"}, 1),
+])
+def test_a_warm_call_copies_few_intermediate_results(backend, chain, inputs, ceiling, monkeypatch):
+    # a step copied its result in 8, 14 and 4 of these rings' per-call steps when it laid
+    # out each operand anew; now most results are read in place by the step that reads them
+    plans, real = [], qstate.ring_plan
+    monkeypatch.setattr(qstate, "ring_plan", lambda *args: plans.append(real(*args)) or plans[-1])
+    p = chain()
+    acc = simulator.run(p, inputs, backend=backend).acceptance
+    assert len(plans) == 1 and plans[0][5] <= ceiling
+    assert simulator.run(p, inputs, backend=backend).acceptance == acc
 
 
 def test_ring_plan_equals_the_rebuilding_planner():
@@ -907,11 +956,14 @@ def test_ring_plan_equals_the_rebuilding_planner():
         for pieces in protocol.lowered(uc)[1] for pc in pieces
     )))
     for d, axes in rings:
-        traces, fold, lay, steps, free, peak = qstate.ring_plan.__wrapped__(d, axes)
+        traces, fold, lay, steps, free, _, peak = qstate.ring_plan.__wrapped__(d, axes)
         # nothing is fixed, so every step runs per call, each result the next tensor
-        assert fold == lay == ()
+        assert fold == ()
         assert [step[-1] for step in steps] == list(range(len(traces), len(traces) + len(steps)))
-        assert (traces, tuple(step[:-1] for step in steps), free, peak) == ring_plan_oracle(d, axes)
+        want_traces, want_steps, want_free, want_peak = ring_plan_oracle(d, axes)
+        assert (traces, free, peak) == (want_traces, want_free, want_peak)
+        # the same pairs in the same order, each over as many legs; a step picks its own sides
+        assert [(min(a, b), max(a, b), s) for a, b, s, *_ in steps] == [(a, b, s) for a, b, _, _, s in want_steps]
 
 
 def test_resolving_a_width_12_unclocked_round_stays_small():
