@@ -213,6 +213,7 @@ def _program(labels: list, pairs: list, held: set) -> tuple:
 
     kept: dict = {}  # per-call result -> its atoms, where the step that reads it reads them in place
     made, read = {}, {}  # result -> atoms as made, sides, shared count; tensor -> atoms as read, row count
+    turn: dict = {}  # kept result its reader contracts whole, its partner not made yet -> its other sides
     for a, b, n in pairs:
         shared = legs[a] & legs[b]
         own, sigma = {}, None
@@ -223,26 +224,37 @@ def _program(labels: list, pairs: list, held: set) -> tuple:
         c, w = reader.get(n, (None, None))
         z = legs[n] & legs[w] if c is not None and n not in held else frozenset()
         zseq = (_block(flat(kept[w]), z) or (None, None))[1] if w in kept else None
+        # the partner's order as made, or, if its reader contracts it whole, with its sides turned
+        zseqs = [zseq] + ([flat(turn[w][1] + turn[w][0])] if w in turn else [])
         copied = {x for x in (a, b) if x in made and x not in held | kept.keys()}
         # in place first (z first or last), then z as one run to copy, then the fewest cuts,
         # then copied operands read along long runs
-        tries = ((-1, 0, zseq), (-1, 1, zseq), (0, 0, zseq), (0, 0, None)) if z else ()
         best = None
-        for left, right in ((a, b), (b, a)):
-            inner = len(shared) * (left in copied) + len(legs[right] - shared) * (right in copied)
-            seq = flat(own[left] + own[right])
-            for kind, rev, want in (*tries, (1, 0, None)):  # z last: each sequence reversed
-                if rev:
-                    seq, want = seq[::-1], want and want[::-1]
-                got = {} if kind > 0 else _run(seq, z, want, kind)
-                if rev:
-                    seq, got = seq[::-1], got and {k: v[::-1] for k, v in got.items()}
-                if got is not None and (best is None or (kind, len(got), -inner) < best[0]):
-                    best = (kind, len(got), -inner), got, left, right
-        (kind, *_), got, left, right = best
+        for turned, zs in enumerate(zseqs):
+            tries = ((-1, 0, zs), (-1, 1, zs), (0, 0, zs), (0, 0, None)) if z else ()
+            for left, right in ((a, b), (b, a)):
+                inner = len(shared) * (left in copied) + len(legs[right] - shared) * (right in copied)
+                seq = flat(own[left] + own[right])
+                for kind, rev, want in (*tries, (1, 0, None)):  # z last: each sequence reversed
+                    if rev:
+                        seq, want = seq[::-1], want and want[::-1]
+                    got = {} if kind > 0 else _run(seq, z, want, kind)
+                    if rev:
+                        seq, got = seq[::-1], got and {k: v[::-1] for k, v in got.items()}
+                    if got is not None and (best is None or (kind, len(got), -inner, turned) < best[0]):
+                        best = (kind, len(got), -inner, turned), got, left, right
+        (kind, _, _, turned), got, left, right = best
         cuts.update(got)
+        if turned:
+            ol, orr, sig, wl, wr = turn[w]
+            kept[w] = orr + ol
+            made[w] = orr + ol, wr, wl, made[w][3]
+            read[wr], read[wl] = (orr + sig, sum(map(len, orr))), (sig + ol, made[w][3])
+        turn.pop(w, None)
         if kind < 0:
             kept[n] = own[left] + own[right]
+            if z == legs[n] and w not in made and w not in held and w >= len(labels):
+                turn[n] = own[left], own[right], sigma, left, right
         made[n] = own[left] + own[right], left, right, len(shared)
         read[left] = own[left] + sigma, sum(map(len, own[left]))
         read[right] = sigma + own[right], len(shared)

@@ -932,7 +932,7 @@ def test_the_ring_program_traces_random_tensors_and_copies_only_what_it_counts()
 
 
 @pytest.mark.parametrize("backend, chain, inputs, ceiling", [
-    ("trace", lambda: _trace_chain(problems.middle_protocol(2)), {ALICE: "01", BOB: "10"}, 4),
+    ("trace", lambda: _trace_chain(problems.middle_protocol(2)), {ALICE: "01", BOB: "10"}, 3),
     ("density", _rotation_chain, {ALICE: "1", BOB: ""}, 6),
     ("trace", lambda: _trace_chain(problems.ip2_clocked(1)), {ALICE: "0", BOB: "1"}, 1),
 ])
