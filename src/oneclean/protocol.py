@@ -239,9 +239,8 @@ def _at(positions, targets: tuple) -> tuple:
     return tuple(targets[p] for p in positions)
 
 
-def resolve_ref(piece: Piece, inputs) -> np.ndarray:
-    """The matrix of a lowered piece's leaf on its qubits, adjoint applied."""
-    leaf = piece.leaf
+def resolve_ref(leaf, width: int, inputs) -> np.ndarray:
+    """The matrix of an ExplicitU or GenU ``leaf`` on ``width`` qubits."""
     if isinstance(leaf, ExplicitU):
         m, what = leaf.matrix, "explicit matrix"
     else:
@@ -252,9 +251,9 @@ def resolve_ref(piece: Piece, inputs) -> np.ndarray:
             raise
         except Exception as e:  # the generator's own failure on its params or input
             raise DomainError(f"{what} failed: {type(e).__name__}: {e}") from e
-    if m.shape != (1 << len(piece.qubits),) * 2:
-        raise DomainError(f"{what} has shape {m.shape}, expected dim 2^{len(piece.qubits)}")
-    return m.conj().T if piece.adjoint else m
+    if m.shape != (1 << width,) * 2:
+        raise DomainError(f"{what} has shape {m.shape}, expected dim 2^{width}")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +497,9 @@ def _lowering(memo: dict, ref, targets) -> tuple:
     if key not in memo:
         try:
             pieces = lower(ref, targets)
-            leaves = {(pc.leaf, len(pc.qubits)): pc for pc in pieces if isinstance(pc.leaf, ExplicitU)}
-            for pc in leaves.values():
-                resolve_ref(pc, None)  # the shape check
+            leaves = [(pc.leaf, len(pc.qubits)) for pc in pieces if isinstance(pc.leaf, ExplicitU)]
+            for leaf, width in dict.fromkeys(leaves):
+                resolve_ref(leaf, width, None)  # the shape check
             unitary = all(u.is_unitary for u, _ in leaves)
             memo[key] = pieces, [] if unitary else ["explicit matrix is not unitary within 1e-9"]
         except DomainError as e:

@@ -2,8 +2,12 @@
 
 Three backends compute the same number on two engines. All of them run
 each round (or trace-form piece) as the ``protocol.Piece`` records it was
-lowered to when the spec was built (``protocol.lowered``), through one
-resolver, ``_piece_matrices``. No round is built dense.
+lowered to when the spec was built (``protocol.lowered``). Every engine builds
+a piece's operator one way: it resolves the piece's bare leaf
+(``protocol.resolve_ref``; an explicit one when the spec's entry is built, a
+generator one once per call) and gathers the operator's entries from it
+through one cached index map (``_gather_map``), which also takes the adjoint.
+No round is built dense.
 
 * ``run_density`` and ``run_trace`` contract a closed ring of those
   pieces pairwise (``qstate.ring_plan``), never building a 2^n x 2^n
@@ -91,28 +95,6 @@ def _fixed_bits(p: ProtocolSpec, pin: Optional[dict]) -> dict:
     return fixed
 
 
-def _piece_matrices(pieces, inputs) -> list:
-    """Each lowered piece as one operator on its controls then its qubits: the
-    identity except the block where the controls read the piece's value. The one
-    resolver of every engine: in a call each leaf is resolved once, each adjoint
-    taken of that, and each distinct piece's operator built once."""
-    leaves, ops = {}, dict.fromkeys(pieces)
-    for pc in ops:
-        key = id(pc.leaf), len(pc.qubits)
-        if key not in leaves:  # kept with the adjoint flag it was resolved under
-            leaves[key] = resolve_ref(pc, inputs), pc.adjoint
-        m, adjoint = leaves[key]
-        if adjoint != pc.adjoint:
-            m = m.conj().T
-        if pc.controls:
-            c, d = 1 << len(pc.controls), len(m)
-            block = np.eye(c * d, dtype=complex).reshape(c, d, c, d)
-            block[pc.value, :, pc.value, :] = m
-            m = block.reshape(c * d, c * d)
-        ops[pc] = m
-    return [ops[pc] for pc in pieces]
-
-
 def _ring(backend: str, pieces: list, qubits):
     """The trace of a ring of ``pieces`` in application order, over ``qubits``, as
     a function of the inputs. Its program (``qstate.ring_plan``) folds the pieces
@@ -140,24 +122,23 @@ def _ring(backend: str, pieces: list, qubits):
 
 
 def _gathers(pieces, ks, traces, lay) -> tuple:
-    """The distinct leaves of the pieces ``ks`` (each as a ``Piece`` on its qubits alone), whether a
-    piece has controls, and per piece ``(k, its leaf's index, adjoint, how many axis pairs it closes,
-    its _gather_map)``."""
+    """The distinct ``(leaf, width)`` pairs of the pieces ``ks``, whether a piece has controls, and
+    per piece ``(k, its pair's index, adjoint, how many axis pairs it closes, its _gather_map)``."""
     slots, gathers = {}, []
     for k in ks:
         pc = pieces[k]
-        j = slots.setdefault((id(pc.leaf), len(pc.qubits)), (len(slots), pc))[0]
+        j = slots.setdefault((pc.leaf, len(pc.qubits)), len(slots))
         index = _gather_map(len(pc.qubits), len(pc.controls), pc.value, pc.adjoint, traces[k], *lay[k])
         gathers.append((k, j, pc.adjoint, len(traces[k]), index))
-    leaves = [Piece(pc.leaf, pc.qubits) for _, pc in slots.values()]
-    return leaves, any(pieces[k].controls for k in ks), gathers
+    return list(slots), any(pieces[k].controls for k in ks), gathers
 
 
 def _gather(leaves, units: bool, gathers, inputs, arrs: dict) -> dict:
-    """Each piece of ``gathers`` put in ``arrs`` as the matrix its step multiplies, gathered from
-    its leaf's matrix (each leaf resolved once), then 0 and 1 if ``units``; each closed trace sums
-    a last axis, and an adjoint conjugates. Returns ``arrs``."""
-    srcs = [resolve_ref(leaf, inputs).ravel() for leaf in leaves]
+    """Each piece of ``gathers`` put in ``arrs`` as the matrix its step multiplies (a ring step's,
+    or its whole operator under the identity layout), gathered from its leaf's matrix (each leaf
+    resolved once), then 0 and 1 if ``units``; each closed trace sums a last axis, and an adjoint
+    conjugates. Returns ``arrs``."""
+    srcs = [resolve_ref(leaf, w, inputs).ravel() for leaf, w in leaves]
     srcs = [np.concatenate((m, _UNITS)) for m in srcs] if units else srcs
     for k, j, adjoint, traced, index in gathers:
         t = srcs[j][index]
@@ -177,11 +158,12 @@ def _gather_map(w: int, controls: int, value: int, adjoint: bool, pairs, perm, m
     (2,)*2(controls + w) tensor has the axis ``pairs`` closed in turn, each pair's two
     terms on a trailing axis, the first pair's last, so that ``_gather``, summing the
     last axis once per pair, adds them as repeated ``np.trace`` calls do. It is laid
-    out by ``perm`` and ``mat`` (``qstate.ring_plan``'s ``lay``). Read-only; it
-    depends only on the arguments.
+    out by ``perm`` and ``mat`` (``qstate.ring_plan``'s ``lay``; under the identity
+    layout and no pairs, the piece's whole operator). Read-only; it depends only on
+    the arguments.
     """
     n, dim = 1 << w, 1 << controls + w
-    r, c = np.divmod(np.arange(dim * dim), dim)
+    r, c = np.arange(dim)[:, None], np.arange(dim)
     i, j = (c % n, r % n) if adjoint else (r % n, c % n)
     block = (r >> w == value) & (c >> w == value)
     t = np.where(block, i * n + j, n * n + (r == c)).reshape((2,) * (2 * (controls + w)))
@@ -293,6 +275,9 @@ def run_ensemble(
     amplitude. Blocks of branches are sized so that min(2^n, 2^spread)
     complex128 per branch fit in ``TRACE_MAX_BYTES``, with ``spread`` the
     qubits and controls of every spreading piece and the measured qubits.
+    Each distinct piece's operator is gathered whole (``_gather`` under the
+    identity layout): an explicit one's when the spec's ensemble entry is
+    built, a generator one's once per call.
     """
     n = p.layout.total
     if n > ENSEMBLE_QUBIT_LIMIT:
@@ -316,16 +301,18 @@ def run_ensemble(
     for j, q in enumerate(free):
         rows |= ((cols >> (len(free) - 1 - j)) & 1) << (n - 1 - q)
 
-    def build():  # the distinct pieces, explicit first: their steps, the others' shifts; each piece's index
+    def build():  # explicit pieces' steps; the other distinct pieces' gathers and shifts; each piece's index
         distinct = sorted(dict.fromkeys(lowered(p)[0]), key=lambda pc: not isinstance(pc.leaf, ExplicitU))
         shifts = [tuple(n - 1 - q for q in pc.controls + pc.qubits) for pc in distinct]
-        k = sum(isinstance(pc.leaf, ExplicitU) for pc in distinct)
+        lay = [(tuple(range(2 * len(s))), (1 << len(s),) * 2) for s in shifts]  # whole operators
+        k, traces = sum(isinstance(pc.leaf, ExplicitU) for pc in distinct), [()] * len(distinct)
+        explicit, generated = (_gathers(distinct, ks, traces, lay) for ks in (range(k), range(k, len(lay))))
+        known = list(map(_ensemble_step, shifts[:k], _gather(*explicit, None, {}).values()))
         index = {pc: i for i, pc in enumerate(distinct)}
-        known = list(map(_ensemble_step, shifts[:k], _piece_matrices(distinct[:k], None)))
-        return known, distinct[k:], shifts[k:], [index[pc] for pc in lowered(p)[0]]
+        return known, generated, shifts[k:], [index[pc] for pc in lowered(p)[0]]
 
     known, generated, gshifts, order = kept(p, ("ensemble",), build)
-    table = known + list(map(_ensemble_step, gshifts, _piece_matrices(generated, inputs)))
+    table = known + list(map(_ensemble_step, gshifts, _gather(*generated, inputs, {}).values()))
     steps = [table[i] for i in order]
     proj, support = p.measurement.operator()
     spread = sum(len(step[0]) for step in steps if len(step) == 2) + len(support)

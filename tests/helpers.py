@@ -117,7 +117,7 @@ def density_oracle(p: ProtocolSpec, inputs=None, pin=None) -> float:
         [qstate.basis_projector(fixed[q]) if q in fixed else qstate.I2 / 2.0 for q in range(p.layout.total)]
     )
     pieces = protocol.lowered(p)[0]
-    for pc, m in zip(pieces, simulator._piece_matrices(pieces, inputs)):
+    for pc, m in zip(pieces, piece_matrices(pieces, inputs)):
         rho = apply_on_subset(rho, m, pc.controls + pc.qubits)
     proj, support = p.measurement.operator()
     return accept_probability(rho, embed_operator(proj, support, p.layout.total))
@@ -608,24 +608,35 @@ def step_matrix(steps, w: int) -> np.ndarray:
     return out
 
 
+def piece_matrices(pieces, inputs) -> list:
+    """Each lowered piece as one operator on its controls then its qubits, built
+    by ``np.kron``: its leaf (conjugate-transposed when ``adjoint``) where the
+    controls read its value, the identity elsewhere. The tests' reference for
+    the operators that ``simulator._gather`` gathers."""
+    ops = []
+    for pc in pieces:
+        m = protocol.resolve_ref(pc.leaf, len(pc.qubits), inputs)
+        m = m.conj().T if pc.adjoint else m
+        on = np.zeros((1 << len(pc.controls),) * 2)
+        on[pc.value, pc.value] = 1
+        ops.append(np.kron(on, m) + np.kron(np.eye(len(on)) - on, np.eye(len(m))))
+    return ops
+
+
 def check_steps(pieces, inputs, want=None) -> int:
     """Assert what ``simulator._ensemble_step`` promises of lowered ``pieces``;
     return the number of pieces that run as moves.
 
-    Each piece is built here as one operator on its controls then its qubits,
-    by ``np.kron``: its leaf where the controls read its value, the identity
-    elsewhere. Its step moves entries exactly when that operator is a
-    permutation times phases, and evolving every basis state through the step
-    gives the operator within 1e-12, with distinct keys and no zero amplitude.
-    With ``want``, a 2^w x 2^w matrix, the steps of all the pieces on the
-    w-qubit register must also multiply to it within 1e-12.
+    Each piece's operator is ``piece_matrices``'s. Its step moves entries
+    exactly when that operator is a permutation times phases, and evolving
+    every basis state through the step gives the operator within 1e-12, with
+    distinct keys and no zero amplitude. With ``want``, a 2^w x 2^w matrix,
+    the steps of all the pieces on the w-qubit register must also multiply to
+    it within 1e-12.
     """
     ops, moves = [], 0
-    for pc in pieces:
-        m, axes = protocol.resolve_ref(pc, inputs), pc.controls + pc.qubits
-        on = np.zeros((1 << len(pc.controls),) * 2)
-        on[pc.value, pc.value] = 1
-        op = np.kron(on, m) + np.kron(np.eye(len(on)) - on, np.eye(len(m)))
+    for pc, op in zip(pieces, piece_matrices(pieces, inputs)):
+        axes = pc.controls + pc.qubits
         step = simulator._ensemble_step(tuple(range(len(axes) - 1, -1, -1)), op)
         assert (len(step) == 3) == is_monomial(op)
         assert np.max(np.abs(step_matrix([step], len(axes)) - op)) < 1e-12

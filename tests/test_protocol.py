@@ -31,6 +31,7 @@ from helpers import (
     dense_ref_oracle,
     embed_operator,
     inline_matrices,
+    piece_matrices,
     random_trace_form,
     random_two_clean,
     table_ref,
@@ -590,7 +591,7 @@ def _random_ref(rng, width: int, depth: int, kind=None):
 def _lowered_product(ref, targets, width: int, inputs) -> np.ndarray:
     out = np.eye(1 << width, dtype=complex)
     pieces = protocol.lower(ref, targets)
-    for pc, m in zip(pieces, simulator._piece_matrices(pieces, inputs)):
+    for pc, m in zip(pieces, piece_matrices(pieces, inputs)):
         out = embed_operator(m, pc.controls + pc.qubits, width) @ out
     return out
 

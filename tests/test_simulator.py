@@ -35,6 +35,7 @@ from helpers import (
     exact_amplify,
     is_monomial,
     laid_tensor,
+    piece_matrices,
     random_protocol,
     random_trace_form,
     random_two_clean,
@@ -144,9 +145,9 @@ def _branch_bytes(p, inputs) -> int:
     """16 bytes a complex amplitude times the entries one branch may reach:
     2^n, or 2^w if fewer, with w the measured qubits plus the qubits and
     controls of every lowered piece that is not a permutation times phases."""
-    w = len(p.measurement.support())
-    for pc in protocol.lowered(p)[0]:
-        w += 0 if is_monomial(protocol.resolve_ref(pc, inputs)) else len(pc.qubits) + len(pc.controls)
+    w, pieces = len(p.measurement.support()), protocol.lowered(p)[0]
+    for pc, m in zip(pieces, piece_matrices(pieces, inputs)):
+        w += 0 if is_monomial(m) else len(pc.qubits) + len(pc.controls)
     return 16 << min(p.layout.total, w)
 
 
@@ -234,6 +235,36 @@ def test_fused_operators_of_the_wide_chains_multiply_to_their_parts():
         assert abs(simulator.run_ensemble(p, inp).acceptance - want) < TOL
 
 
+def test_the_ensemble_gathers_every_piece_as_its_kron_reference(monkeypatch):
+    # each fresh spec's distinct pieces, explicit first, reach _ensemble_step once:
+    # the explicit ones when the ensemble entry is built, the others in the call
+    inst = problems.abc_instance(4, -1, seed=3)
+    specs = [
+        (problems.ip2_one_clean(2), {ALICE: "11", BOB: "10"}),
+        (transforms.unclock(_trace_chain(problems.ip2_clocked(1)))[0], {ALICE: "1", BOB: "1"}),
+        (problems.abc_protocol(4), inst.inputs()),
+        (_trace_chain(problems.middle_protocol(2)), {ALICE: "01", BOB: "10"}),
+        (_trace_chain(random_two_clean(5)), {ALICE: "1", BOB: ""}),
+    ]
+    real, seen, kinds = simulator._ensemble_step, [], set()
+    monkeypatch.setattr(simulator, "_ensemble_step", lambda shifts, m: seen.append(m) or real(shifts, m))
+    for p, inputs in specs:
+        seen.clear()
+        simulator.run_ensemble(p, inputs, sample=1, seed=0)
+        distinct = sorted(dict.fromkeys(protocol.lowered(p)[0]),
+                          key=lambda pc: not isinstance(pc.leaf, protocol.ExplicitU))
+        assert len(seen) == len(distinct)
+        for pc, got, want in zip(distinct, seen, piece_matrices(distinct, inputs)):
+            assert np.array_equal(got, want)
+            # an adjoint shows only on a leaf that is neither real nor symmetric
+            gen = isinstance(pc.leaf, GenU)
+            adj = pc.adjoint and not (np.array_equal(want, want.conj()) or np.array_equal(want, want.T))
+            kinds.update({"controls": bool(pc.controls), "dispatch value": pc.value > 1, "adjoint": adj,
+                          "generator": gen, "generator adjoint": gen and adj}.items())
+    assert {kind for kind, on in kinds if on} == {"controls", "dispatch value", "adjoint", "generator",
+                                                  "generator adjoint"}
+
+
 def test_ensemble_resolves_each_shared_generator_piece_once_per_call(monkeypatch):
     # the 16-qubit unclocked IP2 chain's 16 rounds share two references, whose
     # 32 generator-piece occurrences are 4 distinct pieces
@@ -241,13 +272,14 @@ def test_ensemble_resolves_each_shared_generator_piece_once_per_call(monkeypatch
     inputs = {ALICE: "1", BOB: "0"}
     simulator.run_ensemble(uc, inputs, sample=4, seed=1)  # keeps the spec's ensemble entry
     real, resolved = simulator.resolve_ref, []
-    monkeypatch.setattr(simulator, "resolve_ref", lambda pc, inp: resolved.append(pc) or real(pc, inp))
+    monkeypatch.setattr(simulator, "resolve_ref",
+                        lambda leaf, w, inp: resolved.append(leaf) or real(leaf, w, inp))
     simulator.run_ensemble(uc, inputs, sample=4, seed=1)
     generated = [pc for pc in protocol.lowered(uc)[0] if isinstance(pc.leaf, GenU)]
     leaves = {id(pc.leaf) for pc in generated}
     assert (len(generated), len({id(pc) for pc in generated}), len(leaves)) == (32, 4, 2)
-    # one resolve per distinct leaf; a piece's adjoint is taken of its leaf's matrix
-    assert len(resolved) == len({id(pc.leaf) for pc in resolved}) == 2
+    # one resolve per distinct leaf; a piece's adjoint is gathered from its leaf's matrix
+    assert len(resolved) == len({id(leaf) for leaf in resolved}) == 2
 
 
 def test_ensemble_cancels_exactly_on_the_unclocked_chain(monkeypatch):
@@ -578,7 +610,7 @@ def _whole_ring(backend, pieces, qubits):
     traces, fold, lay, steps, free, _, _ = qstate.ring_plan(len(qubits), axes, fixed)
 
     def ring(inputs):
-        mats = simulator._piece_matrices(pieces, inputs)
+        mats = piece_matrices(pieces, inputs)
         arrs = {k: laid_tensor(m, traces[k], lay[k]) for k, m in enumerate(mats)}
         return qstate.trace_ring(qstate.run_steps(arrs, fold), steps, free)
 
@@ -735,8 +767,8 @@ def test_a_warm_call_runs_only_the_ring_steps_that_read_an_input(backend, chain,
     real, resolve, plan = qstate._ring_step, simulator.resolve_ref, qstate.ring_plan
     monkeypatch.setattr(qstate, "_ring_step", lambda *args: steps.append(1) or real(*args))
     monkeypatch.setattr(qstate, "ring_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
-    monkeypatch.setattr(simulator, "resolve_ref", lambda pc, inputs: explicit.append(
-        isinstance(pc.leaf, protocol.ExplicitU)) or resolve(pc, inputs))
+    monkeypatch.setattr(simulator, "resolve_ref", lambda leaf, w, inputs: explicit.append(
+        isinstance(leaf, protocol.ExplicitU)) or resolve(leaf, w, inputs))
     counts = []
     for _ in range(4):
         steps.clear()
@@ -966,14 +998,23 @@ def test_ring_plan_equals_the_rebuilding_planner():
         assert [(min(a, b), max(a, b), s) for a, b, s, *_ in steps] == [(a, b, s) for a, b, _, _, s in want_steps]
 
 
+def _whole_operator(pc, inputs) -> np.ndarray:
+    """A lowered piece's operator on its controls then its qubits, as ``run_ensemble``
+    gathers it: ``simulator._gather`` under the identity layout, with no trace closed."""
+    w = len(pc.controls + pc.qubits)
+    lay = (tuple(range(2 * w)), (1 << w,) * 2)
+    return simulator._gather(*simulator._gathers([pc], [0], [()], [lay]), inputs, {})[0]
+
+
 def test_resolving_a_width_12_unclocked_round_stays_small():
     uc, _ = transforms.unclock(_trace_chain(problems.ip2_clocked(1)))
     assert max(len(r.targets) for r in uc.rounds) == 12
+    pieces = protocol.lowered(uc)[0]
+    simulator._gather_map.cache_clear()  # every index map is built, and counted, here
     tracemalloc.start()
     try:
-        pieces = protocol.lowered(uc)[0]
         for pc in pieces:
-            simulator._piece_matrices([pc], {ALICE: "1", BOB: "1"})
+            _whole_operator(pc, {ALICE: "1", BOB: "1"})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
