@@ -9,7 +9,9 @@ errors, 3 backend limits, 1 failed verify checks.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -27,6 +29,7 @@ from .errors import (
 from .protocol import ALICE, BOB
 
 ENV_SEED = "ONECLEAN_SEED"
+CSV_HEADER = ("input", "acceptance", "backend", "seed", "elapsed")  # the record fields a --csv row holds
 
 PASSES = {
     "k1": transforms.k_to_one_clean,
@@ -102,14 +105,12 @@ def _write_json(args, body: dict) -> None:
 def _write_report(args, records: list[dict], extra: dict) -> None:
     if not args.csv:
         return _write_json(args, {"records": records, **extra})
-    lines = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in _meta(args).items()]
-    lines.append(simulator.RunReport.CSV_HEADER)
-    for r in records:
-        lines.append(
-            f"{r['input']},{r['acceptance']!r},{r['backend']},"
-            f"{'' if r.get('seed') is None else r['seed']},"
-        )
-    _write_text(args, "\n".join(lines) + "\n")
+    out = io.StringIO()
+    out.writelines(f"# {k}={json.dumps(v, sort_keys=True)}\n" for k, v in _meta(args).items())
+    rows = csv.writer(out, lineterminator="\n")  # quotes only the fields that need it
+    rows.writerow(CSV_HEADER)
+    rows.writerows([r[column] for column in CSV_HEADER] for r in records)
+    _write_text(args, out.getvalue())
 
 
 def _flag(dest: str) -> str:

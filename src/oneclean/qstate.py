@@ -81,11 +81,9 @@ def tensor(a, b) -> np.ndarray:
 
 
 def tensor_all(mats) -> np.ndarray:
-    out = None
-    for m in mats:
-        out = _as_matrix(m) if out is None else tensor(out, m)
-    if out is None:
-        return np.eye(1, dtype=complex)
+    out = _as_matrix(mats[0])
+    for m in mats[1:]:
+        out = tensor(out, m)
     return out
 
 
@@ -218,12 +216,12 @@ def _program(labels: list, pairs: list, held: set) -> tuple:
         shared = legs[a] & legs[b]
         own, sigma = {}, None
         for x in (a, b):
-            block = _block(flat(kept[x]), shared) if x in kept else None
-            own[x], sigma = block or ([legs[x] - shared] * bool(legs[x] - shared), sigma)
+            rest = [legs[x] - shared] * bool(legs[x] - shared)
+            own[x], sigma = _block(flat(kept[x]), shared) if x in kept else (rest, sigma)
         sigma = sigma or [shared]
         c, w = reader.get(n, (None, None))
         z = legs[n] & legs[w] if c is not None and n not in held else frozenset()
-        zseq = (_block(flat(kept[w]), z) or (None, None))[1] if w in kept else None
+        zseq = _block(flat(kept[w]), z)[1] if w in kept else None
         # the partner's order as made, or, if its reader contracts it whole, with its sides turned
         zseqs = [zseq] + ([flat(turn[w][1] + turn[w][0])] if w in turn else [])
         copied = {x for x in (a, b) if x in made and x not in held | kept.keys()}
@@ -285,14 +283,14 @@ def _program(labels: list, pairs: list, held: set) -> tuple:
 
 
 def _block(seq: list, part: frozenset):
-    """Atoms ``seq`` whose first or last atoms hold exactly the legs ``part``, as (the rest, those);
-    None if no such atoms are first or last."""
+    """Atoms ``seq`` whose first or last atoms hold exactly the legs ``part``, as (the rest, those).
+    Such atoms exist: a kept tensor is laid out with the legs its reader contracts, and those it
+    shares with its partner there, as its first or last atoms, and later cuts split atoms only."""
     for j in range(len(seq) + 1):
         if frozenset().union(*seq[:j]) == part:
             return seq[j:], seq[:j]
         if frozenset().union(*seq[len(seq) - j:]) == part:
             return seq[: len(seq) - j], seq[len(seq) - j:]
-    return None
 
 
 def _run(seq: list, z: frozenset, zseq, edge: bool):

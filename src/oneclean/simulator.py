@@ -68,8 +68,6 @@ class RunReport:
     backend: str
     seed: Optional[int] = None
 
-    CSV_HEADER = "input,acceptance,backend,seed,elapsed"
-
 
 @dataclass(frozen=True)
 class RepetitionPlan:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -800,6 +801,16 @@ def test_run_descriptor_with_inline_inputs(tmp_path, capsys):
     assert code == 0
     body = json.loads(capsys.readouterr().out)
     assert body["records"][0]["acceptance"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_a_csv_row_holds_the_header_fields_and_its_inputs_read_back(capsys):
+    # descriptor inputs print as JSON, whose commas the row quotes
+    inputs = {"0": "1", "1": ""}
+    assert run_cli("run", "--descriptor", str(DATA / "two_clean_v3.json"), "--inputs", json.dumps(inputs),
+                   "--csv") == 0
+    rows = list(csv.reader(l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")))
+    assert rows[0] == list(cli.CSV_HEADER) and [len(row) for row in rows] == [5, 5]
+    assert json.loads(rows[1][0]) == inputs and rows[1][2:] == ["density", "", ""]
 
 
 def test_full_chain_via_cli_hits_the_wrap_formula(tmp_path, capsys):

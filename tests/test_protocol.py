@@ -211,6 +211,18 @@ def test_serialize_round_trip_exact():
         assert protocol.protocol_equal(p, q), p.name
 
 
+def test_declared_json_numbers_read_as_floats_round_trip_and_map_through_k1():
+    obj = protocol.to_descriptor(problems.ip2_clocked(1))
+    obj["declared"] = {"p": 0.5, "eps": 0.125}
+    p = protocol.from_descriptor(obj)
+    assert protocol.to_descriptor(p)["declared"] == {"p": 0.5, "eps": 0.125}
+    assert protocol.protocol_equal(p, protocol.deserialize(protocol.serialize(p)))
+    out, cert = transforms.k_to_one_clean(p)
+    slope, offset = float(cert.acceptance_slope), float(cert.acceptance_offset)
+    assert type(out.declared_p) is float and out.declared_p == slope * 0.5 + offset
+    assert type(out.declared_eps) is float and out.declared_eps == slope * 0.125
+
+
 def test_deserialize_missing_mode_names_field():
     obj = protocol.to_descriptor(problems.ip2_clocked(1))
     del obj["mode"]

@@ -1206,10 +1206,13 @@ def test_amplify_precondition():
         simulator.amplify(0.5, 0.6, Fraction(1, 2), Fraction(1, 4))
 
 
-@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 64), 1e-2, 1e-3])
+@pytest.mark.parametrize(
+    "eps", [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 64), Fraction(2, 5), 1e-2, 1e-3]
+)
 def test_amplify_tails_match_the_incomplete_beta(eps):
-    # scipy as the oracle of each tail, up to t = 4,000,000 at eps = 1e-3; an acc0 of 0 or an
-    # acc1 of 1 makes its own tail exactly 0, so each call below returns the other one
+    # scipy as the oracle of each tail, from t = 25 at eps = 2/5 (threshold 13, where the Stirling
+    # error of a factorial up to 15! comes from lgamma) up to t = 4,000,000 at eps = 1e-3; an acc0
+    # of 0 or an acc1 of 1 makes its own tail exactly 0, so each call below returns the other one
     ref = Fraction(1, 2)
     acc0, acc1 = ref - eps, ref + eps
     plan = simulator.repetition_plan(eps, ref)
